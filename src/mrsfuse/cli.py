@@ -24,6 +24,9 @@ from pathlib import Path
 from .cohort import (
     ClinicalNormalizer,
     Cohort,
+    CohortArrays,
+    OutcomeLabel,
+    atomic_output,
     read_cohort_csv,
     validate_cohort,
     write_cohort_csv,
@@ -36,7 +39,7 @@ from .crossval import (
     resolve_fold_config,
 )
 from .errors import ConfigError, DegenerateDataError, ValidationError
-from .fusion import FUSION_VARIABLES, THRESHOLD_STRATEGIES, FusionConfig, fuse_patient
+from .fusion import FUSION_VARIABLES, THRESHOLD_STRATEGIES, FusionConfig, fuse_rows
 from .metrics import MEASURES
 from .synth import SyntheticSpec, generate_cohort
 
@@ -74,9 +77,8 @@ SYNTH_SPEC_KEYS = (
 
 
 def _write_text_atomic(path: Path, text: str) -> None:
-    tmp_path = path.with_name(path.name + ".tmp")
-    tmp_path.write_text(text, encoding="utf-8")
-    os.replace(tmp_path, path)
+    with atomic_output(path) as handle:
+        handle.write(text)
 
 
 def _json_dumps(document: object) -> str:
@@ -231,27 +233,34 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     cohort = _read_valid_cohort(settings.cohort_path())
     config = settings.fusion_config()
-    resolved, _ = resolve_fold_config(cohort.patients, config)
+    arrays = CohortArrays.from_patients(cohort.patients)
+    resolved, _ = resolve_fold_config(arrays, config)
     unweighted = FusionConfig(
         clinical_variable="none",
         prelim_threshold=resolved.prelim_threshold,
         final_threshold=resolved.final_threshold,
         strategy=resolved.strategy,
     )
+    weights, fused = fuse_rows(arrays, resolved)
+    _, fused_unweighted = fuse_rows(arrays, unweighted)
+    label_names = [str(label) for label in OutcomeLabel]  # indexed by "is poor"
 
-    rows = []
-    for patient in cohort.patients:
-        weighted_result = fuse_patient(patient, resolved)
-        unweighted_result = fuse_patient(patient, unweighted)
-        row: dict = {"patient_id": patient.patient_id}
-        for name, prob in zip(cohort.module_names, patient.module_probs):
-            row[f"p_{name.lower()}"] = prob
-        for name, weight in zip(cohort.module_names, weighted_result.weights):
-            row[f"w_{name.lower()}"] = weight
-        row["fused_prob"] = weighted_result.fused_probability
-        row["label_unweighted"] = str(unweighted_result.final_label)
-        row["label_weighted"] = str(weighted_result.final_label)
-        rows.append(row)
+    modules = [name.lower() for name in cohort.module_names]
+    header = (
+        ["patient_id"] + [f"p_{m}" for m in modules] + [f"w_{m}" for m in modules]
+        + ["fused_prob", "label_unweighted", "label_weighted"]
+    )
+    table = [
+        [patient.patient_id, *patient.module_probs, *w, f,
+         label_names[poor_unweighted], label_names[poor_weighted]]
+        for patient, w, f, poor_unweighted, poor_weighted in zip(
+            cohort.patients,
+            weights.tolist(),
+            fused.tolist(),
+            (fused_unweighted > resolved.final_threshold).tolist(),
+            (fused > resolved.final_threshold).tolist(),
+        )
+    ]
 
     fmt = settings.get("format") or "csv"
     if fmt == "json":
@@ -261,14 +270,14 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
                 "prelim_threshold": resolved.prelim_threshold,
                 "final_threshold": resolved.final_threshold,
             },
-            "patients": rows,
+            "patients": [dict(zip(header, row)) for row in table],
         }
         _emit(_json_dumps(document), settings.get("out"))
     else:
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        writer.writerows(table)
         _emit(buffer.getvalue(), settings.get("out"))
     return EXIT_OK
 

@@ -11,8 +11,12 @@ import csv
 import enum
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator, TextIO
+
+import numpy as np
 
 from .errors import ConfigError, ValidationError
 
@@ -79,10 +83,14 @@ class ClinicalNormalizer:
         return normalize_clinical(value, self)
 
 
-def normalize_clinical(value: float, normalizer: ClinicalNormalizer) -> float:
-    """Scale a covariate onto [0, 1]; out-of-bounds values clamp to 0 or 1."""
-    scaled = (value - normalizer.min) / (normalizer.max - normalizer.min)
-    return min(1.0, max(0.0, scaled))
+def normalize_clinical(value: float | np.ndarray, normalizer: ClinicalNormalizer) -> float | np.ndarray:
+    """Scale a covariate (a float or an array) onto [0, 1]; out-of-bounds values clamp to 0 or 1.
+
+    Values at or below the lower bound, NaN and -0.0 included, map to +0.0.
+    """
+    scaled = np.asarray((value - normalizer.min) / (normalizer.max - normalizer.min), dtype=float)
+    clamped = np.where(scaled > 0.0, np.minimum(scaled, 1.0), 0.0)
+    return clamped if clamped.ndim else float(clamped)
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,80 @@ class Cohort:
             for p in self.patients
         )
         return Cohort(module_names=(name,), patients=patients)
+
+
+@dataclass(frozen=True, eq=False)
+class CohortArrays:
+    """Row-aligned numpy columns of a patient sequence, as fusion and threshold search read them.
+
+    ``probs`` is (n, m), possibly a column subset of the records' modules
+    (see :meth:`column`); ``age`` and ``nihss`` are float covariates.
+    ``outcome`` holds the :class:`OutcomeLabel` values (good 0, poor 1) when
+    built with ``labeled=True``, and None otherwise. Iterating yields the
+    source records.
+    """
+
+    patients: tuple[PatientRecord, ...]
+    probs: np.ndarray
+    age: np.ndarray
+    nihss: np.ndarray
+    outcome: np.ndarray | None = None
+
+    @classmethod
+    def from_patients(cls, patients: Iterable[PatientRecord], labeled: bool = False) -> "CohortArrays":
+        """Columns of ``patients``; ``labeled`` reads every outcome (raising on a missing mrs)."""
+        patients = tuple(patients)
+        if patients:
+            probs = np.array([p.module_probs for p in patients], dtype=float)
+        else:
+            probs = np.empty((0, 0))
+        return cls(
+            patients=patients,
+            probs=probs,
+            age=np.array([float(p.age) for p in patients]),
+            nihss=np.array([float(p.nihss) for p in patients]),
+            outcome=_outcomes(patients) if labeled else None,
+        )
+
+    def __len__(self) -> int:
+        return len(self.patients)
+
+    def __iter__(self) -> Iterator[PatientRecord]:
+        return iter(self.patients)
+
+    def covariate(self, variable: str) -> np.ndarray:
+        if variable == "age":
+            return self.age
+        if variable == "nihss":
+            return self.nihss
+        raise ConfigError(f"unknown clinical variable {variable!r}")
+
+    def outcomes(self) -> np.ndarray:
+        """Outcome labels as an int array, read from the records if not built labeled."""
+        return _outcomes(self.patients) if self.outcome is None else self.outcome
+
+    def take(self, rows: np.ndarray) -> "CohortArrays":
+        """The rows at the given indices, in that order."""
+        return CohortArrays(
+            patients=tuple(self.patients[i] for i in rows.tolist()),
+            probs=self.probs[rows],
+            age=self.age[rows],
+            nihss=self.nihss[rows],
+            outcome=None if self.outcome is None else self.outcome[rows],
+        )
+
+    def column(self, index: int) -> "CohortArrays":
+        """The same rows with only module ``index``'s probabilities."""
+        return CohortArrays(self.patients, self.probs[:, index:index + 1], self.age, self.nihss, self.outcome)
+
+
+def _outcomes(patients: Iterable[PatientRecord]) -> np.ndarray:
+    return np.array([p.outcome() for p in patients], dtype=np.int8)
+
+
+def as_arrays(patients: Iterable[PatientRecord] | CohortArrays) -> CohortArrays:
+    """``patients`` as columns, converting records and passing arrays through."""
+    return patients if isinstance(patients, CohortArrays) else CohortArrays.from_patients(patients)
 
 
 @dataclass(frozen=True)
@@ -234,7 +316,7 @@ def read_cohort_csv(path: str | Path) -> Cohort:
     their header order defines the cohort's module ordering.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames
         if header is None:
@@ -267,10 +349,8 @@ def read_cohort_csv(path: str | Path) -> Cohort:
 
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     """Write a cohort in the standard CSV schema (atomically: temp file + rename)."""
-    path = Path(path)
     header = list(CSV_REQUIRED_COLUMNS) + [_module_column(name) for name in cohort.module_names]
-    tmp_path = path.with_name(path.name + ".tmp")
-    with tmp_path.open("w", newline="", encoding="utf-8") as handle:
+    with atomic_output(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for p in cohort.patients:
@@ -278,4 +358,23 @@ def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
                 [p.patient_id, repr(float(p.age)), p.nihss, "" if p.mrs is None else p.mrs]
                 + [repr(float(prob)) for prob in p.module_probs]
             )
-    os.replace(tmp_path, path)
+
+
+@contextmanager
+def atomic_output(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text handle whose content replaces ``path`` only if the block succeeds.
+
+    It writes to a temp file beside ``path`` with a name unique to the call,
+    so concurrent writers never share it, and removes that file on failure.
+    The file is created like ``open(path, "w")`` would: mode 0o666 less the umask.
+    """
+    path = Path(path)
+    tmp_path = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp_path, path)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise

@@ -15,17 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohort import Cohort, OutcomeLabel, PatientRecord, validate_cohort
+from .cohort import Cohort, CohortArrays, OutcomeLabel, PatientRecord, as_arrays, validate_cohort
 from .errors import ConfigError, DegenerateDataError, ValidationError
 from .fusion import (
     FusionConfig,
-    compute_weights,
-    derive_labels,
-    fuse,
-    fuse_patient,
+    fuse_matrix,
+    fuse_rows,
+    normalized_covariate,
     normalizer_from_patients,
     search_threshold,
-    uniform_weights,
 )
 from .metrics import MEASURES, MetricReport, report
 from .significance import PairedSample, TestResult, wilcoxon_signed_rank
@@ -172,6 +170,7 @@ def make_folds(cohort: Cohort, plan: CvPlan, run_index: int) -> list[Fold]:
     Stratified assignment deals each class round-robin with a shared fold
     cursor, so per-class counts and total fold sizes both differ by at most
     one across folds. Every training fold must contain both outcome classes.
+    Test ids are sorted; training ids keep the cohort order.
     """
     if not cohort.patients:
         raise ValidationError("cannot fold an empty cohort")
@@ -182,47 +181,31 @@ def make_folds(cohort: Cohort, plan: CvPlan, run_index: int) -> list[Fold]:
         raise ValidationError(f"k={plan.k} exceeds cohort size {n}")
 
     rng = np.random.default_rng([plan.base_seed, run_index])
-    assignments: list[list[str]] = [[] for _ in range(plan.k)]
-    cursor = 0
-
+    poor = np.array([p.outcome() for p in cohort.patients]) == OutcomeLabel.POOR
     if plan.stratified:
-        groups = [
-            [p.patient_id for p in cohort.patients if p.outcome() == label]
-            for label in (OutcomeLabel.GOOD, OutcomeLabel.POOR)
-        ]
+        groups = [np.flatnonzero(~poor), np.flatnonzero(poor)]
     else:
-        groups = [[p.patient_id for p in cohort.patients]]
+        groups = [np.arange(n)]
+    # deal the shuffled groups, one after the other, round-robin onto the folds
+    dealt = np.concatenate([group[rng.permutation(len(group))] for group in groups])
+    fold_of = np.empty(n, dtype=np.intp)
+    fold_of[dealt] = np.arange(n) % plan.k
 
-    for group in groups:
-        for pos in rng.permutation(len(group)):
-            assignments[cursor].append(group[int(pos)])
-            cursor = (cursor + 1) % plan.k
-
-    truth_by_id = {p.patient_id: p.outcome() for p in cohort.patients}
+    ids = [p.patient_id for p in cohort.patients]
     folds = []
-    for test_ids in assignments:
-        test_set = set(test_ids)
-        train_ids = tuple(p.patient_id for p in cohort.patients if p.patient_id not in test_set)
-        train_classes = {truth_by_id[pid] for pid in train_ids}
-        if len(train_classes) < 2:
+    for fold_index in range(plan.k):
+        in_test = fold_of == fold_index
+        train_poor = poor[~in_test]
+        if train_poor.all() or not train_poor.any():
             hint = "" if plan.stratified else "; enable stratification"
             raise DegenerateDataError(
                 f"a training fold contains a single outcome class{hint}"
             )
-        folds.append(Fold(train_ids=train_ids, test_ids=tuple(sorted(test_set))))
+        folds.append(Fold(
+            train_ids=tuple(ids[i] for i in np.flatnonzero(~in_test).tolist()),
+            test_ids=tuple(sorted(ids[i] for i in np.flatnonzero(in_test).tolist())),
+        ))
     return folds
-
-
-def _fused_score(
-    patient: PatientRecord, config: FusionConfig, prelim_threshold: float
-) -> float:
-    labels = derive_labels(patient.module_probs, prelim_threshold)
-    if config.clinical_variable == "none":
-        weights = uniform_weights(len(labels))
-    else:
-        covariate = config.normalizer.normalize(patient.covariate(config.clinical_variable))
-        weights = compute_weights(labels, covariate)
-    return fuse(patient.module_probs, weights)
 
 
 def _searched(value: float, what: str) -> float:
@@ -232,35 +215,34 @@ def _searched(value: float, what: str) -> float:
 
 
 def resolve_fold_config(
-    train: Sequence[PatientRecord], config: FusionConfig, fold_index: int = 0
+    train: Sequence[PatientRecord] | CohortArrays, config: FusionConfig, fold_index: int = 0
 ) -> tuple[FusionConfig, FoldResolution]:
     """Make thresholds and normalizer concrete using training patients only.
 
     Threshold searches need labeled training patients; a fully fixed config
     resolves without reading any outcome.
     """
+    rows = as_arrays(train)
     resolved = config
     if resolved.clinical_variable != "none" and resolved.normalizer is None:
         resolved = resolved.with_normalizer(
-            normalizer_from_patients(train, resolved.clinical_variable)
+            normalizer_from_patients(rows, resolved.clinical_variable)
         )
 
     prelim = resolved.prelim_threshold
     if prelim is None:
-        truths = [p.outcome() for p in train]
-        module_scores = [p for patient in train for p in patient.module_probs]
-        module_truths = [t for patient, t in zip(train, truths) for _ in patient.module_probs]
+        # every module score of every patient, patient by patient
+        module_truths = np.repeat(rows.outcomes(), rows.probs.shape[1])
         prelim = _searched(
-            search_threshold(module_scores, module_truths, resolved.strategy),
+            search_threshold(rows.probs.ravel(), module_truths, resolved.strategy),
             "preliminary threshold",
         )
 
     final = resolved.final_threshold
     if final is None:
-        truths = [p.outcome() for p in train]
-        fused_scores = [_fused_score(p, resolved, prelim) for p in train]
+        _, fused_scores = fuse_matrix(rows.probs, normalized_covariate(rows, resolved), prelim)
         final = _searched(
-            search_threshold(fused_scores, truths, resolved.strategy),
+            search_threshold(fused_scores, rows.outcomes(), resolved.strategy),
             "final threshold",
         )
 
@@ -287,13 +269,15 @@ def evaluate_model(
     plan: CvPlan,
     config: FusionConfig,
     model_name: str | None = None,
+    module: str | None = None,
 ) -> RunSummary:
     """Cross-validated evaluation of one fusion configuration.
 
     Per run: folds are drawn, thresholds resolved per training fold,
     test-fold predictions pooled, and the six measures computed once on the
     pooled predictions. Runs that hit degenerate data are recorded under
-    ``failures`` and skipped in the aggregates.
+    ``failures`` and skipped in the aggregates. With ``module`` set, only
+    that module's probabilities are fused, as an ensemble of one.
     """
     violations = validate_cohort(cohort)
     if violations:
@@ -302,36 +286,35 @@ def evaluate_model(
     if not cohort.is_labeled():
         raise ValidationError("evaluation requires mrs for every patient")
 
-    by_id = {p.patient_id: p for p in cohort.patients}
+    rows = CohortArrays.from_patients(cohort.patients, labeled=True)
+    if module is not None:
+        rows = rows.column(cohort.module_index(module))
+    row_of = {p.patient_id: i for i, p in enumerate(cohort.patients)}
+
+    def row_indices(ids: tuple[str, ...]) -> np.ndarray:
+        return np.fromiter((row_of[pid] for pid in ids), dtype=np.intp, count=len(ids))
+
     runs: list[RunResult] = []
     failures: list[str] = []
-
     for run_index in range(plan.n_runs):
         try:
-            folds = make_folds(cohort, plan, run_index)
             resolutions: list[FoldResolution] = []
-            predicted: dict[str, OutcomeLabel] = {}
-            fused: dict[str, float] = {}
-            for fold_index, fold in enumerate(folds):
-                train = [by_id[pid] for pid in fold.train_ids]
+            fused = np.empty(len(rows))
+            predicted = np.empty(len(rows), dtype=np.int8)
+            for fold_index, fold in enumerate(make_folds(cohort, plan, run_index)):
+                train = rows.take(row_indices(fold.train_ids))
                 resolved, resolution = resolve_fold_config(train, config, fold_index)
                 resolutions.append(resolution)
-                for pid in fold.test_ids:
-                    result = fuse_patient(by_id[pid], resolved)
-                    predicted[pid] = result.final_label
-                    fused[pid] = result.fused_probability
-            ordered_ids = [p.patient_id for p in cohort.patients]
-            run_report = report(
-                predicted=[predicted[pid] for pid in ordered_ids],
-                fused_probs=[fused[pid] for pid in ordered_ids],
-                truth=[by_id[pid].outcome() for pid in ordered_ids],
-            )
+                test = row_indices(fold.test_ids)
+                fused[test] = fuse_rows(rows.take(test), resolved)[1]
+                predicted[test] = fused[test] > resolved.final_threshold
+            run_report = report(predicted=predicted, fused_probs=fused, truth=rows.outcomes())
             runs.append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))
         except DegenerateDataError as exc:
             failures.append(f"run {run_index}: {exc}")
 
     return RunSummary(
-        model=model_name or _default_model_name(config),
+        model=model_name or module or _default_model_name(config),
         plan=plan,
         config=config,
         runs=tuple(runs),
@@ -342,10 +325,7 @@ def evaluate_model(
 def evaluate_per_module(cohort: Cohort, plan: CvPlan) -> dict[str, RunSummary]:
     """Evaluate each module's probabilities alone, as a single-module ensemble."""
     baseline = FusionConfig(clinical_variable="none", strategy="youden")
-    return {
-        name: evaluate_model(cohort.single_module_view(name), plan, baseline, model_name=name)
-        for name in cohort.module_names
-    }
+    return {name: evaluate_model(cohort, plan, baseline, module=name) for name in cohort.module_names}
 
 
 def _compare_paired(

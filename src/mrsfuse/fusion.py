@@ -13,7 +13,9 @@ The pipeline for one patient:
 5. threshold the fused probability into the final label.
 
 With the clinical variable set to ``none`` the weights are uniform and the
-pipeline reduces to the plain averaging ensemble.
+pipeline reduces to the plain averaging ensemble. :func:`fuse_matrix` runs
+steps 1-4 for many patients at once; the scalar helpers stay as its
+reference.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ import numpy as np
 
 from .cohort import (
     ClinicalNormalizer,
+    CohortArrays,
     OutcomeLabel,
     PatientRecord,
+    as_arrays,
     normalize_clinical,
 )
 from .errors import ConfigError, DegenerateDataError, ValidationError
@@ -144,16 +148,80 @@ def fuse(probs: Sequence[float], weights: Sequence[float]) -> float:
     return float(sum(w * p for w, p in zip(weights, probs)))
 
 
+def _first_outside_unit(values: np.ndarray) -> float | None:
+    """The first value (row-major) that is not a finite number in [0, 1], or None."""
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    return float(values[outside][0]) if outside.any() else None
+
+
+def _row_sums(matrix: np.ndarray) -> np.ndarray:
+    # column by column from 0, the order of the scalar ``sum`` over a row,
+    # so every row sum matches it bit for bit
+    total = np.zeros(matrix.shape[0])
+    for j in range(matrix.shape[1]):
+        total += matrix[:, j]
+    return total
+
+
+def fuse_matrix(
+    probs: np.ndarray, covariate: np.ndarray | None, prelim_threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fusion weights (n, m) and fused probabilities (n,) of n patients by m modules.
+
+    Row by row this is :func:`derive_labels`, :func:`compute_weights` (or
+    uniform weights when ``covariate`` is None) and :func:`fuse`, with the
+    same range checks and the same floating-point results.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 2:
+        raise ValidationError(f"probabilities must form an (n, m) matrix, got shape {p.shape}")
+    if p.shape[1] == 0:
+        raise ValidationError("cannot fuse an empty probability list")
+    bad = _first_outside_unit(p)
+    if bad is not None:
+        raise ValidationError(f"module probability must be in [0, 1], got {bad!r}")
+    n, m = p.shape
+    if covariate is None:
+        weights = np.full((n, m), 1.0 / m)
+    else:
+        c = np.asarray(covariate, dtype=float)
+        if c.shape != (n,):
+            raise ValidationError(f"length mismatch: {n} patients vs covariate shape {c.shape}")
+        bad = _first_outside_unit(c)
+        if bad is not None:
+            raise ValidationError(f"covariate must be in [0, 1], got {bad!r}")
+        c = c[:, None]
+        raw = np.where(p > prelim_threshold, c, 1.0 - c)
+        total = _row_sums(raw)
+        uniform = total == 0.0
+        weights = raw / np.where(uniform, 1.0, total)[:, None]
+        weights[uniform] = 1.0 / m
+        sums = _row_sums(weights)
+        off = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
+        if off.any():
+            raise ValidationError(
+                f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {float(sums[off][0])!r}"
+            )
+    return weights, _row_sums(weights * p)
+
+
+def normalized_covariate(rows: CohortArrays, config: FusionConfig) -> np.ndarray | None:
+    """The config's clinical covariate of every row scaled onto [0, 1]; None when unweighted."""
+    if config.clinical_variable == "none":
+        return None
+    return normalize_clinical(rows.covariate(config.clinical_variable), config.normalizer)
+
+
+def fuse_rows(rows: CohortArrays, config: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fuse_matrix` over every row under a resolved config."""
+    if not config.is_resolved():
+        raise ConfigError("fusion config is not resolved: thresholds or normalizer missing")
+    return fuse_matrix(rows.probs, normalized_covariate(rows, config), config.prelim_threshold)
+
+
 def classify(fused_probability: float, threshold: float) -> OutcomeLabel:
     """Final decision; a fused probability at or below the threshold is good."""
     return OutcomeLabel.GOOD if fused_probability <= threshold else OutcomeLabel.POOR
-
-
-def threshold_candidates(scores: Sequence[float]) -> list[float]:
-    """Candidate cuts: midpoints between consecutive distinct scores, plus 0 and 1."""
-    distinct = sorted(set(float(s) for s in scores))
-    mids = [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])]
-    return [0.0] + mids + [1.0]
 
 
 def search_threshold(
@@ -163,66 +231,59 @@ def search_threshold(
 ) -> float:
     """Pick the cut maximizing Youden's J (or accuracy) over the candidate grid.
 
-    Ties break toward the smallest candidate. Requires both classes in
-    ``truths`` and at least two distinct scores.
+    Candidates are 0, 1 and the midpoints between consecutive distinct
+    scores; a score at or below a cut votes good. One sort gives every
+    candidate's confusion counts (an ROC sweep, O(n log n)), and the
+    objective is compared exactly in integers: ``tp * n_good + tn * n_poor``
+    is Youden's J scaled by ``n_poor * n_good``, ``tp + tn`` is accuracy
+    scaled by n. Ties break toward the smallest candidate. Requires both
+    classes in ``truths`` and at least two distinct scores.
     """
     if strategy not in ("youden", "max_accuracy"):
         raise ConfigError(f"not a searchable strategy: {strategy!r}")
     if len(scores) != len(truths) or len(scores) == 0:
         raise ValidationError("scores and truths must be non-empty and equal length")
-    y = np.asarray([t == OutcomeLabel.POOR for t in truths], dtype=bool)
     s = np.asarray(scores, dtype=float)
-    n_poor = int(y.sum())
-    n_good = int((~y).sum())
+    poor = np.asarray(truths) == OutcomeLabel.POOR
+    n_poor = int(poor.sum())
+    n_good = len(poor) - n_poor
     if n_poor == 0 or n_good == 0:
         raise DegenerateDataError("degenerate class distribution: need both good and poor truths")
-    candidates = threshold_candidates(s)
-    if len(candidates) == 2:  # all scores identical
+    distinct = np.unique(s)
+    if len(distinct) < 2:
         raise DegenerateDataError("cannot search a threshold over identical scores")
+    candidates = np.concatenate(([0.0], (distinct[:-1] + distinct[1:]) / 2.0, [1.0]))
 
-    best_value = -np.inf
-    best_threshold = candidates[0]
-    for t in candidates:
-        predicted_poor = s > t
-        tp = int(np.sum(predicted_poor & y))
-        tn = int(np.sum(~predicted_poor & ~y))
-        if strategy == "youden":
-            value = tp / n_poor + tn / n_good - 1.0
-        else:
-            value = (tp + tn) / len(s)
-        if value > best_value + 1e-15:
-            best_value = value
-            best_threshold = t
-    return float(best_threshold)
+    order = np.argsort(s, kind="stable")
+    poor_at_or_below = np.concatenate(([0], np.cumsum(poor[order])))
+    at_or_below = np.searchsorted(s[order], candidates, side="right")
+    fn = poor_at_or_below[at_or_below]
+    tp = n_poor - fn
+    tn = at_or_below - fn
+    objective = tp * n_good + tn * n_poor if strategy == "youden" else tp + tn
+    return float(candidates[int(np.argmax(objective))])
 
 
 def fuse_patient(record: PatientRecord, config: FusionConfig) -> FusionResult:
     """Run the full fusion pipeline for one patient under a resolved config."""
-    if not config.is_resolved():
-        raise ConfigError("fusion config is not resolved: thresholds or normalizer missing")
-    labels = derive_labels(record.module_probs, config.prelim_threshold)
-    if config.clinical_variable == "none":
-        weights = uniform_weights(len(labels))
-    else:
-        covariate = normalize_clinical(record.covariate(config.clinical_variable), config.normalizer)
-        weights = compute_weights(labels, covariate)
-    fused = fuse(record.module_probs, weights)
+    weights, fused = fuse_rows(CohortArrays.from_patients((record,)), config)
+    fused_probability = float(fused[0])
     return FusionResult(
-        preliminary_labels=labels,
-        weights=weights,
-        fused_probability=fused,
-        final_label=classify(fused, config.final_threshold),
+        preliminary_labels=derive_labels(record.module_probs, config.prelim_threshold),
+        weights=tuple(weights[0].tolist()),
+        fused_probability=fused_probability,
+        final_label=classify(fused_probability, config.final_threshold),
     )
 
 
 def normalizer_from_patients(
-    patients: Iterable[PatientRecord], variable: str
+    patients: Iterable[PatientRecord] | CohortArrays, variable: str
 ) -> ClinicalNormalizer:
     """Min-max normalizer with bounds taken from the given patients."""
-    values = [p.covariate(variable) for p in patients]
-    if not values:
+    values = as_arrays(patients).covariate(variable)
+    if len(values) == 0:
         raise ValidationError("cannot derive normalizer bounds from an empty patient list")
-    lo, hi = min(values), max(values)
+    lo, hi = float(values.min()), float(values.max())
     if not hi > lo:
         raise DegenerateDataError(
             f"cannot derive normalizer bounds: {variable} is constant at {lo}"

@@ -7,7 +7,6 @@ The positive class is the poor outcome throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -65,7 +64,7 @@ class ConfusionMetrics(NamedTuple):
 def _check_paired(a: Sequence, b: Sequence) -> None:
     if len(a) != len(b):
         raise ValidationError(f"length mismatch: {len(a)} vs {len(b)}")
-    if not a:
+    if len(a) == 0:
         raise ValidationError("empty input")
 
 
@@ -74,19 +73,12 @@ def confusion_counts(
 ) -> tuple[int, int, int, int]:
     """(tp, fp, tn, fn) with poor as the positive class."""
     _check_paired(predicted, truth)
-    tp = fp = tn = fn = 0
-    for pred, true in zip(predicted, truth):
-        if true == POSITIVE_CLASS:
-            if pred == POSITIVE_CLASS:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred == POSITIVE_CLASS:
-                fp += 1
-            else:
-                tn += 1
-    return tp, fp, tn, fn
+    pred = np.asarray(predicted) == POSITIVE_CLASS
+    true = np.asarray(truth) == POSITIVE_CLASS
+    tp = int(np.sum(pred & true))
+    fn = int(np.sum(~pred & true))
+    fp = int(np.sum(pred & ~true))
+    return tp, fp, len(pred) - tp - fn - fp, fn
 
 
 def confusion_metrics(
@@ -114,12 +106,13 @@ def mean_absolute_error(
 ) -> float:
     """Mean |fused probability - outcome| with good=0, poor=1."""
     _check_paired(fused_probs, truth)
-    for p in fused_probs:
-        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-            raise ValidationError(f"fused probability must be in [0, 1], got {p!r}")
-    return float(
-        sum(abs(p - float(int(t))) for p, t in zip(fused_probs, truth)) / len(truth)
-    )
+    p = np.asarray(fused_probs, dtype=float)
+    outside = ~((p >= 0.0) & (p <= 1.0))
+    if outside.any():
+        raise ValidationError(f"fused probability must be in [0, 1], got {float(p[outside][0])!r}")
+    errors = np.abs(p - np.asarray(truth, dtype=float))
+    # summed left to right, not pairwise as np.sum would, to keep the last bits
+    return sum(errors.tolist()) / len(errors)
 
 
 def auc(scores: Sequence[float], truth: Sequence[OutcomeLabel]) -> float:
@@ -134,7 +127,7 @@ def auc(scores: Sequence[float], truth: Sequence[OutcomeLabel]) -> float:
     s = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ValidationError("scores must be finite")
-    y = np.asarray([t == POSITIVE_CLASS for t in truth], dtype=bool)
+    y = np.asarray(truth) == POSITIVE_CLASS
     n_poor = int(y.sum())
     n_good = int((~y).sum())
     if n_poor == 0 or n_good == 0:

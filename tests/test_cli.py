@@ -99,6 +99,15 @@ class TestValidate:
         assert result.returncode == 0
         assert result.stdout.startswith("ok:")
 
+    def test_bom_prefixed_cohort(self, tmp_path):
+        # spreadsheet exports often start with a UTF-8 byte order mark
+        cohort = write_tiny_cohort(tmp_path / "ok.csv")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + cohort.read_bytes())
+        result = run_cli("validate", "--cohort", str(bom))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("ok: 12 patients")
+
     def test_violations_exit_2_with_diagnostics(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -127,6 +136,15 @@ class TestSynth:
         a = write_tiny_cohort(tmp_path / "a.csv", n=25, seed=8)
         b = write_tiny_cohort(tmp_path / "b.csv", n=25, seed=8)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_out_succeeds_beside_stale_tmp_directory(self, tmp_path):
+        # a leftover "<out>.tmp" must not block the write: temp names are unique
+        out = tmp_path / "c.csv"
+        (tmp_path / "c.csv.tmp").mkdir()
+        result = run_cli("synth", "--n-patients", "12", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert len(read_csv_rows(out.read_text())) == 12
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.csv.tmp"]
 
     def test_zero_prevalence_exit_2(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -200,6 +218,17 @@ class TestCv:
         for variant in document["variants"].values():
             for stats in variant["measures"].values():
                 assert stats["std"] == 0.0
+
+    def test_out_succeeds_beside_stale_tmp_directory(self, cohort_csv, tmp_path):
+        out = tmp_path / "summary.json"
+        (tmp_path / "summary.json.tmp").mkdir()
+        result = run_cli(
+            "cv", "--cohort", str(cohort_csv), "--variable", "none",
+            "--k", "3", "--runs", "1", "--out", str(out),
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(out.read_text())["primary"] == "ensemble"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json", "summary.json.tmp"]
 
     def test_missing_mrs_column_exit_2(self, tmp_path):
         path = tmp_path / "nolabel.csv"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from mrsfuse import (
     validate_cohort,
     write_cohort_csv,
 )
+from mrsfuse.cohort import atomic_output
 
 
 def make_patient(pid="p1", age=60.0, nihss=10, probs=(0.1, 0.2, 0.3, 0.4, 0.5), mrs=2):
@@ -170,6 +172,37 @@ class TestCohortCsv:
         path.write_text("patient_id,age,nihss,mrs,p_adc\na,sixty,5,1,0.2\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=":2"):
             read_cohort_csv(path)
+
+
+class TestAtomicOutput:
+    def test_replaces_target_with_default_mode(self, tmp_path: Path):
+        target = tmp_path / "out.txt"
+        target.write_text("old", encoding="utf-8")
+        with atomic_output(target) as handle:
+            handle.write("new\n")
+        assert target.read_text(encoding="utf-8") == "new\n"
+        umask = os.umask(0)
+        os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failure_keeps_target_and_removes_temp(self, tmp_path: Path):
+        target = tmp_path / "out.txt"
+        target.write_text("old", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with atomic_output(target) as handle:
+                handle.write("partial")
+                raise RuntimeError("interrupted")
+        assert target.read_text(encoding="utf-8") == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_temp_names_are_unique(self, tmp_path: Path):
+        target = tmp_path / "out.txt"
+        with atomic_output(target) as first, atomic_output(target) as second:
+            first.write("a")
+            second.write("b")
+            assert len(list(tmp_path.iterdir())) == 2
+        assert target.read_text(encoding="utf-8") == "a"
 
 
 class TestSingleModuleView:

@@ -6,12 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrsfuse import (
     Cohort,
     ConfigError,
     CvPlan,
     DegenerateDataError,
+    Fold,
     FusionConfig,
     MetricReport,
     OutcomeLabel,
@@ -118,6 +120,32 @@ class TestMakeFolds:
         with pytest.raises(DegenerateDataError, match="single outcome class"):
             make_folds(lopsided, CvPlan(k=3, n_runs=1, base_seed=0, stratified=True), 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_good=st.integers(0, 40),
+        n_poor=st.integers(0, 40),
+        k=st.integers(2, 7),
+        seed=st.integers(0, 2**32 - 1),
+        run_index=st.integers(0, 20),
+        stratified=st.booleans(),
+        shuffle_seed=st.integers(0, 1000),
+    )
+    def test_matches_seed_loop(self, n_good, n_poor, k, seed, run_index, stratified, shuffle_seed):
+        mrs = [1] * n_good + [4] * n_poor
+        np.random.default_rng(shuffle_seed).shuffle(mrs)
+        patients = tuple(
+            PatientRecord(f"id{(7 * i) % 97:02d}-{i}", 60.0, 5, (0.5,), m) for i, m in enumerate(mrs)
+        )
+        cohort = Cohort(module_names=("ADC",), patients=patients)
+        plan = CvPlan(k=k, n_runs=1, base_seed=seed, stratified=stratified)
+        try:
+            expected = _seed_make_folds(cohort, plan, run_index)
+        except (ValidationError, DegenerateDataError) as exc:
+            with pytest.raises(type(exc), match=str(exc)):
+                make_folds(cohort, plan, run_index)
+        else:
+            assert make_folds(cohort, plan, run_index) == expected
+
     def test_unstratified_error_advises_stratification(self):
         cohort = small_cohort(n=6)
         patients = tuple(
@@ -126,6 +154,39 @@ class TestMakeFolds:
         lopsided = Cohort(module_names=cohort.module_names, patients=patients)
         with pytest.raises(DegenerateDataError, match="stratification"):
             make_folds(lopsided, CvPlan(k=3, n_runs=1, base_seed=0, stratified=False), 0)
+
+
+def _seed_make_folds(cohort, plan, run_index):
+    """The original per-id dealing loop, kept as the oracle for make_folds."""
+    if not cohort.patients:
+        raise ValidationError("cannot fold an empty cohort")
+    n = len(cohort.patients)
+    if plan.k > n:
+        raise ValidationError(f"k={plan.k} exceeds cohort size {n}")
+    rng = np.random.default_rng([plan.base_seed, run_index])
+    assignments = [[] for _ in range(plan.k)]
+    cursor = 0
+    if plan.stratified:
+        groups = [
+            [p.patient_id for p in cohort.patients if p.outcome() == label]
+            for label in (OutcomeLabel.GOOD, OutcomeLabel.POOR)
+        ]
+    else:
+        groups = [[p.patient_id for p in cohort.patients]]
+    for group in groups:
+        for pos in rng.permutation(len(group)):
+            assignments[cursor].append(group[int(pos)])
+            cursor = (cursor + 1) % plan.k
+    truth_by_id = {p.patient_id: p.outcome() for p in cohort.patients}
+    folds = []
+    for test_ids in assignments:
+        test_set = set(test_ids)
+        train_ids = tuple(p.patient_id for p in cohort.patients if p.patient_id not in test_set)
+        if len({truth_by_id[pid] for pid in train_ids}) < 2:
+            hint = "" if plan.stratified else "; enable stratification"
+            raise DegenerateDataError(f"a training fold contains a single outcome class{hint}")
+        folds.append(Fold(train_ids=train_ids, test_ids=tuple(sorted(test_set))))
+    return folds
 
 
 class TestCvPlanValidation:
@@ -212,6 +273,13 @@ class TestEvaluateModel:
 
 
 class TestEvaluatePerModule:
+    def test_column_slice_equals_single_module_cohort(self, cohort119):
+        plan = CvPlan(k=5, n_runs=2, base_seed=4)
+        per_module = evaluate_per_module(cohort119, plan)
+        for name in cohort119.module_names:
+            view = evaluate_model(cohort119.single_module_view(name), plan, UNWEIGHTED, model_name=name)
+            assert per_module[name].as_dict() == view.as_dict()
+
     def test_single_module_equals_ensemble_of_one(self, cohort119):
         plan = CvPlan(k=5, n_runs=2, base_seed=9)
         view = cohort119.single_module_view("DWI")

@@ -18,9 +18,11 @@ from mrsfuse import (
     derive_labels,
     fuse,
     fuse_patient,
+    normalize_clinical,
     search_threshold,
     uniform_weights,
 )
+from mrsfuse.fusion import fuse_matrix
 from conftest import (
     REFERENCE_PRELIM_THRESHOLD,
     TABLE_CONSISTENT_FINAL_THRESHOLD,
@@ -151,15 +153,27 @@ class TestSearchThreshold:
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(404)
-        for _ in range(200):
-            n = int(rng.integers(4, 25))
-            scores = np.round(rng.random(n), 2).tolist()
-            truths = [POOR if rng.random() < 0.5 else GOOD for _ in range(n)]
-            if len({t for t in truths}) < 2 or len(set(scores)) < 2:
+        checked = 0
+        for case in range(240):
+            n = int(rng.integers(4, 25)) if case < 200 else int(rng.integers(25, 2001))
+            # coarse rounding makes heavy ties; the ends of [0, 1] are always possible
+            decimals = int(rng.integers(1, 4))
+            scores = np.round(rng.random(n), decimals)
+            scores[rng.random(n) < 0.05] = 0.0
+            scores[rng.random(n) < 0.05] = 1.0
+            scores = scores.tolist()
+            truths = [POOR if poor else GOOD for poor in rng.random(n) < rng.uniform(0.1, 0.9)]
+            if len(set(truths)) < 2 or len(set(scores)) < 2:
                 continue
+            checked += 1
             for strategy in ("youden", "max_accuracy"):
                 got = search_threshold(scores, truths, strategy)
                 assert got == pytest.approx(_oracle_search(scores, truths, strategy), abs=0.0)
+        assert checked > 200
+
+    def test_accepts_arrays(self):
+        scores = np.array([0.1, 0.6, 0.4, 0.9])
+        assert search_threshold(scores, np.array([0, 0, 1, 1], dtype=np.int8)) == 0.25
 
     def test_single_class_error(self):
         with pytest.raises(DegenerateDataError, match="class"):
@@ -177,12 +191,14 @@ class TestSearchThreshold:
 def _oracle_search(scores, truths, strategy):
     distinct = sorted(set(scores))
     candidates = [0.0] + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])] + [1.0]
+    s = np.asarray(scores)
+    poor = np.asarray([y == POOR for y in truths])
     best_t, best_v = None, None
     for t in candidates:
-        tp = sum(1 for s, y in zip(scores, truths) if y == POOR and s > t)
-        fn = sum(1 for s, y in zip(scores, truths) if y == POOR and s <= t)
-        tn = sum(1 for s, y in zip(scores, truths) if y == GOOD and s <= t)
-        fp = sum(1 for s, y in zip(scores, truths) if y == GOOD and s > t)
+        tp = int(np.sum(poor & (s > t)))
+        fn = int(np.sum(poor & (s <= t)))
+        tn = int(np.sum(~poor & (s <= t)))
+        fp = int(np.sum(~poor & (s > t)))
         if strategy == "youden":
             v = tp / (tp + fn) + tn / (tn + fp) - 1
         else:
@@ -335,3 +351,57 @@ class TestWeightInvariants:
             weights = compute_weights(derive_labels(probs, 0.5), float(rng.random()))
             fused = fuse(probs, weights)
             assert probs.min() - 1e-12 <= fused <= probs.max() + 1e-12
+
+
+def _scalar_fusion(probs, covariate, threshold):
+    """Row-by-row oracle for fuse_matrix: the scalar label, weight and fuse steps."""
+    weights, fused = [], []
+    for i, row in enumerate(probs.tolist()):
+        labels = derive_labels(row, threshold)
+        w = uniform_weights(len(row)) if covariate is None else compute_weights(labels, covariate[i])
+        weights.append(w)
+        fused.append(fuse(row, w))
+    return weights, fused
+
+
+class TestFuseMatrix:
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_matches_scalar_pipeline_exactly(self, m, weighted):
+        rng = np.random.default_rng(1000 * m + weighted)
+        n = 400
+        probs = np.round(rng.random((n, m)), 2)
+        probs[rng.random((n, m)) < 0.05] = 0.0
+        probs[rng.random((n, m)) < 0.05] = 1.0
+        # covariates from a normalizer with clamping at both ends, plus exact 0, 0.5 and 1
+        normalizer = ClinicalNormalizer(variable="nihss", min=4, max=20)
+        covariate = normalize_clinical(rng.integers(0, 27, n).astype(float), normalizer)
+        covariate[:30] = 0.0
+        covariate[30:60] = 1.0
+        covariate[60:70] = 0.5
+        # homogeneous votes at c in {0, 1}: the raw sum is zero, so the weights fall back to uniform
+        probs[:10] = 0.9
+        probs[30:40] = 0.1
+        c = covariate if weighted else None
+        threshold = float(np.round(rng.random(), 2))
+        weights, fused = fuse_matrix(probs, c, threshold)
+        oracle_weights, oracle_fused = _scalar_fusion(probs, c, threshold)
+        assert weights.tolist() == [list(w) for w in oracle_weights]
+        assert fused.tolist() == oracle_fused
+        if weighted:
+            assert weights[:10].tolist() == [list(uniform_weights(m))] * 10
+            assert weights[30:40].tolist() == [list(uniform_weights(m))] * 10
+
+    def test_rejects_probability_outside_unit_interval(self):
+        with pytest.raises(ValidationError, match="module probability"):
+            fuse_matrix(np.array([[0.2, 0.3], [0.4, 1.5]]), None, 0.5)
+        with pytest.raises(ValidationError, match="module probability"):
+            fuse_matrix(np.array([[0.2, np.nan]]), np.array([0.5]), 0.5)
+
+    def test_rejects_covariate_outside_unit_interval(self):
+        with pytest.raises(ValidationError, match="covariate"):
+            fuse_matrix(np.array([[0.2, 0.3]]), np.array([1.5]), 0.5)
+
+    def test_rejects_empty_module_list(self):
+        with pytest.raises(ValidationError):
+            fuse_matrix(np.empty((3, 0)), None, 0.5)

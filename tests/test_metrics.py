@@ -193,3 +193,22 @@ class TestReport:
         assert rep.value("f1") == rep.f1
         with pytest.raises(ValidationError):
             rep.value("brier")
+
+
+class TestArrayInputs:
+    def test_numpy_inputs_match_lists(self):
+        truth = labels("ppggpg")
+        predicted = labels("pgggpp")
+        scores = [0.9, 0.3, 0.2, 0.1, 0.7, 0.7]
+        truth_arr = np.array(truth, dtype=np.int8)
+        predicted_arr = np.array(predicted, dtype=np.int8)
+        scores_arr = np.array(scores)
+        assert confusion_counts(predicted_arr, truth_arr) == confusion_counts(predicted, truth)
+        assert mean_absolute_error(scores_arr, truth_arr) == mean_absolute_error(scores, truth)
+        assert auc(scores_arr, truth_arr) == auc(scores, truth)
+
+    def test_empty_numpy_inputs_rejected(self):
+        empty = np.array([])
+        for measure in (confusion_counts, mean_absolute_error, auc):
+            with pytest.raises(ValidationError, match="empty"):
+                measure(empty, empty)
