@@ -27,6 +27,7 @@ from .cohort import (
     CohortArrays,
     OutcomeLabel,
     atomic_output,
+    not_utf8_reason,
     read_cohort_csv,
     validate_cohort,
     write_cohort_csv,
@@ -49,31 +50,38 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
 
-CONFIG_FILE_KEYS = (
-    "cohort",
-    "variable",
-    "norm_min",
-    "norm_max",
-    "tau",
-    "tau_star",
-    "strategy",
-    "k",
-    "runs",
-    "seed",
-    "stratified",
-    "out",
-    "format",
-)
+# Recognized keys of each JSON input and the JSON type each value must have
+# (``float`` also admits integers). Null is not type-checked: in a config it
+# leaves the key unset, and SyntheticSpec rejects it in a spec.
+CONFIG_FILE_KEYS = {
+    "cohort": str,
+    "variable": str,
+    "norm_min": float,
+    "norm_max": float,
+    "tau": float,
+    "tau_star": float,
+    "strategy": str,
+    "k": int,
+    "runs": int,
+    "seed": int,
+    "stratified": bool,
+    "out": str,
+    "format": str,
+}
 
-SYNTH_SPEC_KEYS = (
-    "n_patients",
-    "prevalence_poor",
-    "module_aucs",
-    "module_names",
-    "rho_age",
-    "rho_nihss",
-    "seed",
-)
+SYNTH_SPEC_KEYS = {
+    "n_patients": int,
+    "prevalence_poor": float,
+    "module_aucs": list,
+    "module_names": list,
+    "rho_age": float,
+    "rho_nihss": float,
+    "seed": int,
+}
+
+_JSON_TYPE_NAMES = {
+    str: "a string", float: "a number", int: "an integer", bool: "true or false", list: "a list",
+}
 
 
 def _write_text_atomic(path: Path, text: str) -> None:
@@ -85,16 +93,35 @@ def _json_dumps(document: object) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _load_json(path: Path, allowed_keys: tuple[str, ...], what: str) -> dict:
+def _read_json(path: Path) -> object:
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {not_utf8_reason(exc)}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _has_json_type(value: object, expected: type) -> bool:
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
+def _load_json(path: Path, key_types: dict[str, type], what: str) -> dict:
+    document = _read_json(path)
     if not isinstance(document, dict):
         raise ConfigError(f"{path}: {what} must be a JSON object")
-    unknown = sorted(set(document) - set(allowed_keys))
+    unknown = sorted(set(document) - set(key_types))
     if unknown:
         raise ConfigError(f"{path}: unknown {what} keys: {', '.join(unknown)}")
+    for key, value in document.items():
+        if value is not None and not _has_json_type(value, key_types[key]):
+            raise ConfigError(
+                f"{path}: {what} key {key!r} must be {_JSON_TYPE_NAMES[key_types[key]]}, got {value!r}"
+            )
     return document
 
 
@@ -174,8 +201,9 @@ class _Settings:
         flag_value = getattr(self.args, flag or key, None)
         if flag_value is not None:
             return flag_value
-        if key in self.file_values:
-            return self.file_values[key]
+        file_value = self.file_values.get(key)
+        if file_value is not None:
+            return file_value
         return self.DEFAULTS.get(key)
 
     def fusion_config(self) -> FusionConfig:
@@ -361,20 +389,27 @@ def _cv_table_csv(variants: dict[str, dict], order: list[str]) -> str:
     return buffer.getvalue()
 
 
-def _pick_variant(document: dict, requested: str | None, path: str) -> dict:
+def _pick_variant(document: object, requested: str | None, path: str) -> dict:
+    if not isinstance(document, dict):
+        raise ValidationError(f"{path}: not a recognizable summary file")
     if "variants" in document:
+        variants = document["variants"]
+        if not isinstance(variants, dict):
+            raise ValidationError(f"{path}: 'variants' must be a JSON object")
         name = requested or document.get("primary")
-        if name not in document["variants"]:
+        if not isinstance(name, str) or name not in variants:
             raise ConfigError(f"{path}: variant {name!r} not present")
-        return document["variants"][name]
+        if not isinstance(variants[name], dict):
+            raise ValidationError(f"{path}: variant {name!r} is not a summary object")
+        return variants[name]
     if "runs" in document:
         return document
     raise ValidationError(f"{path}: not a recognizable summary file")
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    doc_a = json.loads(Path(args.summary_a).read_text(encoding="utf-8"))
-    doc_b = json.loads(Path(args.summary_b).read_text(encoding="utf-8"))
+    doc_a = _read_json(Path(args.summary_a))
+    doc_b = _read_json(Path(args.summary_b))
     summary_a = _pick_variant(doc_a, args.variant_a, args.summary_a)
     summary_b = _pick_variant(doc_b, args.variant_b, args.summary_b)
     result = compare_summary_dicts(summary_a, summary_b, args.measure)
@@ -397,7 +432,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.prevalence is not None:
         values["prevalence_poor"] = args.prevalence
     if args.module_aucs is not None:
-        values["module_aucs"] = [float(x) for x in args.module_aucs.split(",")]
+        try:
+            values["module_aucs"] = [float(x) for x in args.module_aucs.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--module-aucs must be comma-separated numbers: {exc}") from exc
     if args.module_names is not None:
         values["module_names"] = [x.strip() for x in args.module_names.split(",")]
     if args.rho_age is not None:
@@ -415,7 +453,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
     try:
         spec = SyntheticSpec(**values)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synthetic spec: {exc}") from exc
     cohort = generate_cohort(spec)
     write_cohort_csv(cohort, args.out)
@@ -452,9 +490,6 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ValidationError, ConfigError, DegenerateDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

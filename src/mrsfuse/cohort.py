@@ -316,34 +316,46 @@ def read_cohort_csv(path: str | Path) -> Cohort:
     their header order defines the cohort's module ordering.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
-        if header is None:
-            raise ValidationError(f"{path}: missing header row")
-        missing = [col for col in CSV_REQUIRED_COLUMNS if col not in header]
-        if missing:
-            raise ValidationError(f"{path}: missing required columns: {', '.join(missing)}")
-        module_columns = [col for col in header if col.startswith(CSV_MODULE_PREFIX)]
-        if not module_columns:
-            raise ValidationError(f"{path}: no module probability columns (prefix {CSV_MODULE_PREFIX!r})")
-        module_names = tuple(_module_name_from_column(col) for col in module_columns)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            return _parse_cohort_csv(handle, path)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {not_utf8_reason(exc)}") from exc
 
-        patients: list[PatientRecord] = []
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                mrs_text = (row["mrs"] or "").strip()
-                patients.append(
-                    PatientRecord(
-                        patient_id=(row["patient_id"] or "").strip(),
-                        age=float(row["age"]),
-                        nihss=int(row["nihss"]),
-                        module_probs=tuple(float(row[col]) for col in module_columns),
-                        mrs=int(mrs_text) if mrs_text else None,
-                    )
+
+def not_utf8_reason(exc: UnicodeDecodeError) -> str:
+    """Describe a decoding failure; the codec's position is chunk-relative, so omit it."""
+    return f"not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+
+
+def _parse_cohort_csv(handle: TextIO, path: Path) -> Cohort:
+    reader = csv.DictReader(handle)
+    header = reader.fieldnames
+    if header is None:
+        raise ValidationError(f"{path}: missing header row")
+    missing = [col for col in CSV_REQUIRED_COLUMNS if col not in header]
+    if missing:
+        raise ValidationError(f"{path}: missing required columns: {', '.join(missing)}")
+    module_columns = [col for col in header if col.startswith(CSV_MODULE_PREFIX)]
+    if not module_columns:
+        raise ValidationError(f"{path}: no module probability columns (prefix {CSV_MODULE_PREFIX!r})")
+    module_names = tuple(_module_name_from_column(col) for col in module_columns)
+
+    patients: list[PatientRecord] = []
+    for line_no, row in enumerate(reader, start=2):
+        try:
+            mrs_text = (row["mrs"] or "").strip()
+            patients.append(
+                PatientRecord(
+                    patient_id=(row["patient_id"] or "").strip(),
+                    age=float(row["age"]),
+                    nihss=int(row["nihss"]),
+                    module_probs=tuple(float(row[col]) for col in module_columns),
+                    mrs=int(mrs_text) if mrs_text else None,
                 )
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{line_no}: unparseable row: {exc}") from exc
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{line_no}: unparseable row: {exc}") from exc
     return Cohort(module_names=module_names, patients=tuple(patients))
 
 

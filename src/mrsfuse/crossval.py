@@ -369,7 +369,7 @@ def compare_summary_dicts(a: dict, b: dict, measure: str) -> TestResult:
     def pairs(d: dict) -> list[tuple[int, float]]:
         try:
             return [(r["run_index"], float(r["metrics"][measure])) for r in d["runs"]]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed summary: {exc}") from exc
 
     for d in (a, b):

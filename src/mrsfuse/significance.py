@@ -1,7 +1,8 @@
 """Exact two-sided Wilcoxon signed-rank test for paired run comparisons.
 
 Zero differences are dropped before ranking; absolute differences receive
-average ranks on ties. The statistic is the sum of ranks of positive
+average ranks on ties, computed exactly in numpy (average ranks are
+multiples of 0.5). The statistic is the sum of ranks of positive
 differences. The null distribution is computed exactly (all sign
 assignments equally likely) for up to 25 effective pairs via a subset-sum
 count over doubled ranks, which is numerically identical to enumerating
@@ -16,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import rankdata
 
 from .errors import ValidationError
 
@@ -62,6 +61,12 @@ class TestResult:
         }
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, ties sharing the mean of their positions."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def _exact_two_sided_p(ranks: np.ndarray, w_observed: float) -> float:
     # Average ranks are multiples of 0.5, so doubled ranks are exact integers
     # and the null distribution of the doubled statistic is a subset-sum count.
@@ -79,6 +84,10 @@ def _exact_two_sided_p(ranks: np.ndarray, w_observed: float) -> float:
 
 
 def _approx_two_sided_p(ranks: np.ndarray, w_observed: float) -> float:
+    # scipy.special is imported here, not at module level, so that importing
+    # the package does not pay for it; math.erfc is not bit-identical to ndtr.
+    from scipy.special import ndtr
+
     n = len(ranks)
     mu = n * (n + 1) / 4.0
     _, tie_counts = np.unique(ranks, return_counts=True)
@@ -99,7 +108,7 @@ def wilcoxon_signed_rank(sample: PairedSample) -> TestResult:
     if n_effective == 0:
         return TestResult(statistic=0.0, p_value=1.0, n_effective=0, method="exact", degenerate=True)
 
-    ranks = rankdata(np.abs(diffs), method="average")
+    ranks = _average_ranks(np.abs(diffs))
     w = float(ranks[diffs > 0].sum())
     if n_effective <= EXACT_MAX_N:
         return TestResult(w, _exact_two_sided_p(ranks, w), n_effective, "exact")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .cohort import DEFAULT_MODULE_NAMES, NIHSS_MAX, Cohort, PatientRecord
 from .errors import ConfigError
@@ -74,6 +73,10 @@ class SyntheticSpec:
 
 def generate_cohort(spec: SyntheticSpec) -> Cohort:
     """Draw one cohort; identical specs produce identical cohorts."""
+    # Imported here so that importing the package does not load scipy; the
+    # cohorts depend on these exact floats, so they are not reimplemented.
+    from scipy.special import ndtr, ndtri
+
     rng = np.random.default_rng(spec.seed)
     n = spec.n_patients
     n_modules = len(spec.module_names)

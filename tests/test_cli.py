@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import (
     REFERENCE_PRELIM_THRESHOLD,
+    SRC_DIR,
     TABLE_CONSISTENT_FINAL_THRESHOLD,
     panel_rows,
     run_cli,
@@ -122,6 +126,13 @@ class TestValidate:
         assert "nihss" in result.stdout
         assert "error: validation" in result.stderr
 
+    def test_non_utf8_cohort_exit_2(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"patient_id,age,nihss,mrs,p_adc\nJos\xe9,60,5,1,0.3\n\xff,61,4,2,0.4\n")
+        result = run_cli("validate", "--cohort", str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {path}: not UTF-8")
+
 
 class TestSynth:
     def test_spec_file(self, tmp_path):
@@ -158,6 +169,26 @@ class TestSynth:
         result = run_cli("synth", "--spec", str(spec), "--out", str(tmp_path / "c.csv"))
         assert result.returncode == 2
         assert "n_modules" in result.stderr
+
+    def test_non_utf8_spec_exit_2(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b"\xff{}")
+        result = run_cli("synth", "--spec", str(spec), "--out", str(tmp_path / "c.csv"))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {spec}: not UTF-8")
+
+    def test_non_numeric_module_aucs_exit_2(self, tmp_path):
+        result = run_cli("synth", "--n-patients", "10", "--module-aucs", "a,b",
+                         "--out", str(tmp_path / "c.csv"))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: --module-aucs")
+
+    def test_non_numeric_spec_aucs_exit_2(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_patients": 10, "module_aucs": ["a", "b"]}), encoding="utf-8")
+        result = run_cli("synth", "--spec", str(spec), "--out", str(tmp_path / "c.csv"))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: invalid synthetic spec")
 
     def test_flags_override_spec(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -283,6 +314,29 @@ class TestConfigFile:
         assert result.returncode == 2
         assert "folds" in result.stderr
 
+    def test_non_utf8_config_exit_2(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_bytes(b'{"cohort": "\xff.csv"}')
+        result = run_cli("cv", "--config", str(config))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {config}: not UTF-8")
+
+    @pytest.mark.parametrize("document, key", [
+        ({"norm_min": "a", "norm_max": 3}, "norm_min"),
+        ({"tau": "0.4"}, "tau"),
+        ({"cohort": 5}, "cohort"),
+        ({"seed": True}, "seed"),
+        ({"stratified": "false"}, "stratified"),
+    ])
+    def test_wrongly_typed_value_exit_2(self, tmp_path, document, key):
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("patient_id,age,nihss,mrs,p_adc\na,60,5,1,0.3\n", encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        result = run_cli("fuse", "--cohort", str(cohort), "--config", str(config))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {config}: config key {key!r} must be")
+
     def test_missing_cohort_everywhere_exit_2(self):
         result = run_cli("cv")
         assert result.returncode == 2
@@ -333,6 +387,33 @@ class TestCompare:
                          "--variant-a", "nope")
         assert result.returncode == 2
 
+    def test_non_utf8_summary_exit_2(self, summaries, tmp_path):
+        out_a, _ = summaries
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff" + out_a.read_bytes())
+        result = run_cli("compare", str(out_a), str(bad), "--measure", "auc")
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {bad}: not UTF-8")
+
+    @pytest.mark.parametrize("document", [5, {"variants": {"x": 1}, "primary": "x"}])
+    def test_malformed_summary_exit_2(self, summaries, tmp_path, document):
+        out_a, _ = summaries
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        result = run_cli("compare", str(bad), str(out_a), "--measure", "auc")
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {bad}: ")
+
+    def test_non_numeric_run_measure_exit_2(self, summaries, tmp_path):
+        out_a, _ = summaries
+        document = json.loads(out_a.read_text())
+        document["variants"]["ensemble_w_nihss"]["runs"][0]["metrics"]["auc"] = "x"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        result = run_cli("compare", str(bad), str(out_a), "--measure", "auc")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: malformed summary")
+
     def test_schedule_mismatch_exit_2(self, summaries, tmp_path):
         out_a, _ = summaries
         cohort = write_tiny_cohort(tmp_path / "cohort.csv", n=40, seed=12)
@@ -345,3 +426,33 @@ class TestCompare:
         result = run_cli("compare", str(out_a), str(other), "--measure", "auc")
         assert result.returncode == 2
         assert "schedule" in result.stderr
+
+
+# Run in a fresh interpreter: the test process itself has scipy loaded.
+SCIPY_FREE_COMMANDS = """
+import contextlib, io, json, sys
+import mrsfuse.cli
+cohort, summary = sys.argv[1], sys.argv[2]
+commands = [
+    ["validate", "--cohort", cohort],
+    ["fuse", "--cohort", cohort, "--variable", "nihss"],
+    ["cv", "--cohort", cohort, "--variable", "nihss", "--k", "2", "--runs", "2", "--out", summary],
+    ["compare", summary, summary, "--measure", "auc", "--variant-b", "ensemble"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [mrsfuse.cli.main(argv) for argv in commands]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_commands_other_than_synth_load_no_scipy(tmp_path):
+    cohort = write_tiny_cohort(tmp_path / "cohort.csv", n=30)
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_COMMANDS, str(cohort), str(tmp_path / "summary.json")],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    )
+    assert result.returncode == 0, result.stderr
+    codes, scipy_modules = json.loads(result.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert scipy_modules == []

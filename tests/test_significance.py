@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 from mrsfuse import PairedSample, ValidationError, wilcoxon_signed_rank
 
@@ -24,6 +28,32 @@ def enumeration_oracle(diffs) -> tuple[float, float, int]:
         le += w <= w_observed + 1e-12
     total = 2**n
     return w_observed, min(1.0, 2 * min(ge / total, le / total)), n
+
+
+def reference_signed_rank(diffs) -> tuple[float, float, int, str]:
+    """Independent signed-rank test: scipy's average ranks, a null distribution
+    counted in Python integers for up to 25 effective pairs, and scipy's ``ndtr``
+    for the tie- and continuity-corrected normal approximation beyond."""
+    d = [x for x in diffs if x != 0]
+    n = len(d)
+    if n == 0:
+        return 0.0, 1.0, 0, "exact"
+    ranks = scipy.stats.rankdata([abs(x) for x in d], method="average")
+    w = float(sum(r for r, x in zip(ranks, d) if x > 0))
+    if n <= 25:
+        null = Counter({0: 1})  # doubled statistic -> number of sign assignments
+        for r2 in (int(2 * r) for r in ranks):
+            shifted = Counter({total + r2: count for total, count in null.items()})
+            null.update(shifted)
+        w2 = int(2 * w)
+        p_le = sum(c for total, c in null.items() if total <= w2) / 2**n
+        p_ge = sum(c for total, c in null.items() if total >= w2) / 2**n
+        return w, min(1.0, 2.0 * min(p_le, p_ge)), n, "exact"
+    tie_term = sum(t**3 - t for t in Counter(ranks.tolist()).values()) / 48.0
+    sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
+    shift = w - n * (n + 1) / 4.0
+    z = (shift - 0.5 * ((shift > 0) - (shift < 0))) / math.sqrt(sigma2)
+    return w, min(1.0, 2.0 * float(scipy.special.ndtr(-abs(z)))), n, "normal_approx"
 
 
 def paired_from_diffs(diffs) -> PairedSample:
@@ -96,6 +126,29 @@ class TestExactPath:
         shuffled = wilcoxon_signed_rank(PairedSample(a=tuple(a[perm]), b=tuple(b[perm])))
         assert shuffled.statistic == base.statistic
         assert shuffled.p_value == base.p_value
+
+
+# A small grid forces heavy ties in |d| and zero differences; a few
+# continuous values break some ties. The length is drawn first so that both
+# sides of the 25-pair exact limit are reached (plain lists stay short).
+tied_differences = st.integers(1, 60).flatmap(
+    lambda n: st.lists(
+        st.one_of(st.integers(-4, 4).map(lambda k: k / 4), st.floats(-1.0, 1.0, allow_nan=False)),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_differences)
+@example([0.25, -0.5, 0.0, 0.25, 1.0, -0.25])
+@example([k / 4 for k in range(-4, 5)] * 6)  # 48 effective pairs in tied groups
+def test_matches_scipy_reference_exactly(diffs):
+    result = wilcoxon_signed_rank(paired_from_diffs(diffs))
+    assert (result.statistic, result.p_value, result.n_effective, result.method) == (
+        reference_signed_rank(diffs)
+    )
 
 
 class TestApproximationPath:
