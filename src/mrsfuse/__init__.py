@@ -16,6 +16,7 @@ from .cohort import (
     OutcomeLabel,
     PatientRecord,
     Violation,
+    as_plain,
     binarize_mrs,
     normalize_clinical,
     read_cohort_csv,
@@ -28,7 +29,6 @@ from .crossval import (
     FoldResolution,
     RunResult,
     RunSummary,
-    compare_models,
     compare_summary_dicts,
     evaluate_model,
     evaluate_per_module,
@@ -61,54 +61,3 @@ from .significance import PairedSample, TestResult, wilcoxon_signed_rank
 from .synth import DEFAULT_MODULE_AUCS, SyntheticSpec, generate_cohort
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_MODULE_AUCS",
-    "DEFAULT_MODULE_NAMES",
-    "MEASURES",
-    "ClinicalNormalizer",
-    "Cohort",
-    "ConfigError",
-    "CvPlan",
-    "DegenerateDataError",
-    "Fold",
-    "FoldResolution",
-    "FusionConfig",
-    "FusionResult",
-    "MetricReport",
-    "OutcomeLabel",
-    "PairedSample",
-    "PatientRecord",
-    "RunResult",
-    "RunSummary",
-    "SyntheticSpec",
-    "TestResult",
-    "ValidationError",
-    "Violation",
-    "auc",
-    "binarize_mrs",
-    "classify",
-    "compare_models",
-    "compare_summary_dicts",
-    "compute_weights",
-    "confusion_counts",
-    "confusion_metrics",
-    "derive_labels",
-    "evaluate_model",
-    "evaluate_per_module",
-    "fuse",
-    "fuse_patient",
-    "generate_cohort",
-    "make_folds",
-    "mean_absolute_error",
-    "normalize_clinical",
-    "normalizer_from_patients",
-    "read_cohort_csv",
-    "report",
-    "resolve_fold_config",
-    "search_threshold",
-    "uniform_weights",
-    "validate_cohort",
-    "wilcoxon_signed_rank",
-    "write_cohort_csv",
-]

@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .cohort import (
@@ -26,6 +27,7 @@ from .cohort import (
     Cohort,
     CohortArrays,
     OutcomeLabel,
+    as_plain,
     atomic_output,
     not_utf8_reason,
     read_cohort_csv,
@@ -49,6 +51,8 @@ CONFIG_ENV_VAR = "MRSFUSE_CONFIG"
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
+
+OUTPUT_FORMATS = ("csv", "json")
 
 # Recognized keys of each JSON input and the JSON type each value must have
 # (``float`` also admits integers). Null is not type-checked: in a config it
@@ -79,14 +83,19 @@ SYNTH_SPEC_KEYS = {
     "seed": int,
 }
 
+# synth flags (argparse destinations) that set a spec key as given; the
+# comma-separated module lists are parsed in _cmd_synth
+SYNTH_FLAG_KEYS = {
+    "n_patients": "n_patients",
+    "prevalence": "prevalence_poor",
+    "rho_age": "rho_age",
+    "rho_nihss": "rho_nihss",
+    "seed": "seed",
+}
+
 _JSON_TYPE_NAMES = {
     str: "a string", float: "a number", int: "an integer", bool: "true or false", list: "a list",
 }
-
-
-def _write_text_atomic(path: Path, text: str) -> None:
-    with atomic_output(path) as handle:
-        handle.write(text)
 
 
 def _json_dumps(document: object) -> str:
@@ -138,7 +147,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--runs", type=int, help="number of repeated runs")
     parser.add_argument("--seed", type=int, help="base random seed")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
+    parser.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,6 +204,11 @@ class _Settings:
         self.file_values: dict = {}
         if config_path:
             self.file_values = _load_json(Path(config_path), CONFIG_FILE_KEYS, "config")
+        if self.file_values.get("format") not in (None, *OUTPUT_FORMATS):
+            raise ConfigError(
+                f"{config_path}: config key 'format' must be one of {', '.join(OUTPUT_FORMATS)}, "
+                f"got {self.file_values['format']!r}"
+            )
         self.args = args
 
     def get(self, key: str, flag: str | None = None):
@@ -254,7 +268,8 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_text_atomic(Path(out), text)
+        with atomic_output(out) as handle:
+            handle.write(text)
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
@@ -263,14 +278,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     config = settings.fusion_config()
     arrays = CohortArrays.from_patients(cohort.patients)
     resolved, _ = resolve_fold_config(arrays, config)
-    unweighted = FusionConfig(
-        clinical_variable="none",
-        prelim_threshold=resolved.prelim_threshold,
-        final_threshold=resolved.final_threshold,
-        strategy=resolved.strategy,
-    )
     weights, fused = fuse_rows(arrays, resolved)
-    _, fused_unweighted = fuse_rows(arrays, unweighted)
+    _, fused_unweighted = fuse_rows(arrays, replace(resolved, clinical_variable="none", normalizer=None))
     label_names = [str(label) for label in OutcomeLabel]  # indexed by "is poor"
 
     modules = [name.lower() for name in cohort.module_names]
@@ -320,13 +329,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     variants: dict[str, dict] = {}
     for name, summary in evaluate_per_module(cohort, plan).items():
         variants[name] = summary.as_dict()
-    baseline = FusionConfig(
-        clinical_variable="none",
-        prelim_threshold=config.prelim_threshold,
-        final_threshold=config.final_threshold,
-        strategy=config.strategy,
-    )
-    ensemble = evaluate_model(cohort, plan, baseline)
+    ensemble = evaluate_model(cohort, plan, replace(config, clinical_variable="none", normalizer=None))
     variants[ensemble.model] = ensemble.as_dict()
     primary = ensemble.model
     if config.clinical_variable != "none":
@@ -336,7 +339,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
 
     document = {
         "cohort": str(cohort_path),
-        "plan": plan.as_dict(),
+        "plan": as_plain(plan),
         "primary": primary,
         "variants": variants,
     }
@@ -344,15 +347,8 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     order = list(cohort.module_names) + ["ensemble"] + ([primary] if primary != "ensemble" else [])
     _print_cv_table(variants, order)
 
-    fmt = settings.get("format") or "json"
-    out = settings.get("out")
-    if fmt == "csv":
-        text = _cv_table_csv(variants, order)
-        _emit(text, out)
-    elif out is not None:
-        _write_text_atomic(Path(out), _json_dumps(document))
-    else:
-        sys.stdout.write(_json_dumps(document))
+    text = _cv_table_csv(variants, order) if settings.get("format") == "csv" else _json_dumps(document)
+    _emit(text, settings.get("out"))
     return EXIT_OK
 
 
@@ -412,12 +408,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     doc_b = _read_json(Path(args.summary_b))
     summary_a = _pick_variant(doc_a, args.variant_a, args.summary_a)
     summary_b = _pick_variant(doc_b, args.variant_b, args.summary_b)
-    result = compare_summary_dicts(summary_a, summary_b, args.measure)
+    result = compare_summary_dicts(summary_a, summary_b, args.measure, (args.summary_a, args.summary_b))
     document = {
         "measure": args.measure,
         "a": {"path": args.summary_a, "model": summary_a.get("model")},
         "b": {"path": args.summary_b, "model": summary_b.get("model")},
-        **result.as_dict(),
+        **as_plain(result),
     }
     _emit(_json_dumps(document), args.out)
     return EXIT_OK
@@ -427,10 +423,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     values: dict = {}
     if args.spec:
         values.update(_load_json(Path(args.spec), SYNTH_SPEC_KEYS, "synthetic spec"))
-    if args.n_patients is not None:
-        values["n_patients"] = args.n_patients
-    if args.prevalence is not None:
-        values["prevalence_poor"] = args.prevalence
+    values.update(
+        (key, getattr(args, flag)) for flag, key in SYNTH_FLAG_KEYS.items() if getattr(args, flag) is not None
+    )
     if args.module_aucs is not None:
         try:
             values["module_aucs"] = [float(x) for x in args.module_aucs.split(",")]
@@ -438,18 +433,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             raise ConfigError(f"--module-aucs must be comma-separated numbers: {exc}") from exc
     if args.module_names is not None:
         values["module_names"] = [x.strip() for x in args.module_names.split(",")]
-    if args.rho_age is not None:
-        values["rho_age"] = args.rho_age
-    if args.rho_nihss is not None:
-        values["rho_nihss"] = args.rho_nihss
-    if args.seed is not None:
-        values["seed"] = args.seed
     if "n_patients" not in values:
         raise ConfigError("n_patients is required (--n-patients or spec file)")
-    if "module_aucs" in values:
-        values["module_aucs"] = tuple(values["module_aucs"])
-    if "module_names" in values:
-        values["module_names"] = tuple(values["module_names"])
 
     try:
         spec = SyntheticSpec(**values)

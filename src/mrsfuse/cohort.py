@@ -12,7 +12,7 @@ import enum
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -53,6 +53,17 @@ class OutcomeLabel(enum.IntEnum):
             raise ValidationError(f"unknown outcome label {text!r}") from None
 
 
+def as_plain(value: object) -> object:
+    """A dataclass instance as JSON-ready data: fields become keys, tuples lists, labels names."""
+    if is_dataclass(value):
+        return {f.name: as_plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [as_plain(item) for item in value]
+    if isinstance(value, OutcomeLabel):
+        return str(value)
+    return value
+
+
 def binarize_mrs(mrs: int, patient_id: str | None = None) -> OutcomeLabel:
     """Collapse a 0-6 disability grade to the binary outcome (0-2 good, else poor)."""
     if not isinstance(mrs, int) or isinstance(mrs, bool) or not 0 <= mrs <= MRS_MAX:
@@ -78,9 +89,6 @@ class ClinicalNormalizer:
             raise ConfigError(
                 f"normalizer requires max > min, got [{self.min}, {self.max}]"
             )
-
-    def normalize(self, value: float) -> float:
-        return normalize_clinical(value, self)
 
 
 def normalize_clinical(value: float | np.ndarray, normalizer: ClinicalNormalizer) -> float | np.ndarray:

@@ -15,7 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohort import Cohort, CohortArrays, OutcomeLabel, PatientRecord, as_arrays, validate_cohort
+from .cohort import (
+    Cohort,
+    CohortArrays,
+    OutcomeLabel,
+    PatientRecord,
+    as_arrays,
+    as_plain,
+    validate_cohort,
+)
 from .errors import ConfigError, DegenerateDataError, ValidationError
 from .fusion import (
     FusionConfig,
@@ -46,14 +54,6 @@ class CvPlan:
         if not isinstance(self.base_seed, int) or self.base_seed < 0:
             raise ConfigError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n_runs": self.n_runs,
-            "base_seed": self.base_seed,
-            "stratified": self.stratified,
-        }
-
 
 @dataclass(frozen=True)
 class Fold:
@@ -71,28 +71,12 @@ class FoldResolution:
     norm_min: float | None = None
     norm_max: float | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "fold_index": self.fold_index,
-            "prelim_threshold": self.prelim_threshold,
-            "final_threshold": self.final_threshold,
-            "norm_min": self.norm_min,
-            "norm_max": self.norm_max,
-        }
-
 
 @dataclass(frozen=True)
 class RunResult:
     run_index: int
     metrics: MetricReport
     folds: tuple[FoldResolution, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "run_index": self.run_index,
-            "metrics": self.metrics.as_dict(),
-            "folds": [f.as_dict() for f in self.folds],
-        }
 
 
 @dataclass(frozen=True)
@@ -104,9 +88,6 @@ class RunSummary:
     config: FusionConfig
     runs: tuple[RunResult, ...]
     failures: tuple[str, ...] = ()
-
-    def completed_run_indices(self) -> tuple[int, ...]:
-        return tuple(r.run_index for r in self.runs)
 
     def run_values(self, measure: str) -> tuple[float, ...]:
         return tuple(r.metrics.value(measure) for r in self.runs)
@@ -130,38 +111,14 @@ class RunSummary:
         }
 
     def as_dict(self) -> dict:
+        """The summary as written to JSON: every field plus the seed schedule and aggregates."""
         if self.runs:
             measures = {
                 name: {"mean": self.mean(name), "std": self.std(name)} for name in MEASURES
             }
         else:
             measures = {name: None for name in MEASURES}
-        return {
-            "model": self.model,
-            "plan": self.plan.as_dict(),
-            "config": _config_as_dict(self.config),
-            "seed_schedule": self.seed_schedule(),
-            "measures": measures,
-            "runs": [r.as_dict() for r in self.runs],
-            "failures": list(self.failures),
-        }
-
-
-def _config_as_dict(config: FusionConfig) -> dict:
-    normalizer = None
-    if config.normalizer is not None:
-        normalizer = {
-            "variable": config.normalizer.variable,
-            "min": config.normalizer.min,
-            "max": config.normalizer.max,
-        }
-    return {
-        "clinical_variable": config.clinical_variable,
-        "normalizer": normalizer,
-        "prelim_threshold": config.prelim_threshold,
-        "final_threshold": config.final_threshold,
-        "strategy": config.strategy,
-    }
+        return {**as_plain(self), "seed_schedule": self.seed_schedule(), "measures": measures}
 
 
 def make_folds(cohort: Cohort, plan: CvPlan, run_index: int) -> list[Fold]:
@@ -328,51 +285,33 @@ def evaluate_per_module(cohort: Cohort, plan: CvPlan) -> dict[str, RunSummary]:
     return {name: evaluate_model(cohort, plan, baseline, module=name) for name in cohort.module_names}
 
 
-def _compare_paired(
-    pairs_a: Sequence[tuple[int, float]],
-    pairs_b: Sequence[tuple[int, float]],
-    schedule_a: dict,
-    schedule_b: dict,
+def compare_summary_dicts(
+    a: dict, b: dict, measure: str, names: tuple[str, str] = ("a", "b")
 ) -> TestResult:
-    if schedule_a != schedule_b:
+    """Two-sided signed-rank comparison of per-run measure values, run by run.
+
+    ``a`` and ``b`` are serialized summaries (:meth:`RunSummary.as_dict`);
+    ``names`` label them in error messages.
+    """
+    if measure not in MEASURES:
+        raise ConfigError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    schedules, pairs = [], []
+    for summary, name in zip((a, b), names):
+        if "seed_schedule" not in summary:
+            raise ValidationError(f"malformed summary: {name}: missing seed_schedule")
+        schedules.append(summary["seed_schedule"])
+        try:
+            pairs.append([(r["run_index"], float(r["metrics"][measure])) for r in summary["runs"]])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed summary: {name}: {exc}") from exc
+
+    if schedules[0] != schedules[1]:
         raise ConfigError(
-            f"seed schedules differ: {schedule_a} vs {schedule_b}; models must share runs"
+            f"seed schedules differ: {schedules[0]} vs {schedules[1]}; models must share runs"
         )
+    pairs_a, pairs_b = pairs
     if [i for i, _ in pairs_a] != [i for i, _ in pairs_b]:
         raise ConfigError("completed run indices differ; models must be compared run-by-run")
     if not pairs_a:
         raise DegenerateDataError("no completed runs to compare")
-    sample = PairedSample(
-        a=tuple(v for _, v in pairs_a),
-        b=tuple(v for _, v in pairs_b),
-    )
-    return wilcoxon_signed_rank(sample)
-
-
-def compare_models(a: RunSummary, b: RunSummary, measure: str) -> TestResult:
-    """Two-sided signed-rank comparison of per-run measure values."""
-    if measure not in MEASURES:
-        raise ConfigError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return _compare_paired(
-        list(zip(a.completed_run_indices(), a.run_values(measure))),
-        list(zip(b.completed_run_indices(), b.run_values(measure))),
-        a.seed_schedule(),
-        b.seed_schedule(),
-    )
-
-
-def compare_summary_dicts(a: dict, b: dict, measure: str) -> TestResult:
-    """Same comparison, operating on serialized summaries."""
-    if measure not in MEASURES:
-        raise ConfigError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-
-    def pairs(d: dict) -> list[tuple[int, float]]:
-        try:
-            return [(r["run_index"], float(r["metrics"][measure])) for r in d["runs"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed summary: {exc}") from exc
-
-    for d in (a, b):
-        if "seed_schedule" not in d:
-            raise ValidationError("malformed summary: missing seed_schedule")
-    return _compare_paired(pairs(a), pairs(b), a["seed_schedule"], b["seed_schedule"])
+    return wilcoxon_signed_rank(PairedSample(a=[v for _, v in pairs_a], b=[v for _, v in pairs_b]))

@@ -39,19 +39,6 @@ class MetricReport:
             raise ValidationError(f"unknown measure {measure!r}; expected one of {MEASURES}")
         return float(getattr(self, measure))
 
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "f1": self.f1,
-            "mae": self.mae,
-            "auc": self.auc,
-            "n_patients": self.n_patients,
-            "positive_class": str(self.positive_class),
-            "degenerate": list(self.degenerate),
-        }
-
 
 class ConfusionMetrics(NamedTuple):
     accuracy: float

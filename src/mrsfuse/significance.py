@@ -51,15 +51,6 @@ class TestResult:
     method: str
     degenerate: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n_effective": self.n_effective,
-            "method": self.method,
-            "degenerate": self.degenerate,
-        }
-
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks of ``values``, ties sharing the mean of their positions."""

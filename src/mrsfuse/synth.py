@@ -59,17 +59,6 @@ class SyntheticSpec:
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
-    def as_dict(self) -> dict:
-        return {
-            "n_patients": self.n_patients,
-            "prevalence_poor": self.prevalence_poor,
-            "module_aucs": list(self.module_aucs),
-            "module_names": list(self.module_names),
-            "rho_age": self.rho_age,
-            "rho_nihss": self.rho_nihss,
-            "seed": self.seed,
-        }
-
 
 def generate_cohort(spec: SyntheticSpec) -> Cohort:
     """Draw one cohort; identical specs produce identical cohorts."""

@@ -337,6 +337,19 @@ class TestConfigFile:
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: {config}: config key {key!r} must be")
 
+    @pytest.mark.parametrize("command", ["fuse", "cv"])
+    def test_unknown_format_exit_2(self, tmp_path, command):
+        cohort = write_tiny_cohort(tmp_path / "cohort.csv", n=30)
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps({"cohort": str(cohort), "format": "xml", "k": 3, "runs": 1}), encoding="utf-8"
+        )
+        out = tmp_path / "out.txt"
+        result = run_cli(command, "--config", str(config), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {config}: config key 'format'")
+        assert not out.exists()
+
     def test_missing_cohort_everywhere_exit_2(self):
         result = run_cli("cv")
         assert result.returncode == 2
@@ -413,6 +426,22 @@ class TestCompare:
         result = run_cli("compare", str(bad), str(out_a), "--measure", "auc")
         assert result.returncode == 2
         assert result.stderr.startswith("error: malformed summary")
+
+    @pytest.mark.parametrize("damage", ["non_numeric_measure", "missing_seed_schedule"])
+    def test_malformed_summary_names_the_bad_file(self, summaries, tmp_path, damage):
+        out_a, _ = summaries
+        document = json.loads(out_a.read_text())
+        variant = document["variants"]["ensemble_w_nihss"]
+        if damage == "non_numeric_measure":
+            variant["runs"][0]["metrics"]["auc"] = "x"
+        else:
+            del variant["seed_schedule"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        result = run_cli("compare", str(out_a), str(bad), "--measure", "auc")
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: malformed summary: {bad}: ")
+        assert str(out_a) not in result.stderr
 
     def test_schedule_mismatch_exit_2(self, summaries, tmp_path):
         out_a, _ = summaries

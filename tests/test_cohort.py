@@ -11,9 +11,12 @@ from mrsfuse import (
     ClinicalNormalizer,
     Cohort,
     ConfigError,
+    FusionConfig,
+    MetricReport,
     OutcomeLabel,
     PatientRecord,
     ValidationError,
+    as_plain,
     binarize_mrs,
     normalize_clinical,
     read_cohort_csv,
@@ -89,6 +92,29 @@ class TestNormalizeClinical:
     def test_unknown_variable(self):
         with pytest.raises(ConfigError):
             ClinicalNormalizer(variable="height", min=0, max=1)
+
+
+class TestAsPlain:
+    def test_fields_tuples_and_labels(self):
+        report = MetricReport(
+            accuracy=0.5, sensitivity=0.25, specificity=0.75, f1=0.3, mae=0.4, auc=0.6,
+            n_patients=8, degenerate=("f1",),
+        )
+        assert as_plain(report) == {
+            "accuracy": 0.5, "sensitivity": 0.25, "specificity": 0.75, "f1": 0.3, "mae": 0.4,
+            "auc": 0.6, "n_patients": 8, "positive_class": "poor", "degenerate": ["f1"],
+        }
+        assert type(as_plain(report)["positive_class"]) is str
+
+    def test_nested_dataclass_and_none(self):
+        weighted = FusionConfig(
+            clinical_variable="age", normalizer=ClinicalNormalizer(variable="age", min=20, max=90)
+        )
+        assert as_plain(weighted)["normalizer"] == {"variable": "age", "min": 20, "max": 90}
+        assert as_plain(FusionConfig(clinical_variable="none")) == {
+            "clinical_variable": "none", "normalizer": None, "prelim_threshold": None,
+            "final_threshold": None, "strategy": "youden",
+        }
 
 
 class TestValidateCohort:

@@ -22,7 +22,6 @@ from mrsfuse import (
     RunSummary,
     SyntheticSpec,
     ValidationError,
-    compare_models,
     compare_summary_dicts,
     evaluate_model,
     evaluate_per_module,
@@ -339,11 +338,15 @@ def fabricate_summary(values_by_measure: dict, base_seed=0, model="m") -> RunSum
     )
 
 
+def compare(a: RunSummary, b: RunSummary, measure: str = "auc"):
+    return compare_summary_dicts(a.as_dict(), b.as_dict(), measure)
+
+
 class TestCompareModels:
     def test_identical_models_p_one(self):
         a = fabricate_summary({"auc": [0.7, 0.72, 0.68]})
         b = fabricate_summary({"auc": [0.7, 0.72, 0.68]})
-        result = compare_models(a, b, "auc")
+        result = compare(a, b)
         assert result.p_value == 1.0
         assert result.degenerate
 
@@ -351,32 +354,36 @@ class TestCompareModels:
         base = [0.70, 0.71, 0.72, 0.69, 0.73, 0.70, 0.71, 0.68, 0.72, 0.74]
         a = fabricate_summary({"auc": [v + 0.03 * (1 + i % 3) for i, v in enumerate(base)]})
         b = fabricate_summary({"auc": base})
-        result = compare_models(a, b, "auc")
+        result = compare(a, b)
         assert result.p_value == pytest.approx(0.001953125, abs=1e-9)
 
     def test_run_count_mismatch(self):
         a = fabricate_summary({"auc": [0.7, 0.71, 0.72]})
         b = fabricate_summary({"auc": [0.7] * 10})
         with pytest.raises(ConfigError):
-            compare_models(a, b, "auc")
+            compare(a, b)
+
+    def test_completed_run_indices_mismatch(self):
+        a = fabricate_summary({"auc": [0.7, 0.71, 0.72]})
+        b = replace(a, runs=a.runs[:1] + a.runs[2:], failures=("run 1: degenerate",))
+        with pytest.raises(ConfigError, match="run indices"):
+            compare(a, b)
 
     def test_seed_schedule_mismatch(self):
         a = fabricate_summary({"auc": [0.7, 0.71]}, base_seed=1)
         b = fabricate_summary({"auc": [0.7, 0.72]}, base_seed=2)
         with pytest.raises(ConfigError, match="schedule"):
-            compare_models(a, b, "auc")
+            compare(a, b)
 
     def test_unknown_measure(self):
         a = fabricate_summary({"auc": [0.7, 0.71]})
         with pytest.raises(ConfigError):
-            compare_models(a, a, "brier")
+            compare(a, a, "brier")
 
-    def test_dict_comparison_matches_object_comparison(self):
-        a = fabricate_summary({"auc": [0.7, 0.75, 0.72, 0.71]})
-        b = fabricate_summary({"auc": [0.69, 0.70, 0.73, 0.68]})
-        via_objects = compare_models(a, b, "auc")
-        via_dicts = compare_summary_dicts(a.as_dict(), b.as_dict(), "auc")
-        assert via_objects == via_dicts
+    def test_no_completed_runs(self):
+        a = replace(fabricate_summary({"auc": [0.7, 0.71]}), runs=(), failures=("run 0: x", "run 1: x"))
+        with pytest.raises(DegenerateDataError, match="no completed runs"):
+            compare(a, a)
 
 
 class TestWeightedVersusUnweighted:

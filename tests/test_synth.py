@@ -11,6 +11,7 @@ from mrsfuse import (
     ConfigError,
     OutcomeLabel,
     SyntheticSpec,
+    as_plain,
     auc,
     binarize_mrs,
     generate_cohort,
@@ -144,5 +145,5 @@ class TestSpecValidation:
     def test_round_trip_dict(self):
         spec = SyntheticSpec(n_patients=10, seed=3)
         assert SyntheticSpec(
-            **{k: tuple(v) if isinstance(v, list) else v for k, v in spec.as_dict().items()}
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in as_plain(spec).items()}
         ) == spec
