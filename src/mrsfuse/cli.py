@@ -25,7 +25,6 @@ from pathlib import Path
 from .cohort import (
     ClinicalNormalizer,
     Cohort,
-    CohortArrays,
     OutcomeLabel,
     as_plain,
     atomic_output,
@@ -134,7 +133,7 @@ def _load_json(path: Path, key_types: dict[str, type], what: str) -> dict:
     return document
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
+def _add_shared_flags(parser: argparse.ArgumentParser, output: bool) -> None:
     parser.add_argument("--cohort", help="cohort CSV path")
     parser.add_argument("--config", help="JSON config file (flags override it)")
     parser.add_argument("--variable", choices=FUSION_VARIABLES, help="clinical weighting variable")
@@ -146,8 +145,9 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, help="number of cross-validation folds")
     parser.add_argument("--runs", type=int, help="number of repeated runs")
     parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
+    if output:
+        parser.add_argument("--out", help="output path (default: stdout)")
+        parser.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,13 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, description in (
-        ("fuse", "fuse module probabilities into per-patient predictions"),
-        ("cv", "cross-validated evaluation of modules and ensembles"),
-        ("validate", "check a cohort CSV against the schema invariants"),
+    for name, description, output in (
+        ("fuse", "fuse module probabilities into per-patient predictions", True),
+        ("cv", "cross-validated evaluation of modules and ensembles", True),
+        ("validate", "check a cohort CSV against the schema invariants", False),
     ):
         sub = commands.add_parser(name, help=description)
-        _add_shared_flags(sub)
+        _add_shared_flags(sub, output)
 
     compare = commands.add_parser("compare", help="signed-rank comparison of two cv summaries")
     compare.add_argument("summary_a", help="first summary JSON")
@@ -199,16 +199,24 @@ class _Settings:
         "stratified": True,
     }
 
+    # config-file values checked beyond their JSON type: the allowed
+    # choices, and the least allowed integer
+    CHOICES = {"variable": FUSION_VARIABLES, "strategy": THRESHOLD_STRATEGIES, "format": OUTPUT_FORMATS}
+    MINIMUMS = {"k": 2, "runs": 1, "seed": 0}
+
     def __init__(self, args: argparse.Namespace):
         config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
         self.file_values: dict = {}
         if config_path:
             self.file_values = _load_json(Path(config_path), CONFIG_FILE_KEYS, "config")
-        if self.file_values.get("format") not in (None, *OUTPUT_FORMATS):
-            raise ConfigError(
-                f"{config_path}: config key 'format' must be one of {', '.join(OUTPUT_FORMATS)}, "
-                f"got {self.file_values['format']!r}"
-            )
+        for key, value in self.file_values.items():
+            if key in self.CHOICES and value not in (None, *self.CHOICES[key]):
+                problem = f"must be one of {', '.join(self.CHOICES[key])}"
+            elif key in self.MINIMUMS and value is not None and value < self.MINIMUMS[key]:
+                problem = f"must be an integer >= {self.MINIMUMS[key]}"
+            else:
+                continue
+            raise ConfigError(f"{config_path}: config key {key!r} {problem}, got {value!r}")
         self.args = args
 
     def get(self, key: str, flag: str | None = None):
@@ -264,6 +272,12 @@ def _read_valid_cohort(path: Path) -> Cohort:
     return cohort
 
 
+def _csv_text(rows: list[list]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -276,10 +290,9 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     cohort = _read_valid_cohort(settings.cohort_path())
     config = settings.fusion_config()
-    arrays = CohortArrays.from_patients(cohort.patients)
-    resolved, _ = resolve_fold_config(arrays, config)
-    weights, fused = fuse_rows(arrays, resolved)
-    _, fused_unweighted = fuse_rows(arrays, replace(resolved, clinical_variable="none", normalizer=None))
+    resolved, _ = resolve_fold_config(cohort, config)
+    weights, fused = fuse_rows(cohort, resolved)
+    _, fused_unweighted = fuse_rows(cohort, replace(resolved, clinical_variable="none", normalizer=None))
     label_names = [str(label) for label in OutcomeLabel]  # indexed by "is poor"
 
     modules = [name.lower() for name in cohort.module_names]
@@ -288,10 +301,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         + ["fused_prob", "label_unweighted", "label_weighted"]
     )
     table = [
-        [patient.patient_id, *patient.module_probs, *w, f,
-         label_names[poor_unweighted], label_names[poor_weighted]]
-        for patient, w, f, poor_unweighted, poor_weighted in zip(
-            cohort.patients,
+        [pid, *probs, *w, f, label_names[poor_unweighted], label_names[poor_weighted]]
+        for pid, probs, w, f, poor_unweighted, poor_weighted in zip(
+            cohort.ids.tolist(),
+            cohort.probs.tolist(),
             weights.tolist(),
             fused.tolist(),
             (fused_unweighted > resolved.final_threshold).tolist(),
@@ -299,8 +312,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         )
     ]
 
-    fmt = settings.get("format") or "csv"
-    if fmt == "json":
+    if settings.get("format") == "json":
         document = {
             "config": {
                 "clinical_variable": resolved.clinical_variable,
@@ -309,13 +321,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             },
             "patients": [dict(zip(header, row)) for row in table],
         }
-        _emit(_json_dumps(document), settings.get("out"))
+        text = _json_dumps(document)
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(header)
-        writer.writerows(table)
-        _emit(buffer.getvalue(), settings.get("out"))
+        text = _csv_text([header, *table])
+    _emit(text, settings.get("out"))
     return EXIT_OK
 
 
@@ -326,9 +335,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     config = settings.fusion_config()
     plan = settings.plan()
 
-    variants: dict[str, dict] = {}
-    for name, summary in evaluate_per_module(cohort, plan).items():
-        variants[name] = summary.as_dict()
+    variants = {name: summary.as_dict() for name, summary in evaluate_per_module(cohort, plan).items()}
     ensemble = evaluate_model(cohort, plan, replace(config, clinical_variable="none", normalizer=None))
     variants[ensemble.model] = ensemble.as_dict()
     primary = ensemble.model
@@ -373,16 +380,11 @@ def _print_cv_table(variants: dict[str, dict], order: list[str]) -> None:
 
 
 def _cv_table_csv(variants: dict[str, dict], order: list[str]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["model"] + [f"{m}_{s}" for m in MEASURES for s in ("mean", "std")])
+    rows = [["model"] + [f"{m}_{s}" for m in MEASURES for s in ("mean", "std")]]
     for name in order:
-        row: list = [name]
-        for measure in MEASURES:
-            stats = variants[name]["measures"][measure]
-            row += ["", ""] if stats is None else [stats["mean"], stats["std"]]
-        writer.writerow(row)
-    return buffer.getvalue()
+        stats = [variants[name]["measures"][measure] or {"mean": "", "std": ""} for measure in MEASURES]
+        rows.append([name] + [st[key] for st in stats for key in ("mean", "std")])
+    return _csv_text(rows)
 
 
 def _pick_variant(document: object, requested: str | None, path: str) -> dict:
@@ -442,7 +444,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigError(f"invalid synthetic spec: {exc}") from exc
     cohort = generate_cohort(spec)
     write_cohort_csv(cohort, args.out)
-    print(f"wrote {len(cohort.patients)} patients to {args.out}")
+    print(f"wrote {len(cohort)} patients to {args.out}")
     return EXIT_OK
 
 
@@ -451,11 +453,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     cohort = read_cohort_csv(settings.cohort_path())
     violations = validate_cohort(cohort)
     if violations:
-        for violation in violations:
-            print(str(violation))
+        print("\n".join(map(str, violations)))
         print(f"error: validation: {len(violations)} violations", file=sys.stderr)
         return EXIT_INVALID
-    print(f"ok: {len(cohort.patients)} patients, {cohort.n_modules} modules")
+    print(f"ok: {len(cohort)} patients, {len(cohort.module_names)} modules")
     return EXIT_OK
 
 

@@ -1,8 +1,8 @@
 """Patient cohort domain model.
 
-Holds the record and cohort types, the binary outcome scale, min-max
-normalization of clinical covariates, cohort validation, and the CSV
-cohort schema used by the command-line tools.
+Holds the record and the columnar cohort types, the binary outcome scale,
+min-max normalization of clinical covariates, cohort validation, and the
+CSV cohort schema used by the command-line tools.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
@@ -34,6 +35,14 @@ GOOD_MRS_MAX = 2  # disability grades 0-2 count as good outcome, 3-6 as poor
 
 CSV_REQUIRED_COLUMNS = ("patient_id", "age", "nihss", "mrs")
 CSV_MODULE_PREFIX = "p_"
+
+# Violation reasons by field, formatted with the offending value.
+_REASONS = {
+    "age": "age must be a finite value >= 0, got {!r}",
+    "nihss": f"nihss must be an integer in 0..{NIHSS_MAX}, got {{!r}}",
+    "mrs": f"mrs must be an integer in 0..{MRS_MAX} or absent, got {{!r}}",
+    "probability": "probability must be in [0, 1], got {!r}",
+}
 
 
 class OutcomeLabel(enum.IntEnum):
@@ -116,130 +125,132 @@ class PatientRecord:
     module_probs: tuple[float, ...]
     mrs: int | None = None
 
-    def covariate(self, variable: str) -> float:
-        if variable == "age":
-            return float(self.age)
-        if variable == "nihss":
-            return float(self.nihss)
-        raise ConfigError(f"unknown clinical variable {variable!r}")
-
     def outcome(self) -> OutcomeLabel:
         if self.mrs is None:
             raise ValidationError(f"patient {self.patient_id!r} has no recorded mrs")
         return binarize_mrs(self.mrs, self.patient_id)
 
 
-@dataclass(frozen=True)
+def _int_column(values: list) -> np.ndarray:
+    """Python ints (None for a missing mrs) as int64, or as objects if one is None or does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except (TypeError, OverflowError):
+        return np.array(values, dtype=object)
+
+
+def _outside(column: np.ndarray, high: int) -> np.ndarray:
+    """Rows of an integer column outside 0..high, a missing value (None) included."""
+    if column.dtype == object:
+        return np.array([v is None or not 0 <= v <= high for v in column.tolist()], dtype=bool)
+    return (column < 0) | (column > high)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Cohort:
-    """An ordered module list plus the patients scored against it."""
+    """An ordered module list plus its patients, stored as row-aligned columns.
 
-    module_names: tuple[str, ...] = DEFAULT_MODULE_NAMES
-    patients: tuple[PatientRecord, ...] = ()
+    ``ids`` holds the patient ids (an object array), ``probs`` the (n, m)
+    module probabilities ordered like ``module_names``, ``age`` the float
+    ages, ``nihss`` and ``mrs`` the integer grades: int64, or Python ints
+    when a value does not fit or an mrs is missing (None).
 
-    @property
-    def n_modules(self) -> int:
-        return len(self.module_names)
-
-    def is_labeled(self) -> bool:
-        return bool(self.patients) and all(p.mrs is not None for p in self.patients)
-
-    def truths(self) -> tuple[OutcomeLabel, ...]:
-        return tuple(p.outcome() for p in self.patients)
-
-    def module_index(self, name: str) -> int:
-        try:
-            return self.module_names.index(name)
-        except ValueError:
-            raise ConfigError(f"unknown module {name!r}") from None
-
-    def single_module_view(self, name: str) -> "Cohort":
-        """Project the cohort onto one module, keeping ids, covariates, and mrs."""
-        idx = self.module_index(name)
-        patients = tuple(
-            PatientRecord(
-                patient_id=p.patient_id,
-                age=p.age,
-                nihss=p.nihss,
-                module_probs=(p.module_probs[idx],),
-                mrs=p.mrs,
-            )
-            for p in self.patients
-        )
-        return Cohort(module_names=(name,), patients=patients)
-
-
-@dataclass(frozen=True, eq=False)
-class CohortArrays:
-    """Row-aligned numpy columns of a patient sequence, as fusion and threshold search read them.
-
-    ``probs`` is (n, m), possibly a column subset of the records' modules
-    (see :meth:`column`); ``age`` and ``nihss`` are float covariates.
-    ``outcome`` holds the :class:`OutcomeLabel` values (good 0, poor 1) when
-    built with ``labeled=True``, and None otherwise. Iterating yields the
-    source records.
+    ``Cohort(module_names=..., patients=...)`` builds the columns from
+    records and ``.patients`` converts them back. A record the columns
+    cannot hold (a wrong probability count, a non-number or a bool, a
+    non-integer nihss or mrs) raises :class:`ValidationError` naming the
+    patient and field; range checks live in :func:`validate_cohort`.
     """
 
-    patients: tuple[PatientRecord, ...]
+    module_names: tuple[str, ...]
+    ids: np.ndarray
     probs: np.ndarray
     age: np.ndarray
     nihss: np.ndarray
-    outcome: np.ndarray | None = None
+    mrs: np.ndarray
+
+    def __init__(
+        self, module_names: Iterable[str] = DEFAULT_MODULE_NAMES, patients: Iterable[PatientRecord] = ()
+    ):
+        module_names, patients = tuple(module_names), tuple(patients)
+        for fault in filter(None, (_record_fault(p, module_names) for p in patients)):
+            raise ValidationError(str(fault))
+        ids = np.fromiter((p.patient_id for p in patients), dtype=object, count=len(patients))
+        probs = np.array([p.module_probs for p in patients], dtype=float).reshape(len(ids), len(module_names))
+        age = np.array([float(p.age) for p in patients])
+        nihss = _int_column([int(p.nihss) for p in patients])
+        mrs = _int_column([None if p.mrs is None else int(p.mrs) for p in patients])
+        self._assign(module_names, ids, probs, age, nihss, mrs)
 
     @classmethod
-    def from_patients(cls, patients: Iterable[PatientRecord], labeled: bool = False) -> "CohortArrays":
-        """Columns of ``patients``; ``labeled`` reads every outcome (raising on a missing mrs)."""
-        patients = tuple(patients)
-        if patients:
-            probs = np.array([p.module_probs for p in patients], dtype=float)
-        else:
-            probs = np.empty((0, 0))
-        return cls(
-            patients=patients,
-            probs=probs,
-            age=np.array([float(p.age) for p in patients]),
-            nihss=np.array([float(p.nihss) for p in patients]),
-            outcome=_outcomes(patients) if labeled else None,
-        )
+    def of_columns(cls, module_names: Iterable[str], *columns: np.ndarray) -> "Cohort":
+        """A cohort of ready columns, given in field order: ids, probs, age, nihss, mrs."""
+        cohort = cls.__new__(cls)
+        cohort._assign(tuple(module_names), *columns)
+        return cohort
+
+    def _assign(self, *values) -> None:
+        self.__dict__.update(zip(self.__dataclass_fields__, values, strict=True))
+
+    def _columns(self) -> list[np.ndarray]:
+        return [self.ids, self.probs, self.age, self.nihss, self.mrs]
 
     def __len__(self) -> int:
-        return len(self.patients)
+        return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Cohort):
+            return NotImplemented
+        return self.module_names == other.module_names and all(
+            np.array_equal(a, b) for a, b in zip(self._columns(), other._columns())
+        )
+
+    def iter_rows(self) -> Iterator[tuple]:
+        """(id, age, nihss, probs, mrs) per patient as Python values, mrs None when missing."""
+        return zip(*(column.tolist() for column in (self.ids, self.age, self.nihss, self.probs, self.mrs)))
+
+    @property
+    def patients(self) -> tuple[PatientRecord, ...]:
+        """The patients as records, converted from the columns."""
+        rows = self.iter_rows()
+        return tuple(PatientRecord(pid, age, nihss, tuple(p), mrs) for pid, age, nihss, p, mrs in rows)
 
     def __iter__(self) -> Iterator[PatientRecord]:
         return iter(self.patients)
+
+    def is_labeled(self) -> bool:
+        return len(self) > 0 and not np.equal(self.mrs, None).any()
+
+    def outcomes(self) -> np.ndarray:
+        """Outcome labels (good 0, poor 1) as int8; raises on a missing or out-of-range mrs."""
+        bad = np.flatnonzero(_outside(self.mrs, MRS_MAX))
+        if len(bad):
+            pid, mrs = self.ids[bad[0]], self.mrs[bad[0]]
+            if mrs is None:
+                raise ValidationError(f"patient {pid!r} has no recorded mrs")
+            binarize_mrs(int(mrs), pid)
+        return (self.mrs > GOOD_MRS_MAX).astype(np.int8)
+
+    def truths(self) -> tuple[OutcomeLabel, ...]:
+        return tuple(OutcomeLabel(label) for label in self.outcomes().tolist())
 
     def covariate(self, variable: str) -> np.ndarray:
         if variable == "age":
             return self.age
         if variable == "nihss":
-            return self.nihss
+            return self.nihss.astype(float)
         raise ConfigError(f"unknown clinical variable {variable!r}")
 
-    def outcomes(self) -> np.ndarray:
-        """Outcome labels as an int array, read from the records if not built labeled."""
-        return _outcomes(self.patients) if self.outcome is None else self.outcome
-
-    def take(self, rows: np.ndarray) -> "CohortArrays":
+    def take(self, rows: np.ndarray) -> "Cohort":
         """The rows at the given indices, in that order."""
-        return CohortArrays(
-            patients=tuple(self.patients[i] for i in rows.tolist()),
-            probs=self.probs[rows],
-            age=self.age[rows],
-            nihss=self.nihss[rows],
-            outcome=None if self.outcome is None else self.outcome[rows],
-        )
+        return Cohort.of_columns(self.module_names, *(column[rows] for column in self._columns()))
 
-    def column(self, index: int) -> "CohortArrays":
-        """The same rows with only module ``index``'s probabilities."""
-        return CohortArrays(self.patients, self.probs[:, index:index + 1], self.age, self.nihss, self.outcome)
-
-
-def _outcomes(patients: Iterable[PatientRecord]) -> np.ndarray:
-    return np.array([p.outcome() for p in patients], dtype=np.int8)
-
-
-def as_arrays(patients: Iterable[PatientRecord] | CohortArrays) -> CohortArrays:
-    """``patients`` as columns, converting records and passing arrays through."""
-    return patients if isinstance(patients, CohortArrays) else CohortArrays.from_patients(patients)
+    def single_module_view(self, name: str) -> "Cohort":
+        """Project the cohort onto one module, keeping ids, covariates, and mrs."""
+        if name not in self.module_names:
+            raise ConfigError(f"unknown module {name!r}")
+        j = self.module_names.index(name)
+        return Cohort.of_columns((name,), self.ids, self.probs[:, j:j + 1], self.age, self.nihss, self.mrs)
 
 
 @dataclass(frozen=True)
@@ -255,56 +266,64 @@ class Violation:
         return f"{who}: {self.field}: {self.reason}"
 
 
-def _is_prob(value: float) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0
+def _is_number(value: object, kind: type = numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _record_fault(p: PatientRecord, module_names: tuple[str, ...]) -> Violation | None:
+    """Why the cohort columns cannot hold this record, or None."""
+    pid = p.patient_id
+    for field, value, kind in (("age", p.age, numbers.Real), ("nihss", p.nihss, numbers.Integral),
+                               ("mrs", 0 if p.mrs is None else p.mrs, numbers.Integral)):
+        if not _is_number(value, kind):
+            return Violation(pid, field, _REASONS[field].format(value))
+    if len(p.module_probs) != len(module_names):
+        reason = f"expected {len(module_names)} probabilities, got {len(p.module_probs)}"
+        return Violation(pid, "module_probs", reason)
+    for name, prob in zip(module_names, p.module_probs):
+        if not _is_number(prob):
+            return Violation(pid, _module_column(name), _REASONS["probability"].format(prob))
+    return None
 
 
 def validate_cohort(cohort: Cohort) -> list[Violation]:
-    """Check every record invariant; violations are returned, never raised."""
+    """Check every column invariant; violations are returned, never raised.
+
+    Cohort-level findings come first, then each patient's in cohort order,
+    field by field: id, age, nihss, mrs, then the modules.
+    """
     violations: list[Violation] = []
     if not cohort.module_names:
         violations.append(Violation(None, "module_names", "empty module list"))
     if len(set(cohort.module_names)) != len(cohort.module_names):
         violations.append(Violation(None, "module_names", "duplicate module names"))
-    if not cohort.patients:
+    if len(cohort) == 0:
         violations.append(Violation(None, "patients", "empty cohort"))
         return violations
 
-    seen_ids: set[str] = set()
-    for p in cohort.patients:
-        pid = p.patient_id
-        if not pid:
-            violations.append(Violation(pid, "patient_id", "empty patient id"))
-        elif pid in seen_ids:
-            violations.append(Violation(pid, "patient_id", "duplicate patient id"))
-        seen_ids.add(pid)
-        if not (isinstance(p.age, (int, float)) and math.isfinite(p.age) and p.age >= 0):
-            violations.append(Violation(pid, "age", f"age must be a finite value >= 0, got {p.age!r}"))
-        if not isinstance(p.nihss, int) or isinstance(p.nihss, bool) or not 0 <= p.nihss <= NIHSS_MAX:
-            violations.append(
-                Violation(pid, "nihss", f"nihss must be an integer in 0..{NIHSS_MAX}, got {p.nihss!r}")
-            )
-        if p.mrs is not None and (
-            not isinstance(p.mrs, int) or isinstance(p.mrs, bool) or not 0 <= p.mrs <= MRS_MAX
-        ):
-            violations.append(
-                Violation(pid, "mrs", f"mrs must be an integer in 0..{MRS_MAX} or absent, got {p.mrs!r}")
-            )
-        if len(p.module_probs) != cohort.n_modules:
-            violations.append(
-                Violation(
-                    pid,
-                    "module_probs",
-                    f"expected {cohort.n_modules} probabilities, got {len(p.module_probs)}",
-                )
-            )
-            continue
-        for name, prob in zip(cohort.module_names, p.module_probs):
-            if not _is_prob(prob):
-                violations.append(
-                    Violation(pid, f"p_{name.lower()}", f"probability must be in [0, 1], got {prob!r}")
-                )
-    return violations
+    ids = cohort.ids.tolist()
+    n = len(ids)
+    empty = np.array([not pid for pid in ids], dtype=bool)
+    first_row = dict(zip(reversed(ids), range(n - 1, -1, -1)))  # built backwards: each id keeps its first row
+    repeated = np.fromiter(map(first_row.__getitem__, ids), dtype=np.intp, count=n) != np.arange(n)
+    # (field, rows at fault, the values shown in the reason or None, reason)
+    checks = [
+        ("patient_id", empty, None, "empty patient id"),
+        ("patient_id", repeated & ~empty, None, "duplicate patient id"),
+        ("age", ~(np.isfinite(cohort.age) & (cohort.age >= 0)), cohort.age, _REASONS["age"]),
+        ("nihss", _outside(cohort.nihss, NIHSS_MAX), cohort.nihss, _REASONS["nihss"]),
+        ("mrs", _outside(cohort.mrs, MRS_MAX) & ~np.equal(cohort.mrs, None), cohort.mrs, _REASONS["mrs"]),
+    ] + [
+        (_module_column(name), ~((column >= 0.0) & (column <= 1.0)), column, _REASONS["probability"])
+        for name, column in zip(cohort.module_names, cohort.probs.T)
+    ]
+    found: list[tuple[int, Violation]] = []
+    for field, at_fault, values, reason in checks:
+        rows = np.flatnonzero(at_fault).tolist()
+        shown = [None] * len(rows) if values is None else values[rows].tolist()
+        found += [(row, Violation(ids[row], field, reason.format(v))) for row, v in zip(rows, shown)]
+    found.sort(key=lambda item: item[0])  # stable: each patient's findings keep the field order
+    return violations + [violation for _, violation in found]
 
 
 def _module_name_from_column(column: str) -> str:
@@ -337,8 +356,12 @@ def not_utf8_reason(exc: UnicodeDecodeError) -> str:
 
 
 def _parse_cohort_csv(handle: TextIO, path: Path) -> Cohort:
-    reader = csv.DictReader(handle)
-    header = reader.fieldnames
+    """Parse into columns, reading rows as ``csv.DictReader`` does: blank lines are
+    skipped and not numbered, short rows are padded with None, and a repeated
+    header name reads its last column.
+    """
+    reader = csv.reader(handle)
+    header = next(reader, None)
     if header is None:
         raise ValidationError(f"{path}: missing header row")
     missing = [col for col in CSV_REQUIRED_COLUMNS if col not in header]
@@ -349,22 +372,29 @@ def _parse_cohort_csv(handle: TextIO, path: Path) -> Cohort:
         raise ValidationError(f"{path}: no module probability columns (prefix {CSV_MODULE_PREFIX!r})")
     module_names = tuple(_module_name_from_column(col) for col in module_columns)
 
-    patients: list[PatientRecord] = []
-    for line_no, row in enumerate(reader, start=2):
+    column_of = {name: i for i, name in enumerate(header)}
+    id_col, age_col, nihss_col, mrs_col = (column_of[col] for col in CSV_REQUIRED_COLUMNS)
+    module_cols = [column_of[col] for col in module_columns]
+    ids, age, nihss, mrs, probs = [], [], [], [], []  # probs row-major, flat
+    line_no = 1
+    for row in reader:
+        if not row:
+            continue
+        line_no += 1
+        if len(row) < len(header):
+            row += [None] * (len(header) - len(row))
         try:
-            mrs_text = (row["mrs"] or "").strip()
-            patients.append(
-                PatientRecord(
-                    patient_id=(row["patient_id"] or "").strip(),
-                    age=float(row["age"]),
-                    nihss=int(row["nihss"]),
-                    module_probs=tuple(float(row[col]) for col in module_columns),
-                    mrs=int(mrs_text) if mrs_text else None,
-                )
-            )
+            ids.append((row[id_col] or "").strip())
+            age.append(float(row[age_col]))
+            nihss.append(int(row[nihss_col]))
+            probs += [float(row[col]) for col in module_cols]
+            mrs_text = (row[mrs_col] or "").strip()
+            mrs.append(int(mrs_text) if mrs_text else None)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}:{line_no}: unparseable row: {exc}") from exc
-    return Cohort(module_names=module_names, patients=tuple(patients))
+    probs = np.array(probs, dtype=float).reshape(len(ids), len(module_cols))
+    ids, age = np.array(ids, dtype=object), np.array(age, dtype=float)
+    return Cohort.of_columns(module_names, ids, probs, age, _int_column(nihss), _int_column(mrs))
 
 
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
@@ -373,11 +403,10 @@ def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     with atomic_output(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for p in cohort.patients:
-            writer.writerow(
-                [p.patient_id, repr(float(p.age)), p.nihss, "" if p.mrs is None else p.mrs]
-                + [repr(float(prob)) for prob in p.module_probs]
-            )
+        writer.writerows(
+            [pid, repr(age), nihss, "" if mrs is None else mrs, *map(repr, probs)]
+            for pid, age, nihss, probs, mrs in cohort.iter_rows()
+        )
 
 
 @contextmanager

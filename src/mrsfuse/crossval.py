@@ -10,20 +10,11 @@ recorded as run-level failures instead of aborting the evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import (
-    Cohort,
-    CohortArrays,
-    OutcomeLabel,
-    PatientRecord,
-    as_arrays,
-    as_plain,
-    validate_cohort,
-)
+from .cohort import Cohort, OutcomeLabel, as_plain, validate_cohort
 from .errors import ConfigError, DegenerateDataError, ValidationError
 from .fusion import (
     FusionConfig,
@@ -57,8 +48,12 @@ class CvPlan:
 
 @dataclass(frozen=True)
 class Fold:
+    """One fold's patient ids, and the cohort rows they sit at (in the same order)."""
+
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
+    train_rows: np.ndarray | None = field(default=None, compare=False, repr=False)
+    test_rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -129,16 +124,16 @@ def make_folds(cohort: Cohort, plan: CvPlan, run_index: int) -> list[Fold]:
     one across folds. Every training fold must contain both outcome classes.
     Test ids are sorted; training ids keep the cohort order.
     """
-    if not cohort.patients:
+    n = len(cohort)
+    if n == 0:
         raise ValidationError("cannot fold an empty cohort")
     if not cohort.is_labeled():
         raise ValidationError("cross-validation requires mrs for every patient")
-    n = len(cohort.patients)
     if plan.k > n:
         raise ValidationError(f"k={plan.k} exceeds cohort size {n}")
 
     rng = np.random.default_rng([plan.base_seed, run_index])
-    poor = np.array([p.outcome() for p in cohort.patients]) == OutcomeLabel.POOR
+    poor = cohort.outcomes() == OutcomeLabel.POOR
     if plan.stratified:
         groups = [np.flatnonzero(~poor), np.flatnonzero(poor)]
     else:
@@ -148,20 +143,17 @@ def make_folds(cohort: Cohort, plan: CvPlan, run_index: int) -> list[Fold]:
     fold_of = np.empty(n, dtype=np.intp)
     fold_of[dealt] = np.arange(n) % plan.k
 
-    ids = [p.patient_id for p in cohort.patients]
+    ids = cohort.ids.tolist()
     folds = []
     for fold_index in range(plan.k):
         in_test = fold_of == fold_index
         train_poor = poor[~in_test]
         if train_poor.all() or not train_poor.any():
             hint = "" if plan.stratified else "; enable stratification"
-            raise DegenerateDataError(
-                f"a training fold contains a single outcome class{hint}"
-            )
-        folds.append(Fold(
-            train_ids=tuple(ids[i] for i in np.flatnonzero(~in_test).tolist()),
-            test_ids=tuple(sorted(ids[i] for i in np.flatnonzero(in_test).tolist())),
-        ))
+            raise DegenerateDataError(f"a training fold contains a single outcome class{hint}")
+        train = np.flatnonzero(~in_test)
+        test = np.array(sorted(np.flatnonzero(in_test).tolist(), key=ids.__getitem__), dtype=np.intp)
+        folds.append(Fold(tuple(cohort.ids[train].tolist()), tuple(cohort.ids[test].tolist()), train, test))
     return folds
 
 
@@ -172,34 +164,33 @@ def _searched(value: float, what: str) -> float:
 
 
 def resolve_fold_config(
-    train: Sequence[PatientRecord] | CohortArrays, config: FusionConfig, fold_index: int = 0
+    train: Cohort, config: FusionConfig, fold_index: int = 0
 ) -> tuple[FusionConfig, FoldResolution]:
     """Make thresholds and normalizer concrete using training patients only.
 
     Threshold searches need labeled training patients; a fully fixed config
     resolves without reading any outcome.
     """
-    rows = as_arrays(train)
     resolved = config
     if resolved.clinical_variable != "none" and resolved.normalizer is None:
         resolved = resolved.with_normalizer(
-            normalizer_from_patients(rows, resolved.clinical_variable)
+            normalizer_from_patients(train, resolved.clinical_variable)
         )
 
     prelim = resolved.prelim_threshold
     if prelim is None:
         # every module score of every patient, patient by patient
-        module_truths = np.repeat(rows.outcomes(), rows.probs.shape[1])
+        module_truths = np.repeat(train.outcomes(), train.probs.shape[1])
         prelim = _searched(
-            search_threshold(rows.probs.ravel(), module_truths, resolved.strategy),
+            search_threshold(train.probs.ravel(), module_truths, resolved.strategy),
             "preliminary threshold",
         )
 
     final = resolved.final_threshold
     if final is None:
-        _, fused_scores = fuse_matrix(rows.probs, normalized_covariate(rows, resolved), prelim)
+        _, fused_scores = fuse_matrix(train.probs, normalized_covariate(train, resolved), prelim)
         final = _searched(
-            search_threshold(fused_scores, rows.outcomes(), resolved.strategy),
+            search_threshold(fused_scores, train.outcomes(), resolved.strategy),
             "final threshold",
         )
 
@@ -226,15 +217,13 @@ def evaluate_model(
     plan: CvPlan,
     config: FusionConfig,
     model_name: str | None = None,
-    module: str | None = None,
 ) -> RunSummary:
     """Cross-validated evaluation of one fusion configuration.
 
     Per run: folds are drawn, thresholds resolved per training fold,
     test-fold predictions pooled, and the six measures computed once on the
     pooled predictions. Runs that hit degenerate data are recorded under
-    ``failures`` and skipped in the aggregates. With ``module`` set, only
-    that module's probabilities are fused, as an ensemble of one.
+    ``failures`` and skipped in the aggregates.
     """
     violations = validate_cohort(cohort)
     if violations:
@@ -243,35 +232,27 @@ def evaluate_model(
     if not cohort.is_labeled():
         raise ValidationError("evaluation requires mrs for every patient")
 
-    rows = CohortArrays.from_patients(cohort.patients, labeled=True)
-    if module is not None:
-        rows = rows.column(cohort.module_index(module))
-    row_of = {p.patient_id: i for i, p in enumerate(cohort.patients)}
-
-    def row_indices(ids: tuple[str, ...]) -> np.ndarray:
-        return np.fromiter((row_of[pid] for pid in ids), dtype=np.intp, count=len(ids))
-
+    truth = cohort.outcomes()
     runs: list[RunResult] = []
     failures: list[str] = []
     for run_index in range(plan.n_runs):
         try:
             resolutions: list[FoldResolution] = []
-            fused = np.empty(len(rows))
-            predicted = np.empty(len(rows), dtype=np.int8)
+            fused = np.empty(len(cohort))
+            predicted = np.empty(len(cohort), dtype=np.int8)
             for fold_index, fold in enumerate(make_folds(cohort, plan, run_index)):
-                train = rows.take(row_indices(fold.train_ids))
-                resolved, resolution = resolve_fold_config(train, config, fold_index)
+                resolved, resolution = resolve_fold_config(cohort.take(fold.train_rows), config, fold_index)
                 resolutions.append(resolution)
-                test = row_indices(fold.test_ids)
-                fused[test] = fuse_rows(rows.take(test), resolved)[1]
+                test = fold.test_rows
+                fused[test] = fuse_rows(cohort.take(test), resolved)[1]
                 predicted[test] = fused[test] > resolved.final_threshold
-            run_report = report(predicted=predicted, fused_probs=fused, truth=rows.outcomes())
+            run_report = report(predicted=predicted, fused_probs=fused, truth=truth)
             runs.append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))
         except DegenerateDataError as exc:
             failures.append(f"run {run_index}: {exc}")
 
     return RunSummary(
-        model=model_name or module or _default_model_name(config),
+        model=model_name or _default_model_name(config),
         plan=plan,
         config=config,
         runs=tuple(runs),
@@ -282,7 +263,10 @@ def evaluate_model(
 def evaluate_per_module(cohort: Cohort, plan: CvPlan) -> dict[str, RunSummary]:
     """Evaluate each module's probabilities alone, as a single-module ensemble."""
     baseline = FusionConfig(clinical_variable="none", strategy="youden")
-    return {name: evaluate_model(cohort, plan, baseline, module=name) for name in cohort.module_names}
+    return {
+        name: evaluate_model(cohort.single_module_view(name), plan, baseline, model_name=name)
+        for name in cohort.module_names
+    }
 
 
 def compare_summary_dicts(
@@ -303,7 +287,8 @@ def compare_summary_dicts(
         try:
             pairs.append([(r["run_index"], float(r["metrics"][measure])) for r in summary["runs"]])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed summary: {name}: {exc}") from exc
+            detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            raise ValidationError(f"malformed summary: {name}: {detail}") from exc
 
     if schedules[0] != schedules[1]:
         raise ConfigError(

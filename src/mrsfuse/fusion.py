@@ -22,18 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cohort import (
-    ClinicalNormalizer,
-    CohortArrays,
-    OutcomeLabel,
-    PatientRecord,
-    as_arrays,
-    normalize_clinical,
-)
+from .cohort import ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, normalize_clinical
 from .errors import ConfigError, DegenerateDataError, ValidationError
 
 WEIGHT_SUM_TOL = 1e-9
@@ -205,14 +198,14 @@ def fuse_matrix(
     return weights, _row_sums(weights * p)
 
 
-def normalized_covariate(rows: CohortArrays, config: FusionConfig) -> np.ndarray | None:
+def normalized_covariate(rows: Cohort, config: FusionConfig) -> np.ndarray | None:
     """The config's clinical covariate of every row scaled onto [0, 1]; None when unweighted."""
     if config.clinical_variable == "none":
         return None
     return normalize_clinical(rows.covariate(config.clinical_variable), config.normalizer)
 
 
-def fuse_rows(rows: CohortArrays, config: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
+def fuse_rows(rows: Cohort, config: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
     """:func:`fuse_matrix` over every row under a resolved config."""
     if not config.is_resolved():
         raise ConfigError("fusion config is not resolved: thresholds or normalizer missing")
@@ -266,7 +259,8 @@ def search_threshold(
 
 def fuse_patient(record: PatientRecord, config: FusionConfig) -> FusionResult:
     """Run the full fusion pipeline for one patient under a resolved config."""
-    weights, fused = fuse_rows(CohortArrays.from_patients((record,)), config)
+    # as a one-row cohort; module names do not enter fusion
+    weights, fused = fuse_rows(Cohort(("",) * len(record.module_probs), (record,)), config)
     fused_probability = float(fused[0])
     return FusionResult(
         preliminary_labels=derive_labels(record.module_probs, config.prelim_threshold),
@@ -276,11 +270,9 @@ def fuse_patient(record: PatientRecord, config: FusionConfig) -> FusionResult:
     )
 
 
-def normalizer_from_patients(
-    patients: Iterable[PatientRecord] | CohortArrays, variable: str
-) -> ClinicalNormalizer:
-    """Min-max normalizer with bounds taken from the given patients."""
-    values = as_arrays(patients).covariate(variable)
+def normalizer_from_patients(cohort: Cohort, variable: str) -> ClinicalNormalizer:
+    """Min-max normalizer with bounds taken from the cohort's patients."""
+    values = cohort.covariate(variable)
     if len(values) == 0:
         raise ValidationError("cannot derive normalizer bounds from an empty patient list")
     lo, hi = float(values.min()), float(values.max())

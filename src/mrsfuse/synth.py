@@ -16,7 +16,7 @@ from math import sqrt
 
 import numpy as np
 
-from .cohort import DEFAULT_MODULE_NAMES, NIHSS_MAX, Cohort, PatientRecord
+from .cohort import DEFAULT_MODULE_NAMES, NIHSS_MAX, Cohort
 from .errors import ConfigError
 
 # Default per-module discrimination targets for the five standard modules.
@@ -93,14 +93,5 @@ def generate_cohort(spec: SyntheticSpec) -> Cohort:
     mrs = np.where(poor, mrs_poor, mrs_good)
 
     width = max(4, len(str(n)))
-    patients = tuple(
-        PatientRecord(
-            patient_id=f"S{i:0{width}d}",
-            age=float(age[i]),
-            nihss=int(nihss[i]),
-            module_probs=tuple(float(p) for p in probs[i]),
-            mrs=int(mrs[i]),
-        )
-        for i in range(n)
-    )
-    return Cohort(module_names=spec.module_names, patients=patients)
+    ids = np.array([f"S{i:0{width}d}" for i in range(n)], dtype=object)
+    return Cohort.of_columns(spec.module_names, ids, probs, age, nihss, mrs)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import mrsfuse.cli
+import mrsfuse.cohort
 from conftest import (
     REFERENCE_PRELIM_THRESHOLD,
     SRC_DIR,
@@ -125,6 +127,40 @@ class TestValidate:
         assert "p_adc" in result.stdout
         assert "nihss" in result.stdout
         assert "error: validation" in result.stderr
+
+    @pytest.mark.parametrize("flag, value", [("--out", "x.json"), ("--format", "json")])
+    def test_output_flags_are_rejected(self, tmp_path, capsys, flag, value):
+        # validate writes nothing, so it takes neither flag
+        with pytest.raises(SystemExit) as exited:
+            mrsfuse.cli.main(["validate", "--cohort", str(tmp_path / "c.csv"), flag, value])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / value).exists()
+
+    def test_integer_and_nan_cells_keep_their_error_lines(self, tmp_path, capsys):
+        # int64 overflow, an integer beyond any fixed width, and nan each print as parsed
+        path = tmp_path / "odd.csv"
+        path.write_text(
+            "patient_id,age,nihss,mrs,p_adc\n"
+            "a,60,9223372036854775808,1,0.3\n"
+            "b,61,4,99999999999999999999999,0.4\n"
+            "c,-0,5,2,nan\n",
+            encoding="utf-8",
+        )
+        lines = [
+            "a: nihss: nihss must be an integer in 0..42, got 9223372036854775808",
+            "b: mrs: mrs must be an integer in 0..6 or absent, got 99999999999999999999999",
+            "c: p_adc: probability must be in [0, 1], got nan",
+        ]
+        assert mrsfuse.cli.main(["validate", "--cohort", str(path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.splitlines() == lines
+        assert printed.err == "error: validation: 3 violations\n"
+        assert mrsfuse.cli.main(["cv", "--cohort", str(path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.err.splitlines() == [f"error: validation: {line}" for line in lines] + [
+            f"error: {path}: 3 validation violations"
+        ]
 
     def test_non_utf8_cohort_exit_2(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -337,6 +373,23 @@ class TestConfigFile:
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: {config}: config key {key!r} must be")
 
+    @pytest.mark.parametrize("document, problem", [
+        ({"variable": "height"}, "config key 'variable' must be one of age, nihss, none, got 'height'"),
+        ({"strategy": "median"},
+         "config key 'strategy' must be one of youden, max_accuracy, fixed, got 'median'"),
+        ({"k": 1}, "config key 'k' must be an integer >= 2, got 1"),
+        ({"runs": 0}, "config key 'runs' must be an integer >= 1, got 0"),
+        ({"seed": -1}, "config key 'seed' must be an integer >= 0, got -1"),
+    ], ids=["variable", "strategy", "k", "runs", "seed"])
+    def test_out_of_range_value_names_file_and_key(self, tmp_path, capsys, monkeypatch, document, problem):
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("patient_id,age,nihss,mrs,p_adc\na,60,5,1,0.3\n", encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        assert mrsfuse.cli.main(["cv", "--cohort", str(cohort), "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {config}: {problem}\n"
+
     @pytest.mark.parametrize("command", ["fuse", "cv"])
     def test_unknown_format_exit_2(self, tmp_path, command):
         cohort = write_tiny_cohort(tmp_path / "cohort.csv", n=30)
@@ -427,21 +480,30 @@ class TestCompare:
         assert result.returncode == 2
         assert result.stderr.startswith("error: malformed summary")
 
-    @pytest.mark.parametrize("damage", ["non_numeric_measure", "missing_seed_schedule"])
+    @pytest.mark.parametrize(
+        "damage", ["non_numeric_measure", "missing_seed_schedule", "missing_runs", "missing_metrics"]
+    )
     def test_malformed_summary_names_the_bad_file(self, summaries, tmp_path, damage):
         out_a, _ = summaries
         document = json.loads(out_a.read_text())
         variant = document["variants"]["ensemble_w_nihss"]
         if damage == "non_numeric_measure":
             variant["runs"][0]["metrics"]["auc"] = "x"
-        else:
+        elif damage == "missing_seed_schedule":
             del variant["seed_schedule"]
+        elif damage == "missing_runs":
+            del variant["runs"]
+        else:
+            del variant["runs"][0]["metrics"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(document), encoding="utf-8")
         result = run_cli("compare", str(out_a), str(bad), "--measure", "auc")
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: malformed summary: {bad}: ")
         assert str(out_a) not in result.stderr
+        missing = {"missing_runs": "runs", "missing_metrics": "metrics"}.get(damage)
+        if missing:
+            assert result.stderr == f"error: malformed summary: {bad}: missing key {missing!r}\n"
 
     def test_schedule_mismatch_exit_2(self, summaries, tmp_path):
         out_a, _ = summaries
@@ -485,3 +547,21 @@ def test_commands_other_than_synth_load_no_scipy(tmp_path):
     codes, scipy_modules = json.loads(result.stdout)
     assert codes == [0, 0, 0, 0]
     assert scipy_modules == []
+
+
+def test_commands_build_no_patient_records(tmp_path, monkeypatch, capsys):
+    # the CLI reads and writes cohort columns; records are only a library conversion
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PatientRecord was built")
+
+    monkeypatch.setattr(mrsfuse.cohort, "PatientRecord", refuse)
+    monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+    cohort = str(tmp_path / "cohort.csv")
+    commands = [
+        ["synth", "--n-patients", "60", "--seed", "2", "--out", cohort],
+        ["validate", "--cohort", cohort],
+        ["fuse", "--cohort", cohort, "--variable", "age"],
+        ["cv", "--cohort", cohort, "--variable", "nihss", "--k", "3", "--runs", "2"],
+    ]
+    assert [mrsfuse.cli.main(argv) for argv in commands] == [0, 0, 0, 0]
+    assert capsys.readouterr().err == ""

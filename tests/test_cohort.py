@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import math
 import os
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrsfuse import (
     ClinicalNormalizer,
@@ -16,6 +21,7 @@ from mrsfuse import (
     OutcomeLabel,
     PatientRecord,
     ValidationError,
+    Violation,
     as_plain,
     binarize_mrs,
     normalize_clinical,
@@ -23,7 +29,7 @@ from mrsfuse import (
     validate_cohort,
     write_cohort_csv,
 )
-from mrsfuse.cohort import atomic_output
+from mrsfuse.cohort import CSV_REQUIRED_COLUMNS, DEFAULT_MODULE_NAMES, MRS_MAX, NIHSS_MAX, atomic_output
 
 
 def make_patient(pid="p1", age=60.0, nihss=10, probs=(0.1, 0.2, 0.3, 0.4, 0.5), mrs=2):
@@ -137,8 +143,9 @@ class TestValidateCohort:
         assert [v.field for v in violations] == ["nihss"]
 
     def test_probs_length_mismatch(self):
-        violations = validate_cohort(Cohort(patients=(make_patient(probs=(0.1, 0.2)),)))
-        assert [v.field for v in violations] == ["module_probs"]
+        # the columns cannot hold a short probability tuple, so construction rejects it
+        with pytest.raises(ValidationError, match="^p1: module_probs: expected 5 probabilities, got 2$"):
+            Cohort(patients=(make_patient(probs=(0.1, 0.2)),))
 
     def test_duplicate_ids_and_bad_age(self):
         cohort = Cohort(patients=(make_patient(), make_patient(age=-4.0)))
@@ -242,3 +249,267 @@ class TestSingleModuleView:
     def test_unknown_module(self):
         with pytest.raises(ConfigError):
             Cohort(patients=(make_patient(),)).single_module_view("XYZ")
+
+
+class TestColumns:
+    def test_records_become_columns_and_convert_back(self):
+        patients = (make_patient(), make_patient(pid="p2", nihss=3, mrs=None, age=81.5))
+        cohort = Cohort(patients=patients)
+        assert cohort.ids.tolist() == ["p1", "p2"]
+        assert cohort.probs.shape == (2, 5) and cohort.probs.dtype == float
+        assert cohort.age.tolist() == [60.0, 81.5]
+        assert cohort.nihss.dtype == np.int64 and cohort.nihss.tolist() == [10, 3]
+        assert cohort.mrs.dtype == object and cohort.mrs.tolist() == [2, None]  # None marks a missing mrs
+        assert cohort.patients == patients
+        assert len(cohort) == 2 and not cohort.is_labeled()
+
+    def test_integers_beyond_int64_stay_exact(self):
+        big = 2**63
+        cohort = Cohort(patients=(make_patient(nihss=big, mrs=-big - 1),))
+        assert cohort.nihss.tolist() == [big] and cohort.mrs.tolist() == [-big - 1]
+        assert [str(v) for v in validate_cohort(cohort)] == [
+            f"p1: nihss: nihss must be an integer in 0..{NIHSS_MAX}, got {big}",
+            f"p1: mrs: mrs must be an integer in 0..{MRS_MAX} or absent, got {-big - 1}",
+        ]
+
+    def test_take_and_view_slice_the_columns(self):
+        cohort = Cohort(patients=tuple(make_patient(pid=f"p{i}", nihss=i) for i in range(4)))
+        taken = cohort.take(np.array([3, 1]))
+        assert taken.ids.tolist() == ["p3", "p1"] and taken.nihss.tolist() == [3, 1]
+        view = cohort.single_module_view("CBV")
+        assert view.module_names == ("CBV",)
+        assert view.probs.tolist() == [[0.3]] * 4
+        assert np.shares_memory(view.probs, cohort.probs)
+
+    def test_outcomes_name_the_patient_without_a_grade(self):
+        cohort = Cohort(patients=(make_patient(), make_patient(pid="p2", mrs=None)))
+        with pytest.raises(ValidationError, match="^patient 'p2' has no recorded mrs$"):
+            cohort.outcomes()
+        assert cohort.take(np.array([0])).outcomes().tolist() == [0]
+
+
+def _record_violations(module_names, patients):
+    """The per-record validate_cohort loop that the column masks replaced, kept as their oracle."""
+    violations = []
+    if not module_names:
+        violations.append(Violation(None, "module_names", "empty module list"))
+    if len(set(module_names)) != len(module_names):
+        violations.append(Violation(None, "module_names", "duplicate module names"))
+    if not patients:
+        violations.append(Violation(None, "patients", "empty cohort"))
+        return violations
+    seen_ids = set()
+    for p in patients:
+        pid = p.patient_id
+        if not pid:
+            violations.append(Violation(pid, "patient_id", "empty patient id"))
+        elif pid in seen_ids:
+            violations.append(Violation(pid, "patient_id", "duplicate patient id"))
+        seen_ids.add(pid)
+        if not (isinstance(p.age, (int, float)) and math.isfinite(p.age) and p.age >= 0):
+            violations.append(Violation(pid, "age", f"age must be a finite value >= 0, got {p.age!r}"))
+        if not isinstance(p.nihss, int) or isinstance(p.nihss, bool) or not 0 <= p.nihss <= NIHSS_MAX:
+            violations.append(
+                Violation(pid, "nihss", f"nihss must be an integer in 0..{NIHSS_MAX}, got {p.nihss!r}")
+            )
+        if p.mrs is not None and (
+            not isinstance(p.mrs, int) or isinstance(p.mrs, bool) or not 0 <= p.mrs <= MRS_MAX
+        ):
+            violations.append(
+                Violation(pid, "mrs", f"mrs must be an integer in 0..{MRS_MAX} or absent, got {p.mrs!r}")
+            )
+        if len(p.module_probs) != len(module_names):
+            violations.append(Violation(
+                pid, "module_probs", f"expected {len(module_names)} probabilities, got {len(p.module_probs)}"
+            ))
+            continue
+        for name, prob in zip(module_names, p.module_probs):
+            if not (isinstance(prob, (int, float)) and math.isfinite(prob) and 0.0 <= prob <= 1.0):
+                violations.append(
+                    Violation(pid, f"p_{name.lower()}", f"probability must be in [0, 1], got {prob!r}")
+                )
+    return violations
+
+
+_GRADES = st.one_of(st.integers(-3, 50), st.sampled_from([2**63 - 1, 2**63, -2**63, -2**63 - 1, 10**23]))
+_FAULTY_FLOATS = st.one_of(
+    st.floats(-0.5, 1.5), st.floats(), st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf])
+)
+
+
+@st.composite
+def _faulty_cohorts(draw):
+    module_names = draw(st.sampled_from(
+        [(), ("ADC",), ("ADC", "DWI"), ("ADC", "ADC"), ("Tmax", "DWI", "CBF")]
+    ))
+    patients = draw(st.lists(st.builds(
+        PatientRecord,
+        patient_id=st.sampled_from(["a", "b", "c", "", "d e"]),
+        age=st.one_of(st.floats(0, 100), _FAULTY_FLOATS),
+        nihss=_GRADES,
+        module_probs=st.tuples(*[_FAULTY_FLOATS] * len(module_names)),
+        mrs=st.one_of(st.none(), _GRADES),
+    ), max_size=8))
+    return module_names, tuple(patients)
+
+
+class TestValidationOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_faulty_cohorts())
+    def test_column_masks_match_the_record_loop(self, drawn):
+        module_names, patients = drawn
+        cohort = Cohort(module_names=module_names, patients=patients)
+        assert validate_cohort(cohort) == _record_violations(module_names, patients)
+
+    @pytest.mark.parametrize(("changes", "line"), [
+        ({"age": "60"}, "age: age must be a finite value >= 0, got '60'"),
+        ({"age": None}, "age: age must be a finite value >= 0, got None"),
+        ({"age": True}, "age: age must be a finite value >= 0, got True"),
+        ({"nihss": 2.5}, "nihss: nihss must be an integer in 0..42, got 2.5"),
+        ({"nihss": 10.0}, "nihss: nihss must be an integer in 0..42, got 10.0"),
+        ({"nihss": False}, "nihss: nihss must be an integer in 0..42, got False"),
+        ({"mrs": 1.5}, "mrs: mrs must be an integer in 0..6 or absent, got 1.5"),
+        ({"mrs": "3"}, "mrs: mrs must be an integer in 0..6 or absent, got '3'"),
+        ({"probs": (0.1, "0.2", 0.3, 0.4, 0.5)}, "p_cbf: probability must be in [0, 1], got '0.2'"),
+        ({"probs": (0.1, 0.2, True, 0.4, 0.5)}, "p_cbv: probability must be in [0, 1], got True"),
+        ({"probs": (0.1,) * 6}, "module_probs: expected 5 probabilities, got 6"),
+    ], ids=["age_text", "age_none", "age_bool", "nihss_fraction", "nihss_float", "nihss_bool",
+            "mrs_fraction", "mrs_text", "prob_text", "prob_bool", "prob_count"])
+    def test_records_the_columns_cannot_hold_are_rejected(self, changes, line):
+        bad = make_patient(pid="p2", **changes)
+        with pytest.raises(ValidationError) as caught:
+            Cohort(patients=(make_patient(), bad))
+        assert str(caught.value) == f"p2: {line}"
+        # the record loop flagged the same line, except that it took a bool age or
+        # probability for a number
+        flagged = [str(v) for v in _record_violations(DEFAULT_MODULE_NAMES, (bad,))]
+        assert flagged == ([] if line.endswith("got True") else [f"p2: {line}"])
+
+
+def _module_name(column):
+    suffix = column[2:]
+    return {name.lower(): name for name in DEFAULT_MODULE_NAMES}.get(suffix.lower(), suffix.upper())
+
+
+def _dictreader_parse(path):
+    """The csv.DictReader parser that read_cohort_csv replaced, kept as its oracle."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames
+        if header is None:
+            raise ValidationError(f"{path}: missing header row")
+        missing = [col for col in CSV_REQUIRED_COLUMNS if col not in header]
+        if missing:
+            raise ValidationError(f"{path}: missing required columns: {', '.join(missing)}")
+        module_columns = [col for col in header if col.startswith("p_")]
+        if not module_columns:
+            raise ValidationError(f"{path}: no module probability columns (prefix 'p_')")
+        patients = []
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                mrs_text = (row["mrs"] or "").strip()
+                patients.append(PatientRecord(
+                    patient_id=(row["patient_id"] or "").strip(),
+                    age=float(row["age"]),
+                    nihss=int(row["nihss"]),
+                    module_probs=tuple(float(row[col]) for col in module_columns),
+                    mrs=int(mrs_text) if mrs_text else None,
+                ))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{path}:{line_no}: unparseable row: {exc}") from exc
+    return Cohort(module_names=tuple(_module_name(col) for col in module_columns), patients=patients)
+
+
+_CELL_POOLS = {
+    "patient_id": ["a", "b", "a,b", 'q"x', " c ", ""],
+    "age": ["60", "-0", " 71.5 ", "1e3", "nan", "-4", "inf"],
+    "nihss": ["0", "5", " 42", "43", "-1", "+7", "1_0", "9223372036854775808", "-9223372036854775809"],
+    "mrs": ["", " ", "0", "3", "6", "7", "99999999999999999999999"],
+    "p_": ["0", "0.5", "1", "1.0000001", "nan", "-0.0", " 0.25 "],
+}
+_JUNK_CELLS = ["x", "", " ", "1.5", "3.0", "a b", 'say "hi"', "1,2"]
+
+
+@st.composite
+def _csv_texts(draw):
+    required = list(CSV_REQUIRED_COLUMNS)
+    if draw(st.integers(0, 9)) == 0:
+        required.remove(draw(st.sampled_from(required)))
+    modules = draw(st.lists(st.sampled_from(["p_adc", "p_dwi", "p_Tmax", "p_x"]), max_size=3))
+    repeats = draw(st.lists(st.sampled_from(["note", "age", "nihss", "p_adc", "mrs", ""]), max_size=2))
+    header = draw(st.permutations(required + modules + repeats))
+
+    def cell(column):
+        pool = _CELL_POOLS.get(column, _CELL_POOLS["p_"] if column.startswith("p_") else _JUNK_CELLS)
+        return draw(st.sampled_from(pool if draw(st.integers(0, 19)) else _JUNK_CELLS))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        width = draw(st.sampled_from([len(header)] * 4 + [max(0, len(header) - 2), len(header) + 1, 0]))
+        rows.append([cell(header[j] if j < len(header) else "") for j in range(width)])
+        rows += [[]] * draw(st.sampled_from([0, 0, 0, 1, 2]))  # blank lines
+
+    def field(text):
+        if draw(st.integers(0, 4)) == 0 or any(ch in text for ch in ',"'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(",".join(field(text) for text in row) + terminator for row in [header] + rows)
+
+
+def _parse_outcome(parse, path):
+    try:
+        cohort = parse(path)
+    except ValidationError as exc:
+        return "error", str(exc)
+    dtypes = [column.dtype for column in (cohort.ids, cohort.probs, cohort.age, cohort.nihss, cohort.mrs)]
+    return cohort.module_names, cohort.probs.shape, dtypes, [repr(row) for row in cohort.iter_rows()]
+
+
+class TestParserOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_csv_texts())
+    def test_columns_match_the_dictreader_parser(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cohort.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert _parse_outcome(read_cohort_csv, path) == _parse_outcome(_dictreader_parse, path)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\npatient_id,age,nihss,mrs,p_adc\n",
+        "patient_id,age,nihss,mrs,p_adc\na,60,5\n",
+        "patient_id,age,nihss,mrs,p_adc,age\na,60,5,1,0.3\n",
+        "patient_id,age,nihss,mrs,p_adc\n\n\na,60,x,1,0.3\n",
+        "patient_id,age,nihss,mrs,p_adc,p_adc\n a ,60,5,,0.3,0.4,extra\n",
+    ], ids=["empty", "blank_header", "short_row", "repeated_name", "blank_lines", "padded_long_row"])
+    def test_edge_cases_match_the_dictreader_parser(self, tmp_path, text):
+        path = tmp_path / "cohort.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _parse_outcome(read_cohort_csv, path) == _parse_outcome(_dictreader_parse, path)
+
+
+_ROUND_TRIP_IDS = st.text(alphabet='ab ,"\'xy', max_size=6).filter(lambda text: text == text.strip())
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(module_names=st.sampled_from([("ADC",), ("ADC", "DWI", "Tmax")]), data=st.data())
+    def test_write_then_read_round_trips(self, module_names, data):
+        patients = data.draw(st.lists(st.builds(
+            PatientRecord,
+            patient_id=_ROUND_TRIP_IDS,
+            age=_FINITE,
+            nihss=st.integers(-2**80, 2**80),
+            module_probs=st.tuples(*[_FINITE] * len(module_names)),
+            mrs=st.one_of(st.none(), st.integers(-2**80, 2**80)),
+        ), max_size=8))
+        cohort = Cohort(module_names=module_names, patients=patients)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cohort.csv"
+            write_cohort_csv(cohort, path)
+            loaded = read_cohort_csv(path)
+        assert loaded == cohort
+        assert [repr(row) for row in loaded.iter_rows()] == [repr(row) for row in cohort.iter_rows()]
