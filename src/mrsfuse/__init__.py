@@ -32,6 +32,7 @@ from .crossval import (
     compare_summary_dicts,
     evaluate_model,
     evaluate_per_module,
+    evaluate_variants,
     make_folds,
     resolve_fold_config,
 )

@@ -34,10 +34,11 @@ from .cohort import (
     write_cohort_csv,
 )
 from .crossval import (
+    MODULE_BASELINE,
     CvPlan,
     compare_summary_dicts,
-    evaluate_model,
-    evaluate_per_module,
+    ensemble_name,
+    evaluate_variants,
     resolve_fold_config,
 )
 from .errors import ConfigError, DegenerateDataError, ValidationError
@@ -200,24 +201,37 @@ class _Settings:
     }
 
     # config-file values checked beyond their JSON type: the allowed
-    # choices, and the least allowed integer
+    # choices, the least allowed integer, and the thresholds' open interval
     CHOICES = {"variable": FUSION_VARIABLES, "strategy": THRESHOLD_STRATEGIES, "format": OUTPUT_FORMATS}
     MINIMUMS = {"k": 2, "runs": 1, "seed": 0}
+    THRESHOLDS = ("tau", "tau_star")
 
     def __init__(self, args: argparse.Namespace):
         config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
         self.file_values: dict = {}
         if config_path:
             self.file_values = _load_json(Path(config_path), CONFIG_FILE_KEYS, "config")
+        self.args = args
+        # normalizer bounds out of order, with the file's key named when a flag does not override it
+        low, high = self.get("norm_min"), self.get("norm_max")
+        bounds_reversed = low is not None and high is not None and not high > low
+        max_flag = getattr(args, "norm_max", None) is not None
         for key, value in self.file_values.items():
-            if key in self.CHOICES and value not in (None, *self.CHOICES[key]):
+            if value is None:
+                continue
+            if key in self.CHOICES and value not in self.CHOICES[key]:
                 problem = f"must be one of {', '.join(self.CHOICES[key])}"
-            elif key in self.MINIMUMS and value is not None and value < self.MINIMUMS[key]:
+            elif key in self.MINIMUMS and value < self.MINIMUMS[key]:
                 problem = f"must be an integer >= {self.MINIMUMS[key]}"
+            elif key in self.THRESHOLDS and not 0.0 < value < 1.0:
+                problem = "must lie in (0, 1)"
+            elif key == "norm_max" and bounds_reversed and not max_flag:
+                problem = f"must be greater than 'norm_min' ({low!r})"
+            elif key == "norm_min" and bounds_reversed and max_flag and getattr(args, "norm_min", None) is None:
+                problem = f"must be less than 'norm_max' ({high!r})"
             else:
                 continue
             raise ConfigError(f"{config_path}: config key {key!r} {problem}, got {value!r}")
-        self.args = args
 
     def get(self, key: str, flag: str | None = None):
         flag_value = getattr(self.args, flag or key, None)
@@ -335,14 +349,12 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     config = settings.fusion_config()
     plan = settings.plan()
 
-    variants = {name: summary.as_dict() for name, summary in evaluate_per_module(cohort, plan).items()}
-    ensemble = evaluate_model(cohort, plan, replace(config, clinical_variable="none", normalizer=None))
-    variants[ensemble.model] = ensemble.as_dict()
-    primary = ensemble.model
-    if config.clinical_variable != "none":
-        weighted = evaluate_model(cohort, plan, config)
-        variants[weighted.model] = weighted.as_dict()
-        primary = weighted.model
+    # each module alone, the plain ensemble, and the weighted ensemble when the config weights
+    configs = {name: (MODULE_BASELINE, name) for name in cohort.module_names}
+    configs["ensemble"] = (replace(config, clinical_variable="none", normalizer=None), None)
+    primary = ensemble_name(config)
+    configs[primary] = (config, None)
+    variants = {name: summary.as_dict() for name, summary in evaluate_variants(cohort, plan, configs).items()}
 
     document = {
         "cohort": str(cohort_path),

@@ -1,16 +1,20 @@
 """Patient-level cross-validation with repeated seeded runs.
 
 Each run reshuffles the fold assignment from a seed derived from
-(base_seed, run_index); fusion itself is deterministic. Thresholds and
-normalizer bounds are resolved on the training folds only, predictions are
-pooled over the test folds of a run, and per-run reports are aggregated
-into means and standard deviations across runs. Degenerate folds are
-recorded as run-level failures instead of aborting the evaluation.
+(base_seed, run_index); fusion itself is deterministic. All model
+variants share each run's folds, drawn once. Thresholds and normalizer
+bounds are resolved on the training folds only; module scores are sorted
+once per cohort, and equal searches run once. Predictions are pooled over
+the test folds of a run, and per-run reports are aggregated into means and
+standard deviations across runs. Degenerate folds are recorded as run-level
+failures instead of aborting the evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -22,10 +26,14 @@ from .fusion import (
     fuse_rows,
     normalized_covariate,
     normalizer_from_patients,
+    search_sorted_threshold,
     search_threshold,
 )
 from .metrics import MEASURES, MetricReport, report
 from .significance import PairedSample, TestResult, wilcoxon_signed_rank
+
+# the config each module is evaluated under alone: an unweighted ensemble of one, youden thresholds
+MODULE_BASELINE = FusionConfig(clinical_variable="none", strategy="youden")
 
 
 @dataclass(frozen=True)
@@ -164,13 +172,20 @@ def _searched(value: float, what: str) -> float:
 
 
 def resolve_fold_config(
-    train: Cohort, config: FusionConfig, fold_index: int = 0
+    train: Cohort, config: FusionConfig, fold_index: int = 0, search_modules: Callable[[str], float] | None = None
 ) -> tuple[FusionConfig, FoldResolution]:
     """Make thresholds and normalizer concrete using training patients only.
 
     Threshold searches need labeled training patients; a fully fixed config
-    resolves without reading any outcome.
+    resolves without reading any outcome. ``search_modules(strategy)`` is the
+    search over every training module score (by default run here, once per
+    strategy). A single-module config reuses it as its final search: its
+    fused scores are its module scores bit for bit (weight 1.0, row sum from 0).
     """
+    if search_modules is None:
+        # every module score of every patient, patient by patient
+        search_modules = functools.cache(lambda strategy: search_threshold(
+            train.probs.ravel(), np.repeat(train.outcomes(), train.probs.shape[1]), strategy))
     resolved = config
     if resolved.clinical_variable != "none" and resolved.normalizer is None:
         resolved = resolved.with_normalizer(
@@ -179,20 +194,16 @@ def resolve_fold_config(
 
     prelim = resolved.prelim_threshold
     if prelim is None:
-        # every module score of every patient, patient by patient
-        module_truths = np.repeat(train.outcomes(), train.probs.shape[1])
-        prelim = _searched(
-            search_threshold(train.probs.ravel(), module_truths, resolved.strategy),
-            "preliminary threshold",
-        )
+        prelim = _searched(search_modules(resolved.strategy), "preliminary threshold")
 
     final = resolved.final_threshold
     if final is None:
-        _, fused_scores = fuse_matrix(train.probs, normalized_covariate(train, resolved), prelim)
-        final = _searched(
-            search_threshold(fused_scores, train.outcomes(), resolved.strategy),
-            "final threshold",
-        )
+        if train.probs.shape[1] == 1:
+            value = search_modules(resolved.strategy)
+        else:
+            _, fused_scores = fuse_matrix(train.probs, normalized_covariate(train, resolved), prelim)
+            value = search_threshold(fused_scores, train.outcomes(), resolved.strategy)
+        final = _searched(value, "final threshold")
 
     resolved = resolved.with_thresholds(prelim, final)
     norm = resolved.normalizer
@@ -206,24 +217,33 @@ def resolve_fold_config(
     return resolved, resolution
 
 
-def _default_model_name(config: FusionConfig) -> str:
+def ensemble_name(config: FusionConfig) -> str:
+    """``ensemble``, or ``ensemble_w_<variable>`` for a config that weights by a covariate."""
     if config.clinical_variable == "none":
         return "ensemble"
     return f"ensemble_w_{config.clinical_variable}"
 
 
-def evaluate_model(
-    cohort: Cohort,
-    plan: CvPlan,
-    config: FusionConfig,
-    model_name: str | None = None,
-) -> RunSummary:
-    """Cross-validated evaluation of one fusion configuration.
+def _presort(probs: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every module score (row-major) in ascending order, with its row and that row's truth."""
+    scores = probs.ravel()
+    order = np.argsort(scores, kind="stable")
+    rows = order // probs.shape[1]
+    return scores[order], rows, truth[rows]
 
-    Per run: folds are drawn, thresholds resolved per training fold,
-    test-fold predictions pooled, and the six measures computed once on the
-    pooled predictions. Runs that hit degenerate data are recorded under
-    ``failures`` and skipped in the aggregates.
+
+def evaluate_variants(
+    cohort: Cohort, plan: CvPlan, configs: Mapping[str, tuple[FusionConfig, str | None]]
+) -> dict[str, RunSummary]:
+    """Cross-validated evaluation of model variants, all on the same folds.
+
+    ``configs`` maps each variant's name to its fusion config and the one
+    module it reads alone, or None to fuse every module. Per run: folds are
+    drawn once; each variant resolves thresholds per training fold, pools
+    its test-fold predictions and computes the six measures once on them.
+    A search over module scores runs once per fold, module set and strategy.
+    Runs that hit degenerate data are recorded under the variant's
+    ``failures`` and skipped in its aggregates.
     """
     violations = validate_cohort(cohort)
     if violations:
@@ -233,40 +253,67 @@ def evaluate_model(
         raise ValidationError("evaluation requires mrs for every patient")
 
     truth = cohort.outcomes()
-    runs: list[RunResult] = []
-    failures: list[str] = []
+    views = {module: cohort if module is None else cohort.single_module_view(module)
+             for _, module in configs.values()}
+    presorted = {view.module_names: _presort(view.probs, truth) for view in views.values()}
+    runs: dict[str, list[RunResult]] = {name: [] for name in configs}
+    failures: dict[str, list[str]] = {name: [] for name in configs}
     for run_index in range(plan.n_runs):
         try:
-            resolutions: list[FoldResolution] = []
-            fused = np.empty(len(cohort))
-            predicted = np.empty(len(cohort), dtype=np.int8)
-            for fold_index, fold in enumerate(make_folds(cohort, plan, run_index)):
-                resolved, resolution = resolve_fold_config(cohort.take(fold.train_rows), config, fold_index)
-                resolutions.append(resolution)
-                test = fold.test_rows
-                fused[test] = fuse_rows(cohort.take(test), resolved)[1]
-                predicted[test] = fused[test] > resolved.final_threshold
-            run_report = report(predicted=predicted, fused_probs=fused, truth=truth)
-            runs.append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))
+            folds = make_folds(cohort, plan, run_index)
         except DegenerateDataError as exc:
-            failures.append(f"run {run_index}: {exc}")
+            for name in configs:
+                failures[name].append(f"run {run_index}: {exc}")
+            continue
+        parts = [(cohort.take(fold.train_rows), cohort.take(fold.test_rows)) for fold in folds]
+        in_train = [np.bincount(fold.train_rows, minlength=len(cohort)) > 0 for fold in folds]
 
-    return RunSummary(
-        model=model_name or _default_model_name(config),
-        plan=plan,
-        config=config,
-        runs=tuple(runs),
-        failures=tuple(failures),
-    )
+        @functools.cache
+        def search(fold_index: int, modules: tuple[str, ...], strategy: str) -> float:
+            # the training fold's scores, a masked subsequence of the presorted ones
+            scores, rows, truths = presorted[modules]
+            keep = in_train[fold_index][rows]
+            return search_sorted_threshold(scores[keep], truths[keep], strategy)
+
+        for name, (config, module) in configs.items():
+            try:
+                resolutions: list[FoldResolution] = []
+                fused = np.empty(len(cohort))
+                predicted = np.empty(len(cohort), dtype=np.int8)
+                for fold_index, (fold, (train, test)) in enumerate(zip(folds, parts)):
+                    if module is not None:
+                        train, test = train.single_module_view(module), test.single_module_view(module)
+                    shared = functools.partial(search, fold_index, train.module_names)
+                    resolved, resolution = resolve_fold_config(train, config, fold_index, shared)
+                    resolutions.append(resolution)
+                    rows = fold.test_rows
+                    fused[rows] = fuse_rows(test, resolved)[1]
+                    predicted[rows] = fused[rows] > resolved.final_threshold
+                run_report = report(predicted=predicted, fused_probs=fused, truth=truth)
+                runs[name].append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))
+            except DegenerateDataError as exc:
+                failures[name].append(f"run {run_index}: {exc}")
+
+    return {
+        name: RunSummary(name, plan, config, runs=tuple(runs[name]), failures=tuple(failures[name]))
+        for name, (config, _) in configs.items()
+    }
+
+
+def evaluate_model(
+    cohort: Cohort,
+    plan: CvPlan,
+    config: FusionConfig,
+    model_name: str | None = None,
+) -> RunSummary:
+    """Cross-validated evaluation of one fusion configuration over every module."""
+    name = model_name or ensemble_name(config)
+    return evaluate_variants(cohort, plan, {name: (config, None)})[name]
 
 
 def evaluate_per_module(cohort: Cohort, plan: CvPlan) -> dict[str, RunSummary]:
     """Evaluate each module's probabilities alone, as a single-module ensemble."""
-    baseline = FusionConfig(clinical_variable="none", strategy="youden")
-    return {
-        name: evaluate_model(cohort.single_module_view(name), plan, baseline, model_name=name)
-        for name in cohort.module_names
-    }
+    return evaluate_variants(cohort, plan, {name: (MODULE_BASELINE, name) for name in cohort.module_names})
 
 
 def compare_summary_dicts(

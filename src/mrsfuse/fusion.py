@@ -225,31 +225,43 @@ def search_threshold(
     """Pick the cut maximizing Youden's J (or accuracy) over the candidate grid.
 
     Candidates are 0, 1 and the midpoints between consecutive distinct
-    scores; a score at or below a cut votes good. One sort gives every
-    candidate's confusion counts (an ROC sweep, O(n log n)), and the
-    objective is compared exactly in integers: ``tp * n_good + tn * n_poor``
-    is Youden's J scaled by ``n_poor * n_good``, ``tp + tn`` is accuracy
-    scaled by n. Ties break toward the smallest candidate. Requires both
-    classes in ``truths`` and at least two distinct scores.
+    scores; a score at or below a cut votes good. One sort, then
+    :func:`search_sorted_threshold`. Requires both classes in ``truths``
+    and at least two distinct scores.
     """
     if strategy not in ("youden", "max_accuracy"):
         raise ConfigError(f"not a searchable strategy: {strategy!r}")
     if len(scores) != len(truths) or len(scores) == 0:
         raise ValidationError("scores and truths must be non-empty and equal length")
     s = np.asarray(scores, dtype=float)
-    poor = np.asarray(truths) == OutcomeLabel.POOR
-    n_poor = int(poor.sum())
+    order = np.argsort(s, kind="stable")
+    return search_sorted_threshold(s[order], (np.asarray(truths) == OutcomeLabel.POOR)[order], strategy)
+
+
+def search_sorted_threshold(scores: np.ndarray, poor: np.ndarray, strategy: str) -> float:
+    """:func:`search_threshold` over scores in ascending order, ``poor`` marking their poor truths.
+
+    An ROC sweep: the cumulative poor count gives every candidate's
+    confusion counts, where ``searchsorted`` finds how many scores lie at or
+    below it (a midpoint can round up onto the larger score, so it is not
+    always a group end). The objective is compared exactly in integers:
+    ``tp * n_good + tn * n_poor`` is Youden's J scaled by ``n_poor *
+    n_good``, ``tp + tn`` is accuracy scaled by n. Ties break toward the
+    smallest candidate.
+    """
+    n_poor = int(np.count_nonzero(poor))
     n_good = len(poor) - n_poor
     if n_poor == 0 or n_good == 0:
         raise DegenerateDataError("degenerate class distribution: need both good and poor truths")
-    distinct = np.unique(s)
+    # group starts of the sorted scores; NaNs (sorted last) form one group, as in np.unique
+    starts = np.concatenate(([True], (scores[1:] != scores[:-1]) & ~np.isnan(scores[:-1])))
+    distinct = scores[starts]
     if len(distinct) < 2:
         raise DegenerateDataError("cannot search a threshold over identical scores")
     candidates = np.concatenate(([0.0], (distinct[:-1] + distinct[1:]) / 2.0, [1.0]))
 
-    order = np.argsort(s, kind="stable")
-    poor_at_or_below = np.concatenate(([0], np.cumsum(poor[order])))
-    at_or_below = np.searchsorted(s[order], candidates, side="right")
+    poor_at_or_below = np.concatenate(([0], np.cumsum(poor)))
+    at_or_below = np.searchsorted(scores, candidates, side="right")
     fn = poor_at_or_below[at_or_below]
     tp = n_poor - fn
     tn = at_or_below - fn

@@ -13,6 +13,7 @@ import pytest
 
 import mrsfuse.cli
 import mrsfuse.cohort
+import mrsfuse.crossval
 from conftest import (
     REFERENCE_PRELIM_THRESHOLD,
     SRC_DIR,
@@ -373,22 +374,36 @@ class TestConfigFile:
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: {config}: config key {key!r} must be")
 
-    @pytest.mark.parametrize("document, problem", [
-        ({"variable": "height"}, "config key 'variable' must be one of age, nihss, none, got 'height'"),
-        ({"strategy": "median"},
+    @pytest.mark.parametrize("document, flags, problem", [
+        ({"variable": "height"}, [], "config key 'variable' must be one of age, nihss, none, got 'height'"),
+        ({"strategy": "median"}, [],
          "config key 'strategy' must be one of youden, max_accuracy, fixed, got 'median'"),
-        ({"k": 1}, "config key 'k' must be an integer >= 2, got 1"),
-        ({"runs": 0}, "config key 'runs' must be an integer >= 1, got 0"),
-        ({"seed": -1}, "config key 'seed' must be an integer >= 0, got -1"),
-    ], ids=["variable", "strategy", "k", "runs", "seed"])
-    def test_out_of_range_value_names_file_and_key(self, tmp_path, capsys, monkeypatch, document, problem):
+        ({"k": 1}, [], "config key 'k' must be an integer >= 2, got 1"),
+        ({"runs": 0}, [], "config key 'runs' must be an integer >= 1, got 0"),
+        ({"seed": -1}, [], "config key 'seed' must be an integer >= 0, got -1"),
+        ({"tau": 1.5}, [], "config key 'tau' must lie in (0, 1), got 1.5"),
+        ({"tau_star": 0}, [], "config key 'tau_star' must lie in (0, 1), got 0"),
+        ({"norm_min": 5, "norm_max": 1}, [], "config key 'norm_max' must be greater than 'norm_min' (5), got 1"),
+        ({"norm_max": 1}, ["--norm-min", "5"], "config key 'norm_max' must be greater than 'norm_min' (5.0), got 1"),
+        ({"norm_min": 5}, ["--norm-max", "1"], "config key 'norm_min' must be less than 'norm_max' (1.0), got 5"),
+    ], ids=["variable", "strategy", "k", "runs", "seed", "tau", "tau_star", "norm_max", "norm_max_beside_flag",
+            "norm_min_beside_flag"])
+    def test_out_of_range_value_names_file_and_key(self, tmp_path, capsys, monkeypatch, document, flags, problem):
         monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
         cohort = tmp_path / "cohort.csv"
         cohort.write_text("patient_id,age,nihss,mrs,p_adc\na,60,5,1,0.3\n", encoding="utf-8")
         config = tmp_path / "run.json"
         config.write_text(json.dumps(document), encoding="utf-8")
-        assert mrsfuse.cli.main(["cv", "--cohort", str(cohort), "--config", str(config)]) == 2
+        assert mrsfuse.cli.main(["cv", "--cohort", str(cohort), "--config", str(config), *flags]) == 2
         assert capsys.readouterr().err == f"error: {config}: {problem}\n"
+
+    @pytest.mark.parametrize("flags", [["--norm-min", "0"], ["--norm-max", "10"]])
+    def test_flag_replaces_reversed_norm_bound(self, tmp_path, monkeypatch, flags):
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        cohort = write_tiny_cohort(tmp_path / "cohort.csv", n=30)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"norm_min": 5, "norm_max": 1}), encoding="utf-8")
+        assert mrsfuse.cli.main(["fuse", "--cohort", str(cohort), "--config", str(config), *flags]) == 0
 
     @pytest.mark.parametrize("command", ["fuse", "cv"])
     def test_unknown_format_exit_2(self, tmp_path, command):
@@ -564,4 +579,21 @@ def test_commands_build_no_patient_records(tmp_path, monkeypatch, capsys):
         ["cv", "--cohort", cohort, "--variable", "nihss", "--k", "3", "--runs", "2"],
     ]
     assert [mrsfuse.cli.main(argv) for argv in commands] == [0, 0, 0, 0]
+    assert capsys.readouterr().err == ""
+
+
+def test_cv_validates_the_cohort_at_most_twice(tmp_path, monkeypatch, capsys):
+    # once when the CLI reads the cohort, once in evaluate_variants; not per variant
+    calls = []
+    for module in (mrsfuse.cli, mrsfuse.crossval):
+        def counted(cohort, _validate=module.validate_cohort):
+            calls.append(len(cohort))
+            return _validate(cohort)
+
+        monkeypatch.setattr(module, "validate_cohort", counted)
+    monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+    cohort = str(tmp_path / "cohort.csv")
+    assert mrsfuse.cli.main(["synth", "--n-patients", "40", "--seed", "4", "--out", cohort]) == 0
+    assert mrsfuse.cli.main(["cv", "--cohort", cohort, "--variable", "age", "--k", "3", "--runs", "2"]) == 0
+    assert calls == [40, 40]
     assert capsys.readouterr().err == ""

@@ -25,9 +25,14 @@ from mrsfuse import (
     compare_summary_dicts,
     evaluate_model,
     evaluate_per_module,
+    evaluate_variants,
     generate_cohort,
     make_folds,
+    resolve_fold_config,
 )
+import mrsfuse.crossval
+from mrsfuse.fusion import fuse_matrix, fuse_rows
+from mrsfuse.metrics import report
 
 UNWEIGHTED = FusionConfig(clinical_variable="none")
 
@@ -154,6 +159,50 @@ class TestMakeFolds:
         with pytest.raises(DegenerateDataError, match="stratification"):
             make_folds(lopsided, CvPlan(k=3, n_runs=1, base_seed=0, stratified=False), 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mrs=st.lists(st.integers(0, 6), min_size=2, max_size=60),
+        k=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        run_index=st.integers(0, 50),
+        stratified=st.booleans(),
+    )
+    def test_partition_balance_and_rows_property(self, mrs, k, seed, run_index, stratified):
+        cohort = Cohort(
+            module_names=("ADC",),
+            patients=tuple(PatientRecord(f"p{(31 * i) % 101:03d}-{i}", 60.0, 5, (0.5,), m) for i, m in enumerate(mrs)),
+        )
+        poor = np.array(mrs) > 2
+        plan = CvPlan(k=k, n_runs=1, base_seed=seed, stratified=stratified)
+        if k > len(mrs):
+            with pytest.raises(ValidationError, match="exceeds cohort size"):
+                make_folds(cohort, plan, run_index)
+            return
+        try:
+            folds = make_folds(cohort, plan, run_index)
+        except DegenerateDataError as exc:
+            hint = "" if stratified else "; enable stratification"
+            assert str(exc) == f"a training fold contains a single outcome class{hint}"
+            if stratified:  # round-robin dealing isolates a class only when it has one patient
+                assert min(poor.sum(), (~poor).sum()) <= 1
+            return
+        assert len(folds) == k
+        test_rows = np.concatenate([fold.test_rows for fold in folds])
+        assert sorted(test_rows.tolist()) == list(range(len(mrs)))
+        for fold in folds:
+            assert np.array_equal(np.sort(np.concatenate([fold.train_rows, fold.test_rows])), np.arange(len(mrs)))
+            assert fold.train_ids == tuple(cohort.ids[fold.train_rows].tolist())
+            assert fold.test_ids == tuple(cohort.ids[fold.test_rows].tolist())
+            assert list(fold.test_ids) == sorted(fold.test_ids)
+            assert list(fold.train_rows) == sorted(fold.train_rows)
+            assert poor[fold.train_rows].any() and not poor[fold.train_rows].all()
+        sizes = [len(fold.test_rows) for fold in folds]
+        assert max(sizes) - min(sizes) <= 1
+        if stratified:
+            for label in (poor, ~poor):
+                counts = [int(label[fold.test_rows].sum()) for fold in folds]
+                assert max(counts) - min(counts) <= 1
+
 
 def _seed_make_folds(cohort, plan, run_index):
     """The original per-id dealing loop, kept as the oracle for make_folds."""
@@ -269,6 +318,110 @@ class TestEvaluateModel:
             evaluate_model(cohort119, plan, FusionConfig(clinical_variable="nihss")).model
             == "ensemble_w_nihss"
         )
+
+
+def _seed_evaluate_model(cohort, plan, config, model_name):
+    """The per-variant loop that evaluate_variants replaced, kept as its oracle.
+
+    Each call validates the cohort, draws its own folds every run and
+    resolves every fold with resolve_fold_config's own searches.
+    """
+    truth = cohort.outcomes()
+    runs, failures = [], []
+    for run_index in range(plan.n_runs):
+        try:
+            resolutions = []
+            fused = np.empty(len(cohort))
+            predicted = np.empty(len(cohort), dtype=np.int8)
+            for fold_index, fold in enumerate(make_folds(cohort, plan, run_index)):
+                resolved, resolution = resolve_fold_config(cohort.take(fold.train_rows), config, fold_index)
+                resolutions.append(resolution)
+                test = fold.test_rows
+                fused[test] = fuse_rows(cohort.take(test), resolved)[1]
+                predicted[test] = fused[test] > resolved.final_threshold
+            run_report = report(predicted=predicted, fused_probs=fused, truth=truth)
+            runs.append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))
+        except DegenerateDataError as exc:
+            failures.append(f"run {run_index}: {exc}")
+    return RunSummary(model_name, plan, config, tuple(runs), tuple(failures))
+
+
+class TestResolveFoldConfig:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans())
+    def test_single_module_fused_scores_are_the_module_scores(self, seed, weighted):
+        rng = np.random.default_rng(seed)
+        n = 40
+        edges = np.array([0.0, 1.0, 0.5, 5e-324, 1 - 2**-53, 0.5 + 2**-52])
+        probs = np.where(rng.random(n) < 0.3, rng.choice(edges, n), rng.random(n))[:, None]
+        covariate = np.where(rng.random(n) < 0.3, rng.choice([0.0, 1.0], n), rng.random(n)) if weighted else None
+        prelim = float(rng.choice([0.5, float(rng.random())]))
+        _, fused = fuse_matrix(probs, covariate, prelim)
+        assert fused.tobytes() == probs[:, 0].tobytes()
+
+    @pytest.mark.parametrize("module_names, searches", [(("ADC",), 1), (("ADC", "CBF"), 2)])
+    @pytest.mark.parametrize("variable", ["none", "nihss"])
+    def test_single_module_searches_once(self, monkeypatch, module_names, searches, variable):
+        calls = []
+        search = mrsfuse.crossval.search_threshold
+        monkeypatch.setattr(mrsfuse.crossval, "search_threshold", lambda *a: calls.append(a) or search(*a))
+        train = small_cohort(n=30, seed=4, module_names=module_names)
+        resolve_fold_config(train, FusionConfig(variable))
+        assert len(calls) == searches
+
+
+class TestEvaluateVariants:
+    @pytest.mark.parametrize("n", [12, 25, 60])
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_equals_the_per_variant_loop(self, n, stratified):
+        failed = 0
+        for case in range(12):
+            rng = np.random.default_rng([n, case])
+            m = int(rng.integers(1, 4))
+            cohort = generate_cohort(SyntheticSpec(
+                n_patients=n,
+                prevalence_poor=float(rng.uniform(0.1, 0.5)),
+                module_aucs=tuple(rng.uniform(0.5, 0.95, m)),
+                module_names=tuple(f"M{j}" for j in range(m)),
+                seed=case,
+            ))
+            if case % 3 == 0:  # coarse scores: heavy ties, some identical training folds
+                cohort = Cohort.of_columns(cohort.module_names, cohort.ids, np.round(cohort.probs * 3) / 3,
+                                           cohort.age, cohort.nihss, cohort.mrs)
+            strategy = ("youden", "max_accuracy")[case % 2]
+            weighted = FusionConfig(("nihss", "age")[case % 2], strategy=strategy,
+                                    prelim_threshold=0.4 if case % 4 == 3 else None)
+            unweighted = replace(weighted, clinical_variable="none")
+            plan = CvPlan(k=int(rng.integers(2, 6)), n_runs=4, base_seed=case, stratified=stratified)
+            configs = {name: (UNWEIGHTED, name) for name in cohort.module_names}
+            configs.update({"ensemble": (unweighted, None), "weighted": (weighted, None)})
+            got = {name: summary.as_dict() for name, summary in evaluate_variants(cohort, plan, configs).items()}
+            expected = {
+                name: _seed_evaluate_model(cohort.single_module_view(name), plan, UNWEIGHTED, name).as_dict()
+                for name in cohort.module_names
+            }
+            expected["ensemble"] = _seed_evaluate_model(cohort, plan, unweighted, "ensemble").as_dict()
+            expected["weighted"] = _seed_evaluate_model(cohort, plan, weighted, "weighted").as_dict()
+            assert got == expected
+            failed += sum(len(summary["failures"]) for summary in got.values())
+        assert failed > 0
+
+    def test_failures_stay_per_variant(self):
+        cohort = small_cohort(n=16, seed=2, module_names=("ADC", "CBF"))
+        flat = Cohort.of_columns(cohort.module_names, cohort.ids, cohort.probs.copy(), cohort.age, cohort.nihss,
+                                 cohort.mrs)
+        flat.probs[:, 0] = 0.5  # ADC alone cannot be searched
+        plan = CvPlan(k=4, n_runs=2, base_seed=0)
+        summaries = evaluate_variants(flat, plan, {"ADC": (UNWEIGHTED, "ADC"), "CBF": (UNWEIGHTED, "CBF")})
+        assert summaries["ADC"].failures == (
+            "run 0: cannot search a threshold over identical scores",
+            "run 1: cannot search a threshold over identical scores",
+        )
+        assert summaries["CBF"].failures == () and len(summaries["CBF"].runs) == 2
+
+    def test_unknown_module(self, cohort119):
+        with pytest.raises(ConfigError, match="unknown module"):
+            evaluate_variants(cohort119, CvPlan(k=5, n_runs=1), {"x": (UNWEIGHTED, "XYZ")})
 
 
 class TestEvaluatePerModule:

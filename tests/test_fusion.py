@@ -22,7 +22,8 @@ from mrsfuse import (
     search_threshold,
     uniform_weights,
 )
-from mrsfuse.fusion import fuse_matrix
+from mrsfuse.crossval import _presort
+from mrsfuse.fusion import fuse_matrix, search_sorted_threshold
 from conftest import (
     REFERENCE_PRELIM_THRESHOLD,
     TABLE_CONSISTENT_FINAL_THRESHOLD,
@@ -170,6 +171,48 @@ class TestSearchThreshold:
                 got = search_threshold(scores, truths, strategy)
                 assert got == pytest.approx(_oracle_search(scores, truths, strategy), abs=0.0)
         assert checked > 200
+
+    def test_presorted_training_folds_match_bruteforce_oracle(self):
+        # cross-validation searches a training fold as a masked subsequence of
+        # scores sorted once per cohort: every column alone, and all raveled
+        rng = np.random.default_rng(405)
+        checked = 0
+        for case in range(120):
+            n, m = int(rng.integers(4, 40)), int(rng.integers(1, 6))
+            probs = np.round(rng.random((n, m)), int(rng.integers(1, 3)))
+            probs[rng.random((n, m)) < 0.08] = 0.0
+            probs[rng.random((n, m)) < 0.08] = 1.0
+            truth = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(np.int8)
+            in_train = rng.random(n) < rng.uniform(0.5, 0.9)
+            for columns in [slice(None)] + [slice(j, j + 1) for j in range(m)]:
+                view = probs[:, columns]
+                scores, rows, truths = _presort(view, truth)
+                keep = in_train[rows]
+                train_scores = view[in_train].ravel().tolist()
+                train_truths = [POOR if t else GOOD for t in np.repeat(truth[in_train], view.shape[1])]
+                for strategy in ("youden", "max_accuracy"):
+                    try:
+                        expected = search_threshold(train_scores, train_truths, strategy)
+                    except DegenerateDataError as exc:
+                        with pytest.raises(DegenerateDataError, match=str(exc)):
+                            search_sorted_threshold(scores[keep], truths[keep], strategy)
+                        continue
+                    checked += 1
+                    got = search_sorted_threshold(scores[keep], truths[keep], strategy)
+                    assert got == expected == _oracle_search(train_scores, train_truths, strategy)
+        assert checked > 500
+
+    def test_midpoint_rounding_onto_the_larger_score(self):
+        # (a + b) / 2 rounds to b for adjacent doubles, so the midpoint cut
+        # keeps both scores at or below it; counting by group ends would not
+        a, b = 0.5 + 2**-53, 0.5 + 2**-52
+        assert (a + b) / 2 == b
+        truths = labels("gp")
+        for strategy in ("youden", "max_accuracy"):
+            assert _oracle_search([a, b], truths, strategy) == 0.0
+            assert search_threshold([a, b], truths, strategy) == 0.0
+            scores, _, poor = _presort(np.array([[b], [a]]), np.array([1, 0], dtype=np.int8))
+            assert search_sorted_threshold(scores, poor, strategy) == 0.0
 
     def test_accepts_arrays(self):
         scores = np.array([0.1, 0.6, 0.4, 0.9])

@@ -2,8 +2,8 @@
 
 The benchmark (``perfbench/``) records, for every workload seed, the exit
 code and the SHA-256 of stdout and of every output file of each CLI
-command. This test replays the ``paper_session`` seeds, one ``cv_large``
-seed and one ``bulk_fixed`` seed (50 000 rows through the CSV writer and
+command. This test replays the ``paper_session`` seeds, three ``cv_large``
+seeds and one ``bulk_fixed`` seed (50 000 rows through the CSV writer and
 reader) in-process through ``mrsfuse.cli.main``, in a fresh work directory
 so the relative paths written into the outputs match, and compares the
 same digests. It only reads ``perfbench/``.
@@ -39,7 +39,11 @@ def _load_workloads():
 
 WORKLOADS = _load_workloads().WORKLOADS
 
-CASES = [("paper_session", seed) for seed in range(10)] + [("cv_large", 0), ("bulk_fixed", 0)]
+CASES = (
+    [("paper_session", seed) for seed in range(10)]
+    + [("cv_large", seed) for seed in range(3)]
+    + [("bulk_fixed", 0)]
+)
 
 
 def _sha256(data: bytes) -> str:
