@@ -107,7 +107,7 @@ def _read_json(path: Path) -> object:
         return json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {not_utf8_reason(exc)}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal beyond Python's digit limit
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -305,8 +305,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     cohort = _read_valid_cohort(settings.cohort_path())
     config = settings.fusion_config()
     resolved, _ = resolve_fold_config(cohort, config)
-    weights, fused = fuse_rows(cohort, resolved)
-    _, fused_unweighted = fuse_rows(cohort, replace(resolved, clinical_variable="none", normalizer=None))
+    _, weights, fused, poor = fuse_rows(cohort, resolved)
+    poor_unweighted = fuse_rows(cohort, replace(resolved, clinical_variable="none", normalizer=None))[3]
     label_names = [str(label) for label in OutcomeLabel]  # indexed by "is poor"
 
     modules = [name.lower() for name in cohort.module_names]
@@ -321,8 +321,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             cohort.probs.tolist(),
             weights.tolist(),
             fused.tolist(),
-            (fused_unweighted > resolved.final_threshold).tolist(),
-            (fused > resolved.final_threshold).tolist(),
+            poor_unweighted.tolist(),
+            poor.tolist(),
         )
     ]
 
@@ -454,7 +454,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         spec = SyntheticSpec(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synthetic spec: {exc}") from exc
-    cohort = generate_cohort(spec)
+    try:
+        cohort = generate_cohort(spec)
+    except (ValueError, MemoryError) as exc:  # numpy refusing arrays of n_patients rows
+        raise ConfigError(f"cannot generate {spec.n_patients} patients: {exc}") from exc
     write_cohort_csv(cohort, args.out)
     print(f"wrote {len(cohort)} patients to {args.out}")
     return EXIT_OK

@@ -361,37 +361,38 @@ def _parse_cohort_csv(handle: TextIO, path: Path) -> Cohort:
     header name reads its last column.
     """
     reader = csv.reader(handle)
-    header = next(reader, None)
-    if header is None:
-        raise ValidationError(f"{path}: missing header row")
-    missing = [col for col in CSV_REQUIRED_COLUMNS if col not in header]
-    if missing:
-        raise ValidationError(f"{path}: missing required columns: {', '.join(missing)}")
-    module_columns = [col for col in header if col.startswith(CSV_MODULE_PREFIX)]
-    if not module_columns:
-        raise ValidationError(f"{path}: no module probability columns (prefix {CSV_MODULE_PREFIX!r})")
-    module_names = tuple(_module_name_from_column(col) for col in module_columns)
+    line_no = 0  # the last row read whole; the header is row 1
+    try:
+        header = next(reader, None)
+        line_no = 1
+        if header is None:
+            raise ValidationError(f"{path}: missing header row")
+        missing = [col for col in CSV_REQUIRED_COLUMNS if col not in header]
+        if missing:
+            raise ValidationError(f"{path}: missing required columns: {', '.join(missing)}")
+        module_columns = [col for col in header if col.startswith(CSV_MODULE_PREFIX)]
+        if not module_columns:
+            raise ValidationError(f"{path}: no module probability columns (prefix {CSV_MODULE_PREFIX!r})")
+        module_names = tuple(_module_name_from_column(col) for col in module_columns)
 
-    column_of = {name: i for i, name in enumerate(header)}
-    id_col, age_col, nihss_col, mrs_col = (column_of[col] for col in CSV_REQUIRED_COLUMNS)
-    module_cols = [column_of[col] for col in module_columns]
-    ids, age, nihss, mrs, probs = [], [], [], [], []  # probs row-major, flat
-    line_no = 1
-    for row in reader:
-        if not row:
-            continue
-        line_no += 1
-        if len(row) < len(header):
-            row += [None] * (len(header) - len(row))
-        try:
-            ids.append((row[id_col] or "").strip())
-            age.append(float(row[age_col]))
-            nihss.append(int(row[nihss_col]))
-            probs += [float(row[col]) for col in module_cols]
-            mrs_text = (row[mrs_col] or "").strip()
-            mrs.append(int(mrs_text) if mrs_text else None)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}:{line_no}: unparseable row: {exc}") from exc
+        column_of = {name: i for i, name in enumerate(header)}
+        id_col, age_col, nihss_col, mrs_col = (column_of[col] for col in CSV_REQUIRED_COLUMNS)
+        module_cols = [column_of[col] for col in module_columns]
+        ids, age, nihss, mrs, probs = [], [], [], [], []  # probs row-major, flat
+        for line_no, row in enumerate(filter(None, reader), start=2):
+            if len(row) < len(header):
+                row += [None] * (len(header) - len(row))
+            try:
+                ids.append((row[id_col] or "").strip())
+                age.append(float(row[age_col]))
+                nihss.append(int(row[nihss_col]))
+                probs += [float(row[col]) for col in module_cols]
+                mrs_text = (row[mrs_col] or "").strip()
+                mrs.append(int(mrs_text) if mrs_text else None)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{path}:{line_no}: unparseable row: {exc}") from exc
+    except csv.Error as exc:  # raised while reading the row after the last one counted
+        raise ValidationError(f"{path}:{line_no + 1}: unparseable row: {exc}") from exc
     probs = np.array(probs, dtype=float).reshape(len(ids), len(module_cols))
     ids, age = np.array(ids, dtype=object), np.array(age, dtype=float)
     return Cohort.of_columns(module_names, ids, probs, age, _int_column(nihss), _int_column(mrs))
@@ -400,6 +401,9 @@ def _parse_cohort_csv(handle: TextIO, path: Path) -> Cohort:
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     """Write a cohort in the standard CSV schema (atomically: temp file + rename)."""
     header = list(CSV_REQUIRED_COLUMNS) + [_module_column(name) for name in cohort.module_names]
+    repeated = [column for i, column in enumerate(header) if column in header[:i]]
+    if repeated:  # module names equal ignoring case
+        raise ValidationError(f"{path}: duplicate column {repeated[0]!r}: module names must differ ignoring case")
     with atomic_output(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)

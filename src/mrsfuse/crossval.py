@@ -201,7 +201,7 @@ def resolve_fold_config(
         if train.probs.shape[1] == 1:
             value = search_modules(resolved.strategy)
         else:
-            _, fused_scores = fuse_matrix(train.probs, normalized_covariate(train, resolved), prelim)
+            _, _, fused_scores = fuse_matrix(train.probs, normalized_covariate(train, resolved), prelim)
             value = search_threshold(fused_scores, train.outcomes(), resolved.strategy)
         final = _searched(value, "final threshold")
 
@@ -286,9 +286,7 @@ def evaluate_variants(
                     shared = functools.partial(search, fold_index, train.module_names)
                     resolved, resolution = resolve_fold_config(train, config, fold_index, shared)
                     resolutions.append(resolution)
-                    rows = fold.test_rows
-                    fused[rows] = fuse_rows(test, resolved)[1]
-                    predicted[rows] = fused[rows] > resolved.final_threshold
+                    fused[fold.test_rows], predicted[fold.test_rows] = fuse_rows(test, resolved)[2:]
                 run_report = report(predicted=predicted, fused_probs=fused, truth=truth)
                 runs[name].append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))
             except DegenerateDataError as exc:
@@ -322,7 +320,8 @@ def compare_summary_dicts(
     """Two-sided signed-rank comparison of per-run measure values, run by run.
 
     ``a`` and ``b`` are serialized summaries (:meth:`RunSummary.as_dict`);
-    ``names`` label them in error messages.
+    ``names`` label them in error messages. The runs share patients, so the
+    p-value is optimistic (Nadeau & Bengio 2003; Bouckaert & Frank 2004).
     """
     if measure not in MEASURES:
         raise ConfigError(f"unknown measure {measure!r}; expected one of {MEASURES}")
@@ -333,7 +332,7 @@ def compare_summary_dicts(
         schedules.append(summary["seed_schedule"])
         try:
             pairs.append([(r["run_index"], float(r["metrics"][measure])) for r in summary["runs"]])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
             raise ValidationError(f"malformed summary: {name}: {detail}") from exc
 

@@ -2,25 +2,23 @@
 
 The pipeline for one patient:
 
-1. threshold each module probability into a preliminary good/poor label
-   (score <= threshold means good; the same convention is used for the
-   final decision),
+1. threshold each module probability into a preliminary good/poor vote
+   (score <= threshold means good; the same cut makes the final decision),
 2. weight each module by the normalized clinical covariate ``c``: modules
    voting poor receive raw weight ``c``, modules voting good receive
    ``1 - c``,
-3. normalize the weights to sum to one,
+3. normalize the weights to sum to one (uniform if they are all zero),
 4. fuse the module probabilities with those weights,
 5. threshold the fused probability into the final label.
 
 With the clinical variable set to ``none`` the weights are uniform and the
 pipeline reduces to the plain averaging ensemble. :func:`fuse_matrix` runs
-steps 1-4 for many patients at once; the scalar helpers stay as its
-reference.
+steps 1-4 for many patients at once and :func:`fuse_rows` adds step 5; the
+public scalar functions are one-row calls of the same pieces.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -97,54 +95,16 @@ class FusionResult:
     final_label: OutcomeLabel
 
 
-def derive_labels(probs: Sequence[float], threshold: float) -> tuple[OutcomeLabel, ...]:
-    """Preliminary per-module labels: probability <= threshold means good."""
-    for p in probs:
-        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-            raise ValidationError(f"module probability must be in [0, 1], got {p!r}")
-    return tuple(OutcomeLabel.GOOD if p <= threshold else OutcomeLabel.POOR for p in probs)
-
-
-def compute_weights(labels: Sequence[OutcomeLabel], covariate: float) -> tuple[float, ...]:
-    """Normalized module weights from preliminary labels and covariate value.
-
-    Modules labeled poor receive raw weight ``covariate``, modules labeled
-    good receive ``1 - covariate``; the vector is normalized to sum to one.
-    When every raw weight is zero (covariate at 0 or 1 with homogeneous
-    labels) the weights fall back to uniform.
-    """
-    if len(labels) == 0:
-        raise ValidationError("cannot weight an empty label list")
-    if not (math.isfinite(covariate) and 0.0 <= covariate <= 1.0):
-        raise ValidationError(f"covariate must be in [0, 1], got {covariate!r}")
-    raw = [covariate if label == OutcomeLabel.POOR else 1.0 - covariate for label in labels]
-    total = sum(raw)
-    if total == 0.0:
-        return uniform_weights(len(labels))
-    return tuple(value / total for value in raw)
-
-
-def uniform_weights(n: int) -> tuple[float, ...]:
-    if n <= 0:
-        raise ValidationError("cannot weight an empty module list")
-    return (1.0 / n,) * n
-
-
-def fuse(probs: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted average of module probabilities; bounded by their min and max."""
-    if len(probs) != len(weights):
-        raise ValidationError(f"length mismatch: {len(probs)} probabilities vs {len(weights)} weights")
-    if len(probs) == 0:
-        raise ValidationError("cannot fuse an empty probability list")
-    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {sum(weights)!r}")
-    return float(sum(w * p for w, p in zip(weights, probs)))
-
-
-def _first_outside_unit(values: np.ndarray) -> float | None:
-    """The first value (row-major) that is not a finite number in [0, 1], or None."""
+def _check_unit(values: np.ndarray, what: str) -> None:
+    """Raise unless every value is a finite number in [0, 1], naming the first (row-major) that is not."""
     outside = ~((values >= 0.0) & (values <= 1.0))
-    return float(values[outside][0]) if outside.any() else None
+    if outside.any():
+        raise ValidationError(f"{what} must be in [0, 1], got {float(values[outside][0])!r}")
+
+
+def _poor(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """The cut: a score at or below the threshold is good, any other (NaN included) poor."""
+    return ~(scores <= threshold)
 
 
 def _row_sums(matrix: np.ndarray) -> np.ndarray:
@@ -156,46 +116,81 @@ def _row_sums(matrix: np.ndarray) -> np.ndarray:
     return total
 
 
+def _vote_weights(poor: np.ndarray, covariate: np.ndarray | None) -> np.ndarray:
+    """Steps 2-3 for (n, m) poor votes and n covariates; uniform weights when ``covariate`` is None."""
+    n, m = poor.shape
+    if covariate is None:
+        return np.full((n, m), 1.0 / m)
+    c = np.asarray(covariate, dtype=float)
+    if c.shape != (n,):
+        raise ValidationError(f"length mismatch: {n} patients vs covariate shape {c.shape}")
+    _check_unit(c, "covariate")
+    c = c[:, None]
+    raw = np.where(poor, c, 1.0 - c)
+    total = _row_sums(raw)
+    uniform = total == 0.0
+    weights = raw / np.where(uniform, 1.0, total)[:, None]
+    weights[uniform] = 1.0 / m
+    return weights
+
+
+def _weighted_sums(weights: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Row sums of ``weights * probs``, after checking that every weight row sums to one."""
+    sums = _row_sums(weights)
+    off = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
+    if off.any():
+        raise ValidationError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {float(sums[off][0])!r}")
+    return _row_sums(weights * probs)
+
+
 def fuse_matrix(
     probs: np.ndarray, covariate: np.ndarray | None, prelim_threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fusion weights (n, m) and fused probabilities (n,) of n patients by m modules.
-
-    Row by row this is :func:`derive_labels`, :func:`compute_weights` (or
-    uniform weights when ``covariate`` is None) and :func:`fuse`, with the
-    same range checks and the same floating-point results.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poor votes (n, m), weights (n, m) and fused probabilities (n,) of n patients by m modules."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2:
         raise ValidationError(f"probabilities must form an (n, m) matrix, got shape {p.shape}")
     if p.shape[1] == 0:
         raise ValidationError("cannot fuse an empty probability list")
-    bad = _first_outside_unit(p)
-    if bad is not None:
-        raise ValidationError(f"module probability must be in [0, 1], got {bad!r}")
-    n, m = p.shape
-    if covariate is None:
-        weights = np.full((n, m), 1.0 / m)
-    else:
-        c = np.asarray(covariate, dtype=float)
-        if c.shape != (n,):
-            raise ValidationError(f"length mismatch: {n} patients vs covariate shape {c.shape}")
-        bad = _first_outside_unit(c)
-        if bad is not None:
-            raise ValidationError(f"covariate must be in [0, 1], got {bad!r}")
-        c = c[:, None]
-        raw = np.where(p > prelim_threshold, c, 1.0 - c)
-        total = _row_sums(raw)
-        uniform = total == 0.0
-        weights = raw / np.where(uniform, 1.0, total)[:, None]
-        weights[uniform] = 1.0 / m
-        sums = _row_sums(weights)
-        off = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
-        if off.any():
-            raise ValidationError(
-                f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {float(sums[off][0])!r}"
-            )
-    return weights, _row_sums(weights * p)
+    _check_unit(p, "module probability")
+    votes = _poor(p, prelim_threshold)
+    weights = _vote_weights(votes, covariate)
+    return votes, weights, _weighted_sums(weights, p)
+
+
+def derive_labels(probs: Sequence[float], threshold: float) -> tuple[OutcomeLabel, ...]:
+    """Preliminary per-module labels: probability <= threshold means good."""
+    p = np.array([probs], dtype=float)
+    _check_unit(p, "module probability")
+    return tuple(map(OutcomeLabel, _poor(p[0], threshold).tolist()))
+
+
+def compute_weights(labels: Sequence[OutcomeLabel], covariate: float) -> tuple[float, ...]:
+    """Normalized module weights of one patient's preliminary labels and covariate."""
+    if len(labels) == 0:
+        raise ValidationError("cannot weight an empty label list")
+    poor = np.array([[label == OutcomeLabel.POOR for label in labels]])
+    return tuple(_vote_weights(poor, np.array([covariate], dtype=float))[0].tolist())
+
+
+def uniform_weights(n: int) -> tuple[float, ...]:
+    if n <= 0:
+        raise ValidationError("cannot weight an empty module list")
+    return tuple(_vote_weights(np.zeros((1, n), dtype=bool), None)[0].tolist())
+
+
+def fuse(probs: Sequence[float], weights: Sequence[float]) -> float:
+    """Weighted average of module probabilities; bounded by their min and max."""
+    if len(probs) != len(weights):
+        raise ValidationError(f"length mismatch: {len(probs)} probabilities vs {len(weights)} weights")
+    if len(probs) == 0:
+        raise ValidationError("cannot fuse an empty probability list")
+    return float(_weighted_sums(np.array([weights], dtype=float), np.array([probs], dtype=float))[0])
+
+
+def classify(fused_probability: float, threshold: float) -> OutcomeLabel:
+    """Final decision; a fused probability at or below the threshold is good."""
+    return OutcomeLabel(bool(_poor(np.float64(fused_probability), threshold)))
 
 
 def normalized_covariate(rows: Cohort, config: FusionConfig) -> np.ndarray | None:
@@ -205,16 +200,12 @@ def normalized_covariate(rows: Cohort, config: FusionConfig) -> np.ndarray | Non
     return normalize_clinical(rows.covariate(config.clinical_variable), config.normalizer)
 
 
-def fuse_rows(rows: Cohort, config: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`fuse_matrix` over every row under a resolved config."""
+def fuse_rows(rows: Cohort, config: FusionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fuse_matrix` over every row under a resolved config, plus each row's final poor decision."""
     if not config.is_resolved():
         raise ConfigError("fusion config is not resolved: thresholds or normalizer missing")
-    return fuse_matrix(rows.probs, normalized_covariate(rows, config), config.prelim_threshold)
-
-
-def classify(fused_probability: float, threshold: float) -> OutcomeLabel:
-    """Final decision; a fused probability at or below the threshold is good."""
-    return OutcomeLabel.GOOD if fused_probability <= threshold else OutcomeLabel.POOR
+    votes, weights, fused = fuse_matrix(rows.probs, normalized_covariate(rows, config), config.prelim_threshold)
+    return votes, weights, fused, _poor(fused, config.final_threshold)
 
 
 def search_threshold(
@@ -272,13 +263,12 @@ def search_sorted_threshold(scores: np.ndarray, poor: np.ndarray, strategy: str)
 def fuse_patient(record: PatientRecord, config: FusionConfig) -> FusionResult:
     """Run the full fusion pipeline for one patient under a resolved config."""
     # as a one-row cohort; module names do not enter fusion
-    weights, fused = fuse_rows(Cohort(("",) * len(record.module_probs), (record,)), config)
-    fused_probability = float(fused[0])
+    votes, weights, fused, poor = fuse_rows(Cohort(("",) * len(record.module_probs), (record,)), config)
     return FusionResult(
-        preliminary_labels=derive_labels(record.module_probs, config.prelim_threshold),
+        preliminary_labels=tuple(map(OutcomeLabel, votes[0].tolist())),
         weights=tuple(weights[0].tolist()),
-        fused_probability=fused_probability,
-        final_label=classify(fused_probability, config.final_threshold),
+        fused_probability=float(fused[0]),
+        final_label=OutcomeLabel(bool(poor[0])),
     )
 
 

@@ -163,6 +163,18 @@ class TestValidate:
             f"error: {path}: 3 validation violations"
         ]
 
+    @pytest.mark.parametrize("command", ["validate", "fuse", "cv"])
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_oversized_field_names_the_line(self, tmp_path, capsys, command, line):
+        # a cell beyond the csv module's field size limit, in the header or a row
+        rows = ["patient_id,age,nihss,mrs,p_adc", "a,60,5,1,0.3", "b,61,4,2,0.4"]
+        rows[line - 1] += "," + "x" * 131_073
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert mrsfuse.cli.main([command, "--cohort", str(path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == f"error: {path}:{line}: unparseable row: field larger than field limit (131072)\n"
+
     def test_non_utf8_cohort_exit_2(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"patient_id,age,nihss,mrs,p_adc\nJos\xe9,60,5,1,0.3\n\xff,61,4,2,0.4\n")
@@ -193,6 +205,17 @@ class TestSynth:
         assert result.returncode == 0, result.stderr
         assert len(read_csv_rows(out.read_text())) == 12
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.csv.tmp"]
+
+    def test_module_names_colliding_ignoring_case_exit_2(self, tmp_path, capsys):
+        # both would write the column p_adc, which validate then rejects
+        out = tmp_path / "c.csv"
+        argv = ["synth", "--n-patients", "12", "--module-names", "adc,ADC", "--module-aucs", "0.7,0.7"]
+        assert mrsfuse.cli.main([*argv, "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == (
+            f"error: {out}: duplicate column 'p_adc': module names must differ ignoring case\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_prevalence_exit_2(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -337,7 +337,7 @@ def _seed_evaluate_model(cohort, plan, config, model_name):
                 resolved, resolution = resolve_fold_config(cohort.take(fold.train_rows), config, fold_index)
                 resolutions.append(resolution)
                 test = fold.test_rows
-                fused[test] = fuse_rows(cohort.take(test), resolved)[1]
+                fused[test] = fuse_rows(cohort.take(test), resolved)[2]
                 predicted[test] = fused[test] > resolved.final_threshold
             run_report = report(predicted=predicted, fused_probs=fused, truth=truth)
             runs.append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))
@@ -356,7 +356,7 @@ class TestResolveFoldConfig:
         probs = np.where(rng.random(n) < 0.3, rng.choice(edges, n), rng.random(n))[:, None]
         covariate = np.where(rng.random(n) < 0.3, rng.choice([0.0, 1.0], n), rng.random(n)) if weighted else None
         prelim = float(rng.choice([0.5, float(rng.random())]))
-        _, fused = fuse_matrix(probs, covariate, prelim)
+        _, _, fused = fuse_matrix(probs, covariate, prelim)
         assert fused.tobytes() == probs[:, 0].tobytes()
 
     @pytest.mark.parametrize("module_names, searches", [(("ADC",), 1), (("ADC", "CBF"), 2)])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mrsfuse import (
     ConfigError,
     DegenerateDataError,
     FusionConfig,
+    FusionResult,
     OutcomeLabel,
     PatientRecord,
     ValidationError,
@@ -23,7 +26,7 @@ from mrsfuse import (
     uniform_weights,
 )
 from mrsfuse.crossval import _presort
-from mrsfuse.fusion import fuse_matrix, search_sorted_threshold
+from mrsfuse.fusion import WEIGHT_SUM_TOL, fuse_matrix, search_sorted_threshold
 from conftest import (
     REFERENCE_PRELIM_THRESHOLD,
     TABLE_CONSISTENT_FINAL_THRESHOLD,
@@ -396,15 +399,149 @@ class TestWeightInvariants:
             assert probs.min() - 1e-12 <= fused <= probs.max() + 1e-12
 
 
+# The scalar pipeline as it stood before the public functions became one-row
+# calls of the fusion kernel, kept unchanged as the kernel's independent oracle.
+
+def _oracle_derive_labels(probs, threshold):
+    for p in probs:
+        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+            raise ValidationError(f"module probability must be in [0, 1], got {p!r}")
+    return tuple(OutcomeLabel.GOOD if p <= threshold else OutcomeLabel.POOR for p in probs)
+
+
+def _oracle_compute_weights(labels, covariate):
+    if len(labels) == 0:
+        raise ValidationError("cannot weight an empty label list")
+    if not (math.isfinite(covariate) and 0.0 <= covariate <= 1.0):
+        raise ValidationError(f"covariate must be in [0, 1], got {covariate!r}")
+    raw = [covariate if label == OutcomeLabel.POOR else 1.0 - covariate for label in labels]
+    total = sum(raw)
+    if total == 0.0:
+        return _oracle_uniform_weights(len(labels))
+    return tuple(value / total for value in raw)
+
+
+def _oracle_uniform_weights(n):
+    if n <= 0:
+        raise ValidationError("cannot weight an empty module list")
+    return (1.0 / n,) * n
+
+
+def _oracle_fuse(probs, weights):
+    if len(probs) != len(weights):
+        raise ValidationError(f"length mismatch: {len(probs)} probabilities vs {len(weights)} weights")
+    if len(probs) == 0:
+        raise ValidationError("cannot fuse an empty probability list")
+    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
+        raise ValidationError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {sum(weights)!r}")
+    return float(sum(w * p for w, p in zip(weights, probs)))
+
+
+def _oracle_classify(fused_probability, threshold):
+    return OutcomeLabel.GOOD if fused_probability <= threshold else OutcomeLabel.POOR
+
+
 def _scalar_fusion(probs, covariate, threshold):
     """Row-by-row oracle for fuse_matrix: the scalar label, weight and fuse steps."""
-    weights, fused = [], []
+    votes, weights, fused = [], [], []
     for i, row in enumerate(probs.tolist()):
-        labels = derive_labels(row, threshold)
-        w = uniform_weights(len(row)) if covariate is None else compute_weights(labels, covariate[i])
+        labels = _oracle_derive_labels(row, threshold)
+        w = _oracle_uniform_weights(len(row)) if covariate is None else _oracle_compute_weights(labels, covariate[i])
+        votes.append([label == POOR for label in labels])
         weights.append(w)
-        fused.append(fuse(row, w))
-    return weights, fused
+        fused.append(_oracle_fuse(row, w))
+    return votes, weights, fused
+
+
+def _raised(call, *args):
+    """The (type, message) a call raises, or its result."""
+    try:
+        return call(*args)
+    except (ValidationError, ConfigError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_rows(rng, count):
+    """Probability rows of 1 to 8 modules with 0/1 entries and homogeneous votes, and covariates."""
+    for case in range(count):
+        m = int(rng.integers(1, 9))
+        probs = np.round(rng.random(m), int(rng.integers(1, 4)))
+        probs[rng.random(m) < 0.15] = 0.0
+        probs[rng.random(m) < 0.15] = 1.0
+        if case % 5 == 0:
+            probs = np.full(m, rng.choice([0.0, 0.1, 0.9, 1.0]))
+        covariate = float(rng.choice([0.0, 0.5, 1.0, rng.random(), rng.random() * 1e-3]))
+        threshold = float(rng.choice([0.5, np.round(rng.random(), 2)]))
+        yield probs.tolist(), covariate, threshold
+
+
+class TestOneRowCallsMatchOracle:
+    """The public scalar functions are one-row calls of the kernel; the old scalar code is their oracle."""
+
+    def test_randomized_rows_bit_for_bit(self):
+        rng = np.random.default_rng(8080)
+        for probs, covariate, threshold in _random_rows(rng, 3000):
+            labels = derive_labels(probs, threshold)
+            assert labels == _oracle_derive_labels(probs, threshold)
+            weights = compute_weights(labels, covariate)
+            assert weights == _oracle_compute_weights(labels, covariate)
+            assert uniform_weights(len(probs)) == _oracle_uniform_weights(len(probs))
+            fused = fuse(probs, weights)
+            assert fused == _oracle_fuse(probs, weights)
+            assert classify(fused, threshold) == _oracle_classify(fused, threshold)
+            assert classify(threshold, threshold) == _oracle_classify(threshold, threshold)
+
+    def test_fuse_patient_matches_the_oracle_pipeline(self):
+        rng = np.random.default_rng(8081)
+        normalizer = ClinicalNormalizer(variable="nihss", min=4, max=20)
+        for probs, _, threshold in _random_rows(rng, 600):
+            nihss = int(rng.integers(0, 27))
+            prelim = threshold if 0.0 < threshold < 1.0 else 0.5
+            final = float(rng.choice([prelim, np.round(rng.uniform(0.01, 0.99), 2)]))
+            record = PatientRecord("x", age=60.0, nihss=nihss, module_probs=tuple(probs), mrs=None)
+            for variable in ("nihss", "none"):
+                config = FusionConfig(
+                    clinical_variable=variable,
+                    normalizer=normalizer if variable == "nihss" else None,
+                    prelim_threshold=prelim,
+                    final_threshold=final,
+                    strategy="fixed",
+                )
+                labels = _oracle_derive_labels(probs, prelim)
+                if variable == "none":
+                    weights = _oracle_uniform_weights(len(probs))
+                else:
+                    weights = _oracle_compute_weights(labels, normalize_clinical(float(nihss), normalizer))
+                fused = _oracle_fuse(probs, weights)
+                assert fuse_patient(record, config) == FusionResult(
+                    labels, weights, fused, _oracle_classify(fused, final)
+                )
+
+    @pytest.mark.parametrize(
+        ("public", "oracle", "args"),
+        [
+            (derive_labels, _oracle_derive_labels, ((0.2, 1.4), 0.5)),
+            (derive_labels, _oracle_derive_labels, ((-0.0, -1e-300, 0.3), 0.5)),
+            (derive_labels, _oracle_derive_labels, ((float("nan"),), 0.5)),
+            (derive_labels, _oracle_derive_labels, ((0.1, float("inf")), 0.5)),
+            (compute_weights, _oracle_compute_weights, ([POOR, GOOD], 1.5)),
+            (compute_weights, _oracle_compute_weights, ([POOR], -0.25)),
+            (compute_weights, _oracle_compute_weights, ([GOOD], float("nan"))),
+            (compute_weights, _oracle_compute_weights, ([], 0.5)),
+            (compute_weights, _oracle_compute_weights, ([], 7.0)),
+            (uniform_weights, _oracle_uniform_weights, (0,)),
+            (uniform_weights, _oracle_uniform_weights, (-3,)),
+            (fuse, _oracle_fuse, ((0.5, 0.5), (0.6, 0.399))),
+            (fuse, _oracle_fuse, ((0.5, 0.5), (1.0,))),
+            (fuse, _oracle_fuse, ((), ())),
+            (fuse, _oracle_fuse, ((0.5,), (float("inf"),))),
+            (fuse, _oracle_fuse, ((0.5, 1.5), (0.5, 0.5))),
+            (classify, _oracle_classify, (float("nan"), 0.4)),
+            (derive_labels, _oracle_derive_labels, ((0.4, 0.6), float("nan"))),
+        ],
+    )
+    def test_edge_inputs_raise_or_return_alike(self, public, oracle, args):
+        assert _raised(public, *args) == _raised(oracle, *args)
 
 
 class TestFuseMatrix:
@@ -427,8 +564,9 @@ class TestFuseMatrix:
         probs[30:40] = 0.1
         c = covariate if weighted else None
         threshold = float(np.round(rng.random(), 2))
-        weights, fused = fuse_matrix(probs, c, threshold)
-        oracle_weights, oracle_fused = _scalar_fusion(probs, c, threshold)
+        votes, weights, fused = fuse_matrix(probs, c, threshold)
+        oracle_votes, oracle_weights, oracle_fused = _scalar_fusion(probs, c, threshold)
+        assert votes.tolist() == oracle_votes
         assert weights.tolist() == [list(w) for w in oracle_weights]
         assert fused.tolist() == oracle_fused
         if weighted:
