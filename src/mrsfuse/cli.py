@@ -363,11 +363,12 @@ def _cmd_cv(args: argparse.Namespace) -> int:
         "variants": variants,
     }
 
-    order = list(cohort.module_names) + ["ensemble"] + ([primary] if primary != "ensemble" else [])
-    _print_cv_table(variants, order)
+    out = settings.get("out")
+    if out is not None:  # without a file, stdout is the document alone
+        _print_cv_table(variants)
 
-    text = _cv_table_csv(variants, order) if settings.get("format") == "csv" else _json_dumps(document)
-    _emit(text, settings.get("out"))
+    text = _cv_table_csv(variants) if settings.get("format") == "csv" else _json_dumps(document)
+    _emit(text, out)
     return EXIT_OK
 
 
@@ -378,23 +379,23 @@ def _variant_cell(variant: dict, measure: str) -> str:
     return f"{stats['mean']:.3f} ± {stats['std']:.3f}"
 
 
-def _print_cv_table(variants: dict[str, dict], order: list[str]) -> None:
-    width = max(15, *(len(name) + 2 for name in order))
-    header = "measure".ljust(12) + "".join(name.rjust(width) for name in order)
+def _print_cv_table(variants: dict[str, dict]) -> None:
+    width = max(15, *(len(name) + 2 for name in variants))
+    header = "measure".ljust(12) + "".join(name.rjust(width) for name in variants)
     print(header)
     for measure in MEASURES:
-        cells = [_variant_cell(variants[name], measure).rjust(width) for name in order]
+        cells = [_variant_cell(variant, measure).rjust(width) for variant in variants.values()]
         print(measure.ljust(12) + "".join(cells))
-    for name in order:
-        failures = variants[name]["failures"]
+    for name, variant in variants.items():
+        failures = variant["failures"]
         if failures:
             print(f"note: {name}: {len(failures)} failed runs ({failures[0]}...)")
 
 
-def _cv_table_csv(variants: dict[str, dict], order: list[str]) -> str:
+def _cv_table_csv(variants: dict[str, dict]) -> str:
     rows = [["model"] + [f"{m}_{s}" for m in MEASURES for s in ("mean", "std")]]
-    for name in order:
-        stats = [variants[name]["measures"][measure] or {"mean": "", "std": ""} for measure in MEASURES]
+    for name, variant in variants.items():
+        stats = [variant["measures"][measure] or {"mean": "", "std": ""} for measure in MEASURES]
         rows.append([name] + [st[key] for st in stats for key in ("mean", "std")])
     return _csv_text(rows)
 
@@ -413,6 +414,8 @@ def _pick_variant(document: object, requested: str | None, path: str) -> dict:
             raise ValidationError(f"{path}: variant {name!r} is not a summary object")
         return variants[name]
     if "runs" in document:
+        if requested is not None and requested != document.get("model"):
+            raise ConfigError(f"{path}: variant {requested!r} not present")
         return document
     raise ValidationError(f"{path}: not a recognizable summary file")
 

@@ -13,7 +13,7 @@ failures instead of aborting the evaluation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -95,17 +95,17 @@ class RunSummary:
     def run_values(self, measure: str) -> tuple[float, ...]:
         return tuple(r.metrics.value(measure) for r in self.runs)
 
-    def mean(self, measure: str) -> float:
+    def _completed_values(self, measure: str) -> tuple[float, ...]:
         values = self.run_values(measure)
         if not values:
             raise DegenerateDataError(f"no completed runs to average for {self.model!r}")
-        return float(np.mean(values))
+        return values
+
+    def mean(self, measure: str) -> float:
+        return float(np.mean(self._completed_values(measure)))
 
     def std(self, measure: str) -> float:
-        values = self.run_values(measure)
-        if not values:
-            raise DegenerateDataError(f"no completed runs to average for {self.model!r}")
-        return float(np.std(values))
+        return float(np.std(self._completed_values(measure)))
 
     def seed_schedule(self) -> dict:
         return {
@@ -188,9 +188,7 @@ def resolve_fold_config(
             train.probs.ravel(), np.repeat(train.outcomes(), train.probs.shape[1]), strategy))
     resolved = config
     if resolved.clinical_variable != "none" and resolved.normalizer is None:
-        resolved = resolved.with_normalizer(
-            normalizer_from_patients(train, resolved.clinical_variable)
-        )
+        resolved = replace(resolved, normalizer=normalizer_from_patients(train, resolved.clinical_variable))
 
     prelim = resolved.prelim_threshold
     if prelim is None:
@@ -205,7 +203,7 @@ def resolve_fold_config(
             value = search_threshold(fused_scores, train.outcomes(), resolved.strategy)
         final = _searched(value, "final threshold")
 
-    resolved = resolved.with_thresholds(prelim, final)
+    resolved = replace(resolved, prelim_threshold=prelim, final_threshold=final)
     norm = resolved.normalizer
     resolution = FoldResolution(
         fold_index=fold_index,

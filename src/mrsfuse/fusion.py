@@ -19,7 +19,7 @@ public scalar functions are one-row calls of the same pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -77,12 +77,6 @@ class FusionConfig:
             and self.final_threshold is not None
             and (self.clinical_variable == "none" or self.normalizer is not None)
         )
-
-    def with_thresholds(self, prelim: float, final: float) -> "FusionConfig":
-        return replace(self, prelim_threshold=prelim, final_threshold=final)
-
-    def with_normalizer(self, normalizer: ClinicalNormalizer | None) -> "FusionConfig":
-        return replace(self, normalizer=normalizer)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Six measures are reported: accuracy, sensitivity, specificity, F1, mean
 absolute error of the fused probability against the 0/1 outcome, and AUC.
-The positive class is the poor outcome throughout.
+The positive class is the poor outcome throughout. AUC is a rank statistic,
+the Mann-Whitney U of the poor scores over n_poor * n_good, computed from
+:func:`significance.average_ranks`, the rank rule of the signed-rank test.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import numpy as np
 
 from .cohort import OutcomeLabel
 from .errors import DegenerateDataError, ValidationError
+from .fusion import _check_unit
+from .significance import average_ranks
 
 MEASURES = ("accuracy", "sensitivity", "specificity", "f1", "mae", "auc")
 
@@ -94,21 +98,23 @@ def mean_absolute_error(
     """Mean |fused probability - outcome| with good=0, poor=1."""
     _check_paired(fused_probs, truth)
     p = np.asarray(fused_probs, dtype=float)
-    outside = ~((p >= 0.0) & (p <= 1.0))
-    if outside.any():
-        raise ValidationError(f"fused probability must be in [0, 1], got {float(p[outside][0])!r}")
+    _check_unit(p, "fused probability")
     errors = np.abs(p - np.asarray(truth, dtype=float))
     # summed left to right, not pairwise as np.sum would, to keep the last bits
     return sum(errors.tolist()) / len(errors)
 
 
 def auc(scores: Sequence[float], truth: Sequence[OutcomeLabel]) -> float:
-    """Area under the ROC curve, trapezoidal over the distinct-score sweep.
+    """Area under the ROC curve, as the Mann-Whitney U over n_poor * n_good.
 
-    Equivalent to the pairwise ranking probability: over all (poor, good)
-    pairs, a higher poor score counts 1 and a tie counts 0.5. Requires at
-    least one patient of each class. Scores may be any finite reals; only
-    their ordering matters.
+    U is the rank sum of the poor scores minus n_poor * (n_poor + 1) / 2,
+    with tied scores sharing their average rank. That is the pairwise
+    ranking probability (over all (poor, good) pairs, a higher poor score
+    counts 1 and a tie counts 0.5), and equals the area under the
+    empirical ROC curve with tied scores joined by straight segments.
+    Rank sums are multiples of 0.5, so U is exact before the one division.
+    Requires at least one patient of each class. Scores may be any finite
+    reals; only their ordering matters.
     """
     _check_paired(scores, truth)
     s = np.asarray(scores, dtype=float)
@@ -119,16 +125,8 @@ def auc(scores: Sequence[float], truth: Sequence[OutcomeLabel]) -> float:
     n_good = int((~y).sum())
     if n_poor == 0 or n_good == 0:
         raise DegenerateDataError("AUC undefined for single-class truths")
-
-    desc = np.argsort(-s, kind="stable")
-    s_sorted = s[desc]
-    y_sorted = y[desc]
-    # group boundaries after the last element of each distinct score value
-    boundary = np.r_[np.diff(s_sorted) != 0.0, True]
-    tp = np.r_[0, np.cumsum(y_sorted)[boundary]]
-    fp = np.r_[0, np.cumsum(~y_sorted)[boundary]]
-    area = float(np.sum((fp[1:] - fp[:-1]) * (tp[1:] + tp[:-1]) / 2.0))
-    return area / (n_poor * n_good)
+    u = float(average_ranks(s)[y].sum()) - n_poor * (n_poor + 1) / 2
+    return u / (n_poor * n_good)
 
 
 def report(

@@ -1,14 +1,15 @@
 """Exact two-sided Wilcoxon signed-rank test for paired run comparisons.
 
 Zero differences are dropped before ranking; absolute differences receive
-average ranks on ties, computed exactly in numpy (average ranks are
-multiples of 0.5). The statistic is the sum of ranks of positive
-differences. The null distribution is computed exactly (all sign
-assignments equally likely) for up to 25 effective pairs via a subset-sum
-count over doubled ranks, which is numerically identical to enumerating
-the 2^n sign patterns; beyond that a normal approximation with tie and
-continuity corrections is used. The two-sided p-value doubles the smaller
-tail and is capped at 1.
+average ranks on ties from :func:`average_ranks`, the one rank rule of the
+package, which ``metrics.auc`` also uses (average ranks are multiples of
+0.5, so exact). The statistic is the sum of ranks of positive differences.
+The null distribution is computed exactly (all sign assignments equally
+likely) for up to 25 effective pairs via a subset-sum count over doubled
+ranks, which is numerically identical to enumerating the 2^n sign
+patterns; beyond that a normal approximation with tie and continuity
+corrections is used. The two-sided p-value doubles the smaller tail and
+is capped at 1.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class TestResult:
     degenerate: bool = False
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
+def average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks of ``values``, ties sharing the mean of their positions."""
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
@@ -99,7 +100,7 @@ def wilcoxon_signed_rank(sample: PairedSample) -> TestResult:
     if n_effective == 0:
         return TestResult(statistic=0.0, p_value=1.0, n_effective=0, method="exact", degenerate=True)
 
-    ranks = _average_ranks(np.abs(diffs))
+    ranks = average_ranks(np.abs(diffs))
     w = float(ranks[diffs > 0].sum())
     if n_effective <= EXACT_MAX_N:
         return TestResult(w, _exact_two_sided_p(ranks, w), n_effective, "exact")

@@ -339,6 +339,17 @@ class TestCv:
         assert [row["model"] for row in rows] == ["ADC", "DWI", "ensemble"]
         assert all("auc_mean" in row for row in rows)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_is_the_document_without_out(self, cohort_csv, tmp_path, monkeypatch, capsys, fmt):
+        # the measures table is printed only beside a file, so `cv > summary` is usable
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        out = tmp_path / f"summary.{fmt}"
+        argv = ["cv", "--cohort", str(cohort_csv), "--k", "3", "--runs", "2", "--format", fmt]
+        assert mrsfuse.cli.main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("measure")
+        assert mrsfuse.cli.main(argv) == 0
+        assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
+
 
 class TestConfigFile:
     def test_config_file_supplies_options(self, tmp_path):
@@ -490,6 +501,17 @@ class TestCompare:
         result = run_cli("compare", str(out_a), str(out_b), "--measure", "auc",
                          "--variant-a", "nope")
         assert result.returncode == 2
+
+    def test_unknown_variant_of_bare_summary_exit_2(self, summaries, tmp_path):
+        out_a, _ = summaries
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(json.loads(out_a.read_text())["variants"]["ensemble"]), encoding="utf-8")
+        result = run_cli("compare", str(bare), str(out_a), "--measure", "auc", "--variant-a", "nope")
+        assert result.returncode == 2
+        assert result.stderr == f"error: {bare}: variant 'nope' not present\n"
+        named = run_cli("compare", str(bare), str(out_a), "--measure", "auc", "--variant-a", "ensemble")
+        assert named.returncode == 0, named.stderr
+        assert json.loads(named.stdout)["a"]["model"] == "ensemble"
 
     def test_non_utf8_summary_exit_2(self, summaries, tmp_path):
         out_a, _ = summaries

@@ -1,4 +1,4 @@
-"""Evaluation measures: confusion metrics, probability MAE, trapezoidal AUC."""
+"""Evaluation measures: confusion metrics, probability MAE, Mann-Whitney AUC."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mrsfuse import (
     DegenerateDataError,
@@ -34,6 +35,23 @@ def pairwise_auc_oracle(scores, truth) -> float:
         1.0 if sp > sg else (0.5 if sp == sg else 0.0) for sp in poor for sg in good
     )
     return wins / (len(poor) * len(good))
+
+
+def _oracle_auc(scores, truth) -> float:
+    """The ROC sweep: trapezoids between the distinct scores taken in descending order."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(truth) == POOR
+    desc = np.argsort(-s, kind="stable")
+    s_sorted = s[desc]
+    y_sorted = y[desc]
+    # group boundaries after the last element of each distinct score value;
+    # a difference of huge scores overflows to inf, which still marks a boundary
+    with np.errstate(over="ignore"):
+        boundary = np.r_[np.diff(s_sorted) != 0.0, True]
+    tp = np.r_[0, np.cumsum(y_sorted)[boundary]]
+    fp = np.r_[0, np.cumsum(~y_sorted)[boundary]]
+    area = float(np.sum((fp[1:] - fp[:-1]) * (tp[1:] + tp[:-1]) / 2.0))
+    return area / (int(y.sum()) * int((~y).sum()))
 
 
 class TestConfusionMetrics:
@@ -177,6 +195,51 @@ class TestAuc:
     def test_non_finite_scores_rejected(self):
         with pytest.raises(ValidationError):
             auc([0.2, float("nan")], labels("pg"))
+
+
+# finite scores where a rank rule could slip: exact 0 and 1, -0.0 beside
+# 0.0, subnormals, the neighbours of 0 and 1, and values outside [0, 1]
+EDGE_SCORES = (
+    0.0, -0.0, 1.0, 0.5, 2.0**-53, 1.0 - 2.0**-53, 5e-324, 2.2250738585072014e-308,
+    -2.5, 3.0, -1.7976931348623157e308, 1.7976931348623157e308,
+)
+
+
+@st.composite
+def _scored_truths(draw):
+    """Scores and truths with both classes; long inputs come from a drawn numpy seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        score = st.one_of(st.sampled_from(EDGE_SCORES), st.floats(allow_nan=False, allow_infinity=False))
+        scores = draw(st.lists(score, min_size=2, max_size=40))
+    else:
+        n = draw(st.integers(2, 4000))
+        kind = draw(st.sampled_from(("grid", "edges", "mixed")))
+        if kind == "grid":  # heavy ties on k / levels, exact 0 and 1 included
+            levels = draw(st.sampled_from((1, 2, 10, 100)))
+            scores = rng.integers(0, levels + 1, n) / levels
+        elif kind == "edges":
+            scores = rng.choice(EDGE_SCORES, n)
+        else:
+            scores = np.where(rng.random(n) < 0.3, rng.choice(EDGE_SCORES, n), rng.random(n))
+        scores = scores.tolist()
+    n = len(scores)
+    if draw(st.booleans()):  # a single poor patient
+        poor = np.zeros(n, dtype=bool)
+        poor[rng.integers(n)] = True
+    else:
+        poor = rng.random(n) < draw(st.floats(0.05, 0.95))
+        poor[0], poor[-1] = True, False
+    return scores, [POOR if p else GOOD for p in poor]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scored_truths())
+@example(([0.0, -0.0, 0.0, 1.0], labels("pgpg")))
+@example(([5e-324, 0.0, 2.2250738585072014e-308, 1.0 - 2.0**-53, 1.0], labels("gpgpg")))
+def test_auc_matches_sweep_oracle_bit_for_bit(case):
+    scores, truth = case
+    assert repr(auc(scores, truth)) == repr(_oracle_auc(scores, truth))
 
 
 class TestReport:
