@@ -28,6 +28,7 @@ from .cohort import (
     OutcomeLabel,
     as_plain,
     atomic_output,
+    module_column,
     not_utf8_reason,
     read_cohort_csv,
     validate_cohort,
@@ -81,16 +82,6 @@ SYNTH_SPEC_KEYS = {
     "rho_age": float,
     "rho_nihss": float,
     "seed": int,
-}
-
-# synth flags (argparse destinations) that set a spec key as given; the
-# comma-separated module lists are parsed in _cmd_synth
-SYNTH_FLAG_KEYS = {
-    "n_patients": "n_patients",
-    "prevalence": "prevalence_poor",
-    "rho_age": "rho_age",
-    "rho_nihss": "rho_nihss",
-    "seed": "seed",
 }
 
 _JSON_TYPE_NAMES = {
@@ -177,7 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     synth = commands.add_parser("synth", help="generate a synthetic cohort CSV")
     synth.add_argument("--spec", help="synthetic spec JSON (flags override it)")
     synth.add_argument("--n-patients", type=int, help="cohort size")
-    synth.add_argument("--prevalence", type=float, help="poor-outcome prevalence in (0, 1)")
+    synth.add_argument(
+        "--prevalence", type=float, dest="prevalence_poor", metavar="PREVALENCE",
+        help="poor-outcome prevalence in (0, 1)",
+    )
     synth.add_argument("--module-aucs", help="comma-separated per-module AUC targets")
     synth.add_argument("--module-names", help="comma-separated module names")
     synth.add_argument("--rho-age", type=float, help="age-outcome copula correlation")
@@ -188,17 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Settings:
-    """Flag values merged over config-file values merged over defaults."""
+def _given(**values) -> dict:
+    """The keyword arguments that were set, so that unset ones take the library's defaults."""
+    return {key: value for key, value in values.items() if value is not None}
 
-    DEFAULTS = {
-        "variable": "nihss",
-        "strategy": "youden",
-        "k": 5,
-        "runs": 10,
-        "seed": 0,
-        "stratified": True,
-    }
+
+class _Settings:
+    """Flag values merged over config-file values, else None; FusionConfig and CvPlan default the rest."""
 
     # config-file values checked beyond their JSON type: the allowed
     # choices, the least allowed integer, and the thresholds' open interval
@@ -233,41 +223,29 @@ class _Settings:
                 continue
             raise ConfigError(f"{config_path}: config key {key!r} {problem}, got {value!r}")
 
-    def get(self, key: str, flag: str | None = None):
-        flag_value = getattr(self.args, flag or key, None)
-        if flag_value is not None:
-            return flag_value
-        file_value = self.file_values.get(key)
-        if file_value is not None:
-            return file_value
-        return self.DEFAULTS.get(key)
+    def get(self, key: str):
+        flag_value = getattr(self.args, key, None)
+        return flag_value if flag_value is not None else self.file_values.get(key)
 
     def fusion_config(self) -> FusionConfig:
-        variable = self.get("variable")
-        norm_min = self.get("norm_min")
-        norm_max = self.get("norm_max")
+        given = _given(
+            clinical_variable=self.get("variable"), strategy=self.get("strategy"),
+            prelim_threshold=self.get("tau"), final_threshold=self.get("tau_star"),
+        )
+        norm_min, norm_max = self.get("norm_min"), self.get("norm_max")
         if (norm_min is None) != (norm_max is None):
             raise ConfigError("--norm-min and --norm-max must be given together")
-        normalizer = None
         if norm_min is not None:
+            variable = given.get("clinical_variable", FusionConfig.clinical_variable)
             if variable == "none":
                 raise ConfigError("normalization bounds require a clinical variable")
-            normalizer = ClinicalNormalizer(variable=variable, min=norm_min, max=norm_max)
-        return FusionConfig(
-            clinical_variable=variable,
-            normalizer=normalizer,
-            prelim_threshold=self.get("tau"),
-            final_threshold=self.get("tau_star"),
-            strategy=self.get("strategy"),
-        )
+            given["normalizer"] = ClinicalNormalizer(variable=variable, min=norm_min, max=norm_max)
+        return FusionConfig(**given)
 
     def plan(self) -> CvPlan:
-        return CvPlan(
-            k=self.get("k"),
-            n_runs=self.get("runs"),
-            base_seed=self.get("seed"),
-            stratified=bool(self.get("stratified")),
-        )
+        return CvPlan(**_given(
+            k=self.get("k"), n_runs=self.get("runs"), base_seed=self.get("seed"), stratified=self.get("stratified"),
+        ))
 
     def cohort_path(self) -> Path:
         cohort = self.get("cohort")
@@ -309,9 +287,9 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     poor_unweighted = fuse_rows(cohort, replace(resolved, clinical_variable="none", normalizer=None))[3]
     label_names = [str(label) for label in OutcomeLabel]  # indexed by "is poor"
 
-    modules = [name.lower() for name in cohort.module_names]
     header = (
-        ["patient_id"] + [f"p_{m}" for m in modules] + [f"w_{m}" for m in modules]
+        ["patient_id"] + [module_column(name) for name in cohort.module_names]
+        + [f"w_{name.lower()}" for name in cohort.module_names]
         + ["fused_prob", "label_unweighted", "label_weighted"]
     )
     table = [
@@ -440,9 +418,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     values: dict = {}
     if args.spec:
         values.update(_load_json(Path(args.spec), SYNTH_SPEC_KEYS, "synthetic spec"))
-    values.update(
-        (key, getattr(args, flag)) for flag, key in SYNTH_FLAG_KEYS.items() if getattr(args, flag) is not None
-    )
+    # each flag's destination is its spec key; the module lists arrive as text and are parsed here
+    values.update((key, getattr(args, key)) for key in SYNTH_SPEC_KEYS if getattr(args, key) is not None)
     if args.module_aucs is not None:
         try:
             values["module_aucs"] = [float(x) for x in args.module_aucs.split(",")]

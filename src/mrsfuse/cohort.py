@@ -98,14 +98,18 @@ class ClinicalNormalizer:
             raise ConfigError(
                 f"normalizer requires max > min, got [{self.min}, {self.max}]"
             )
+        if not math.isfinite(self.max - self.min):
+            raise ConfigError(f"normalizer span max - min must be finite, got [{self.min}, {self.max}]")
 
 
 def normalize_clinical(value: float | np.ndarray, normalizer: ClinicalNormalizer) -> float | np.ndarray:
     """Scale a covariate (a float or an array) onto [0, 1]; out-of-bounds values clamp to 0 or 1.
 
-    Values at or below the lower bound, NaN and -0.0 included, map to +0.0.
+    Values at or below the lower bound, NaN and -0.0 included, map to +0.0. The value is
+    clipped into the bounds before the subtraction, so a value far outside them cannot overflow.
     """
-    scaled = np.asarray((value - normalizer.min) / (normalizer.max - normalizer.min), dtype=float)
+    clipped = np.clip(value, normalizer.min, normalizer.max)
+    scaled = np.asarray((clipped - normalizer.min) / (normalizer.max - normalizer.min), dtype=float)
     clamped = np.where(scaled > 0.0, np.minimum(scaled, 1.0), 0.0)
     return clamped if clamped.ndim else float(clamped)
 
@@ -282,7 +286,7 @@ def _record_fault(p: PatientRecord, module_names: tuple[str, ...]) -> Violation 
         return Violation(pid, "module_probs", reason)
     for name, prob in zip(module_names, p.module_probs):
         if not _is_number(prob):
-            return Violation(pid, _module_column(name), _REASONS["probability"].format(prob))
+            return Violation(pid, module_column(name), _REASONS["probability"].format(prob))
     return None
 
 
@@ -314,7 +318,7 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
         ("nihss", _outside(cohort.nihss, NIHSS_MAX), cohort.nihss, _REASONS["nihss"]),
         ("mrs", _outside(cohort.mrs, MRS_MAX) & ~np.equal(cohort.mrs, None), cohort.mrs, _REASONS["mrs"]),
     ] + [
-        (_module_column(name), ~((column >= 0.0) & (column <= 1.0)), column, _REASONS["probability"])
+        (module_column(name), ~((column >= 0.0) & (column <= 1.0)), column, _REASONS["probability"])
         for name, column in zip(cohort.module_names, cohort.probs.T)
     ]
     found: list[tuple[int, Violation]] = []
@@ -331,7 +335,8 @@ def _module_name_from_column(column: str) -> str:
     return _CANONICAL_MODULES.get(suffix.lower(), suffix.upper())
 
 
-def _module_column(name: str) -> str:
+def module_column(name: str) -> str:
+    """The CSV header of a module's probability column."""
     return CSV_MODULE_PREFIX + name.lower()
 
 
@@ -400,7 +405,7 @@ def _parse_cohort_csv(handle: TextIO, path: Path) -> Cohort:
 
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     """Write a cohort in the standard CSV schema (atomically: temp file + rename)."""
-    header = list(CSV_REQUIRED_COLUMNS) + [_module_column(name) for name in cohort.module_names]
+    header = list(CSV_REQUIRED_COLUMNS) + [module_column(name) for name in cohort.module_names]
     repeated = [column for i, column in enumerate(header) if column in header[:i]]
     if repeated:  # module names equal ignoring case
         raise ValidationError(f"{path}: duplicate column {repeated[0]!r}: module names must differ ignoring case")

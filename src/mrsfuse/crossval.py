@@ -296,14 +296,9 @@ def evaluate_variants(
     }
 
 
-def evaluate_model(
-    cohort: Cohort,
-    plan: CvPlan,
-    config: FusionConfig,
-    model_name: str | None = None,
-) -> RunSummary:
+def evaluate_model(cohort: Cohort, plan: CvPlan, config: FusionConfig) -> RunSummary:
     """Cross-validated evaluation of one fusion configuration over every module."""
-    name = model_name or ensemble_name(config)
+    name = ensemble_name(config)
     return evaluate_variants(cohort, plan, {name: (config, None)})[name]
 
 

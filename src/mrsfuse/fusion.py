@@ -131,7 +131,7 @@ def _vote_weights(poor: np.ndarray, covariate: np.ndarray | None) -> np.ndarray:
 def _weighted_sums(weights: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Row sums of ``weights * probs``, after checking that every weight row sums to one."""
     sums = _row_sums(weights)
-    off = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
+    off = ~(np.abs(sums - 1.0) <= WEIGHT_SUM_TOL)  # a NaN sum is off too
     if off.any():
         raise ValidationError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {float(sums[off][0])!r}")
     return _row_sums(weights * probs)
@@ -174,12 +174,18 @@ def uniform_weights(n: int) -> tuple[float, ...]:
 
 
 def fuse(probs: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted average of module probabilities; bounded by their min and max."""
+    """Weighted average of module probabilities; bounded by their min and max.
+
+    The weights must sum to one and each lie in [0, 1].
+    """
     if len(probs) != len(weights):
         raise ValidationError(f"length mismatch: {len(probs)} probabilities vs {len(weights)} weights")
     if len(probs) == 0:
         raise ValidationError("cannot fuse an empty probability list")
-    return float(_weighted_sums(np.array([weights], dtype=float), np.array([probs], dtype=float))[0])
+    w = np.array([weights], dtype=float)
+    fused = _weighted_sums(w, np.array([probs], dtype=float))  # checks the sum first
+    _check_unit(w, "weight")
+    return float(fused[0])
 
 
 def classify(fused_probability: float, threshold: float) -> OutcomeLabel:

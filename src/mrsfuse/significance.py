@@ -84,9 +84,7 @@ def _approx_two_sided_p(ranks: np.ndarray, w_observed: float) -> float:
     mu = n * (n + 1) / 4.0
     _, tie_counts = np.unique(ranks, return_counts=True)
     tie_term = float(np.sum(tie_counts**3 - tie_counts)) / 48.0
-    sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    if sigma2 <= 0.0:
-        return 1.0
+    sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term  # > 0: all n tied leaves n(n+1)^2/16
     shift = w_observed - mu
     z = (shift - 0.5 * np.sign(shift)) / math.sqrt(sigma2)
     return min(1.0, 2.0 * float(ndtr(-abs(z))))
@@ -94,13 +92,20 @@ def _approx_two_sided_p(ranks: np.ndarray, w_observed: float) -> float:
 
 def wilcoxon_signed_rank(sample: PairedSample) -> TestResult:
     """Two-sided signed-rank test of the paired differences ``a - b``."""
-    diffs = np.asarray(sample.a, dtype=float) - np.asarray(sample.b, dtype=float)
-    diffs = diffs[diffs != 0.0]
+    a, b = np.asarray(sample.a, dtype=float), np.asarray(sample.b, dtype=float)
+    with np.errstate(over="ignore"):  # a difference beyond the largest float becomes a signed inf
+        diffs = a - b
+    nonzero = diffs != 0.0
+    a, b, diffs = a[nonzero], b[nonzero], diffs[nonzero]
     n_effective = len(diffs)
     if n_effective == 0:
         return TestResult(statistic=0.0, p_value=1.0, n_effective=0, method="exact", degenerate=True)
 
+    # an overflowed difference ranks above every finite one, and among the
+    # overflowed by its half a/2 - b/2, which cannot overflow
     ranks = average_ranks(np.abs(diffs))
+    over = np.isinf(diffs)
+    ranks[over] = np.count_nonzero(~over) + average_ranks(np.abs(a[over] / 2.0 - b[over] / 2.0))
     w = float(ranks[diffs > 0].sum())
     if n_effective <= EXACT_MAX_N:
         return TestResult(w, _exact_two_sided_p(ranks, w), n_effective, "exact")

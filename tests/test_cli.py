@@ -250,6 +250,15 @@ class TestSynth:
         assert result.returncode == 2
         assert result.stderr.startswith("error: invalid synthetic spec")
 
+    def test_prevalence_flag_sets_the_spec_key(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_patients": 30, "seed": 4, "prevalence_poor": 0.4}), encoding="utf-8")
+        from_spec, from_flag = tmp_path / "spec.csv", tmp_path / "flag.csv"
+        assert mrsfuse.cli.main(["synth", "--spec", str(spec), "--out", str(from_spec)]) == 0
+        argv = ["synth", "--n-patients", "30", "--seed", "4", "--prevalence", "0.4", "--out", str(from_flag)]
+        assert mrsfuse.cli.main(argv) == 0
+        assert from_flag.read_bytes() == from_spec.read_bytes()
+
     def test_flags_override_spec(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_patients": 10, "seed": 3}), encoding="utf-8")
@@ -351,6 +360,15 @@ class TestCv:
         assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
 
 
+    def test_defaults_come_from_the_library(self, cohort_csv, monkeypatch, capsys):
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        assert mrsfuse.cli.main(["cv", "--cohort", str(cohort_csv)]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["plan"] == mrsfuse.cohort.as_plain(mrsfuse.crossval.CvPlan())
+        assert document["primary"] == "ensemble_w_nihss"
+        assert all(variant["config"]["strategy"] == "youden" for variant in document["variants"].values())
+
+
 class TestConfigFile:
     def test_config_file_supplies_options(self, tmp_path):
         cohort = write_tiny_cohort(tmp_path / "cohort.csv", n=30)
@@ -438,6 +456,18 @@ class TestConfigFile:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"norm_min": 5, "norm_max": 1}), encoding="utf-8")
         assert mrsfuse.cli.main(["fuse", "--cohort", str(cohort), "--config", str(config), *flags]) == 0
+
+    def test_normalizer_span_beyond_largest_float_exit_2(self, tmp_path, monkeypatch, capsys):
+        # such bounds scaled every covariate to 0: ages 60 and 70 both weighted as c = 0
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("patient_id,age,nihss,mrs,p_adc,p_dwi\na,60,5,1,0.3,0.6\nb,70,9,4,0.7,0.2\n", encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"norm_min": -1e308, "norm_max": 1e308}), encoding="utf-8")
+        argv = ["fuse", "--cohort", str(cohort), "--config", str(config), "--variable", "age",
+                "--tau", "0.5", "--tau-star", "0.5", "--strategy", "fixed"]
+        assert mrsfuse.cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: normalizer span max - min must be finite, got [-1e+308, 1e+308]\n")
 
     @pytest.mark.parametrize("command", ["fuse", "cv"])
     def test_unknown_format_exit_2(self, tmp_path, command):
@@ -564,6 +594,19 @@ class TestCompare:
         missing = {"missing_runs": "runs", "missing_metrics": "metrics"}.get(damage)
         if missing:
             assert result.stderr == f"error: malformed summary: {bad}: missing key {missing!r}\n"
+
+    def test_overflowing_run_differences_leave_stderr_empty(self, tmp_path):
+        # 1.7e308 - (-1.7e308) exceeds the largest float; numpy's overflow warning reached stderr
+        paths = []
+        for name, values in (("a", (1.7e308, 0.5, 0.2)), ("b", (-1.7e308, 0.1, 0.3))):
+            runs = [{"run_index": i, "metrics": {"auc": v}} for i, v in enumerate(values)]
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"model": name, "seed_schedule": [0, 1, 2], "runs": runs}), encoding="utf-8")
+            paths.append(str(path))
+        result = run_cli("compare", *paths, "--measure", "auc")
+        assert (result.returncode, result.stderr) == (0, "")
+        document = json.loads(result.stdout)
+        assert (document["statistic"], document["p_value"]) == (5.0, 0.5)
 
     def test_schedule_mismatch_exit_2(self, summaries, tmp_path):
         out_a, _ = summaries

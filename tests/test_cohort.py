@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mrsfuse import (
     ClinicalNormalizer,
@@ -98,6 +98,30 @@ class TestNormalizeClinical:
     def test_unknown_variable(self):
         with pytest.raises(ConfigError):
             ClinicalNormalizer(variable="height", min=0, max=1)
+
+    def test_infinite_span_rejected(self):
+        # finite bounds whose span max - min overflows would scale every covariate to 0
+        with pytest.raises(ConfigError, match=r"span max - min must be finite, got \[-1e\+308, 1e\+308\]"):
+            ClinicalNormalizer(variable="age", min=-1e308, max=1e308)
+
+    def test_value_far_above_finite_span_clamps_without_overflow(self):
+        norm = ClinicalNormalizer(variable="age", min=-1e308, max=0.0)
+        assert normalize_clinical(1e308, norm) == 1.0
+        assert normalize_clinical(np.array([1e308, -1.7e308, -5e307]), norm).tolist() == [1.0, 0.0, 0.5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(),
+    )
+    def test_matches_the_unclipped_formula_on_finite_spans(self, lo, hi, value):
+        assume(hi > lo and math.isfinite(hi - lo))
+        norm = ClinicalNormalizer(variable="age", min=lo, max=hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = (np.float64(value) - lo) / (hi - lo)
+        expected = float(np.where(scaled > 0.0, np.minimum(scaled, 1.0), 0.0))
+        assert repr(normalize_clinical(value, norm)) == repr(expected)
 
 
 class TestAsPlain:

@@ -429,7 +429,7 @@ class TestEvaluatePerModule:
         plan = CvPlan(k=5, n_runs=2, base_seed=4)
         per_module = evaluate_per_module(cohort119, plan)
         for name in cohort119.module_names:
-            view = evaluate_model(cohort119.single_module_view(name), plan, UNWEIGHTED, model_name=name)
+            view = evaluate_variants(cohort119.single_module_view(name), plan, {name: (UNWEIGHTED, None)})[name]
             assert per_module[name].as_dict() == view.as_dict()
 
     def test_single_module_equals_ensemble_of_one(self, cohort119):

@@ -131,6 +131,18 @@ class TestFuse:
         with pytest.raises(ValidationError):
             fuse((0.5, 0.5), (1.0,))
 
+    @pytest.mark.parametrize(("weights", "message"), [
+        ((math.nan, math.nan), "weights must sum to 1 within 1e-09, got nan"),
+        ((0.5, math.nan), "weights must sum to 1 within 1e-09, got nan"),
+        ((1.5, -0.5), "weight must be in [0, 1], got 1.5"),
+        ((-0.25, 1.25), "weight must be in [0, 1], got -0.25"),
+    ])
+    def test_rejects_nan_and_out_of_unit_weights(self, weights, message):
+        # [1.5, -0.5] sums to one but would fuse 0.2 and 0.8 to -0.1, outside their range
+        with pytest.raises(ValidationError) as raised:
+            fuse((0.2, 0.8), weights)
+        assert str(raised.value) == message
+
 
 class TestClassify:
     def test_boundary_is_good(self):

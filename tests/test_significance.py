@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,10 +37,14 @@ def reference_signed_rank(diffs) -> tuple[float, float, int, str]:
     counted in Python integers for up to 25 effective pairs, and scipy's ``ndtr``
     for the tie- and continuity-corrected normal approximation beyond."""
     d = [x for x in diffs if x != 0]
-    n = len(d)
-    if n == 0:
+    if not d:
         return 0.0, 1.0, 0, "exact"
-    ranks = scipy.stats.rankdata([abs(x) for x in d], method="average")
+    return reference_from_ranks(d, scipy.stats.rankdata([abs(x) for x in d], method="average"))
+
+
+def reference_from_ranks(d, ranks) -> tuple[float, float, int, str]:
+    """The rest of :func:`reference_signed_rank`, given the nonzero differences and their ranks."""
+    n = len(d)
     w = float(sum(r for r, x in zip(ranks, d) if x > 0))
     if n <= 25:
         null = Counter({0: 1})  # doubled statistic -> number of sign assignments
@@ -54,6 +60,17 @@ def reference_signed_rank(diffs) -> tuple[float, float, int, str]:
     shift = w - n * (n + 1) / 4.0
     z = (shift - 0.5 * ((shift > 0) - (shift < 0))) / math.sqrt(sigma2)
     return w, min(1.0, 2.0 * float(scipy.special.ndtr(-abs(z)))), n, "normal_approx"
+
+
+def fraction_signed_rank(a, b) -> tuple[float, float, int, str]:
+    """:func:`reference_signed_rank` of the exact differences ``a - b``, computed and
+    ranked as fractions, so no difference overflows or rounds."""
+    d = [x for x in (Fraction(p) - Fraction(q) for p, q in zip(a, b)) if x != 0]
+    if not d:
+        return 0.0, 1.0, 0, "exact"
+    ordered = sorted(abs(x) for x in d)
+    ranks = np.array([(bisect_left(ordered, abs(x)) + 1 + bisect_right(ordered, abs(x))) / 2 for x in d])
+    return reference_from_ranks(d, ranks)
 
 
 def paired_from_diffs(diffs) -> PairedSample:
@@ -149,6 +166,38 @@ def test_matches_scipy_reference_exactly(diffs):
     assert (result.statistic, result.p_value, result.n_effective, result.method) == (
         reference_signed_rank(diffs)
     )
+
+
+# Integer multiples of a power of two: every finite difference of a pair on the
+# same scale is exact, and at the largest scale a difference of 2**21 or more
+# multiples exceeds the largest float.
+LATTICE_K = 2**21 - 1
+lattice_pairs = st.lists(
+    st.tuples(
+        st.integers(-LATTICE_K, LATTICE_K), st.integers(-LATTICE_K, LATTICE_K),
+        st.sampled_from([2.0**1003, 1.0, 2.0**-30]),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_pairs)
+@example([(LATTICE_K, -LATTICE_K, 2.0**1003)] * 2 + [(LATTICE_K, -1, 2.0**1003), (1, 2, 1.0)])
+@example([(-LATTICE_K, LATTICE_K - 1, 2.0**1003), (LATTICE_K, 0, 2.0**1003), (3, 1, 1.0)] * 10)
+def test_overflowing_differences_match_fraction_oracle(pairs):
+    a = tuple(k * scale for k, _, scale in pairs)
+    b = tuple(k * scale for _, k, scale in pairs)
+    result = wilcoxon_signed_rank(PairedSample(a=a, b=b))
+    assert (result.statistic, result.p_value, result.n_effective, result.method) == fraction_signed_rank(a, b)
+
+
+def test_overflowing_difference_ranks_first_without_warning():
+    # 1.7e308 - (-1.7e308) exceeds the largest float; the subtraction warned at numpy level
+    a, b = (1.7e308, 0.5, 0.2), (-1.7e308, 0.1, 0.3)
+    result = wilcoxon_signed_rank(PairedSample(a=a, b=b))
+    assert (result.statistic, result.p_value) == (5.0, 0.5)
+    assert (result.statistic, result.p_value, result.n_effective, result.method) == fraction_signed_rank(a, b)
 
 
 class TestApproximationPath:
