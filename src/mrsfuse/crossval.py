@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .cohort import Cohort, OutcomeLabel, as_plain, validate_cohort
-from .errors import ConfigError, DegenerateDataError, ValidationError
+from .errors import ConfigError, DegenerateDataError, ValidationError, require_int
 from .fusion import (
     FusionConfig,
     fuse_matrix,
@@ -46,12 +46,9 @@ class CvPlan:
     stratified: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ConfigError(f"k must be an integer >= 2, got {self.k!r}")
-        if not isinstance(self.n_runs, int) or self.n_runs < 1:
-            raise ConfigError(f"n_runs must be an integer >= 1, got {self.n_runs!r}")
-        if not isinstance(self.base_seed, int) or self.base_seed < 0:
-            raise ConfigError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
+        require_int("k", self.k, 2, "an integer >= 2")
+        require_int("n_runs", self.n_runs, 1, "an integer >= 1")
+        require_int("base_seed", self.base_seed, 0, "a non-negative integer")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ The null distribution is computed exactly (all sign assignments equally
 likely) for up to 25 effective pairs via a subset-sum count over doubled
 ranks, which is numerically identical to enumerating the 2^n sign
 patterns; beyond that a normal approximation with tie and continuity
-corrections is used. The two-sided p-value doubles the smaller tail and
+corrections is used, its CDF the Cephes ``ndtr`` port of ``_normal``
+(scipy's bit for bit). The two-sided p-value doubles the smaller tail and
 is capped at 1.
 """
 
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import ndtr
 from .errors import ValidationError
 
 EXACT_MAX_N = 25
@@ -76,10 +78,6 @@ def _exact_two_sided_p(ranks: np.ndarray, w_observed: float) -> float:
 
 
 def _approx_two_sided_p(ranks: np.ndarray, w_observed: float) -> float:
-    # scipy.special is imported here, not at module level, so that importing
-    # the package does not pay for it; math.erfc is not bit-identical to ndtr.
-    from scipy.special import ndtr
-
     n = len(ranks)
     mu = n * (n + 1) / 4.0
     _, tie_counts = np.unique(ranks, return_counts=True)

@@ -16,8 +16,9 @@ from math import sqrt
 
 import numpy as np
 
+from ._normal import ndtr, ndtri
 from .cohort import DEFAULT_MODULE_NAMES, NIHSS_MAX, Cohort
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 
 # Default per-module discrimination targets for the five standard modules.
 DEFAULT_MODULE_AUCS = (0.69, 0.64, 0.56, 0.71, 0.58)
@@ -40,8 +41,7 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "module_aucs", tuple(float(a) for a in self.module_aucs))
         object.__setattr__(self, "module_names", tuple(self.module_names))
-        if not isinstance(self.n_patients, int) or self.n_patients < 1:
-            raise ConfigError(f"n_patients must be a positive integer, got {self.n_patients!r}")
+        require_int("n_patients", self.n_patients, 1, "a positive integer")
         if not 0.0 < self.prevalence_poor < 1.0:
             raise ConfigError(f"prevalence_poor must lie in (0, 1), got {self.prevalence_poor!r}")
         if len(self.module_aucs) != len(self.module_names):
@@ -56,16 +56,12 @@ class SyntheticSpec:
         for name, rho in (("rho_age", self.rho_age), ("rho_nihss", self.rho_nihss)):
             if not 0.0 <= rho <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {rho!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        require_int("seed", self.seed, 0, "a non-negative integer")
 
 
 def generate_cohort(spec: SyntheticSpec) -> Cohort:
     """Draw one cohort; identical specs produce identical cohorts."""
-    # Imported here so that importing the package does not load scipy; the
-    # cohorts depend on these exact floats, so they are not reimplemented.
-    from scipy.special import ndtr, ndtri
-
+    # ndtr and ndtri equal scipy's bit for bit, and the cohorts depend on these exact floats
     rng = np.random.default_rng(spec.seed)
     n = spec.n_patients
     n_modules = len(spec.module_names)
@@ -75,7 +71,7 @@ def generate_cohort(spec: SyntheticSpec) -> Cohort:
     poor = z_outcome > ndtri(1.0 - spec.prevalence_poor)
 
     # Binormal module scores, squashed onto (0, 1) rank-preservingly.
-    deltas = sqrt(2.0) * ndtri(np.asarray(spec.module_aucs))
+    deltas = sqrt(2.0) * np.array([ndtri(target) for target in spec.module_aucs])
     z_modules = rng.standard_normal((n, n_modules)) + np.where(poor[:, None], deltas[None, :], 0.0)
     probs = 1.0 / (1.0 + np.exp(-z_modules))
 

@@ -34,6 +34,26 @@ def read_csv_rows(text: str) -> list[dict]:
     return list(csv.DictReader(text.splitlines()))
 
 
+def write_thirty_run_summaries(directory: Path, shift: int, step: int) -> list[str]:
+    """Two 30-run summaries, ``a.json`` and ``b.json``, for the normal approximation.
+
+    The auc values lie on a 1/64 grid, so the differences are exact: some are
+    zero and equal magnitudes tie exactly.
+    """
+    values = {
+        "a": [(32 + (7 * i) % 23) / 64 for i in range(30)],
+        "b": [(32 + (7 * i) % 23 + (step * i) % 9 - shift) / 64 for i in range(30)],
+    }
+    paths = []
+    for name, aucs in values.items():
+        runs = [{"run_index": i, "metrics": {"auc": v}} for i, v in enumerate(aucs)]
+        document = {"model": name, "seed_schedule": list(range(30)), "runs": runs}
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
 def write_tiny_cohort(path: Path, n: int = 12, seed: int = 5) -> Path:
     result = run_cli(
         "synth", "--n-patients", str(n), "--seed", str(seed),
@@ -608,6 +628,38 @@ class TestCompare:
         document = json.loads(result.stdout)
         assert (document["statistic"], document["p_value"]) == (5.0, 0.5)
 
+    # (shift, step) of write_thirty_run_summaries -> n_effective, statistic, p_value as
+    # printed. The cases put |z|/sqrt(2) of the normal approximation in each band of
+    # the normal CDF: below sqrt(1/2) (erf), in [sqrt(1/2), 1) (erfc as 1 - erf), at
+    # about 1.1 and in the far tail (erfc's rational form). Recorded while the CDF
+    # still came from scipy.special.ndtr.
+    THIRTY_RUN_CASES = {
+        (4, 2): (26, "192.0", "0.6822589114669371"),
+        (3, 1): (27, "132.0", "0.17190321778411088"),
+        (3, 2): (27, "124.5", "0.12165783790534414"),
+        (0, 2): (26, "0.0", "8.485589774178978e-06"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(THIRTY_RUN_CASES))
+    def test_thirty_runs_normal_approximation_bytes(self, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        paths = write_thirty_run_summaries(Path("."), *case)
+        assert mrsfuse.cli.main(["compare", *paths, "--measure", "auc"]) == 0
+        n_effective, statistic, p_value = self.THIRTY_RUN_CASES[case]
+        assert capsys.readouterr() == (
+            "{\n"
+            '  "a": {\n    "model": "a",\n    "path": "a.json"\n  },\n'
+            '  "b": {\n    "model": "b",\n    "path": "b.json"\n  },\n'
+            '  "degenerate": false,\n'
+            '  "measure": "auc",\n'
+            '  "method": "normal_approx",\n'
+            f'  "n_effective": {n_effective},\n'
+            f'  "p_value": {p_value},\n'
+            f'  "statistic": {statistic}\n'
+            "}\n",
+            "",
+        )
+
     def test_schedule_mismatch_exit_2(self, summaries, tmp_path):
         out_a, _ = summaries
         cohort = write_tiny_cohort(tmp_path / "cohort.csv", n=40, seed=12)
@@ -626,12 +678,15 @@ class TestCompare:
 SCIPY_FREE_COMMANDS = """
 import contextlib, io, json, sys
 import mrsfuse.cli
-cohort, summary = sys.argv[1], sys.argv[2]
+cohort, summary, thirty_a, thirty_b = sys.argv[1:]
 commands = [
+    ["synth", "--n-patients", "30", "--seed", "5", "--module-aucs", "0.75,0.65",
+     "--module-names", "ADC,DWI", "--out", cohort],
     ["validate", "--cohort", cohort],
     ["fuse", "--cohort", cohort, "--variable", "nihss"],
     ["cv", "--cohort", cohort, "--variable", "nihss", "--k", "2", "--runs", "2", "--out", summary],
     ["compare", summary, summary, "--measure", "auc", "--variant-b", "ensemble"],
+    ["compare", thirty_a, thirty_b, "--measure", "auc"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [mrsfuse.cli.main(argv) for argv in commands]
@@ -639,16 +694,17 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
 """
 
 
-def test_commands_other_than_synth_load_no_scipy(tmp_path):
-    cohort = write_tiny_cohort(tmp_path / "cohort.csv", n=30)
+def test_no_command_loads_scipy(tmp_path):
+    thirty = write_thirty_run_summaries(tmp_path, 3, 2)
     result = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE_COMMANDS, str(cohort), str(tmp_path / "summary.json")],
+        [sys.executable, "-c", SCIPY_FREE_COMMANDS,
+         str(tmp_path / "cohort.csv"), str(tmp_path / "summary.json"), *thirty],
         capture_output=True, text=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
     )
     assert result.returncode == 0, result.stderr
     codes, scipy_modules = json.loads(result.stdout)
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0] * 6
     assert scipy_modules == []
 
 

@@ -243,6 +243,20 @@ class TestCvPlanValidation:
         with pytest.raises(ConfigError):
             CvPlan(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"k": True}, "k must be an integer >= 2, got True"),
+            ({"n_runs": True}, "n_runs must be an integer >= 1, got True"),
+            ({"base_seed": False}, "base_seed must be a non-negative integer, got False"),
+        ],
+    )
+    def test_rejects_bools_as_integers(self, kwargs, message):
+        # bool subclasses int; a plan holding True would serialize "n_runs": true
+        with pytest.raises(ConfigError) as excinfo:
+            CvPlan(**kwargs)
+        assert str(excinfo.value) == message
+
 
 class TestEvaluateModel:
     def test_deterministic_summaries(self, cohort119):

@@ -142,6 +142,20 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             SyntheticSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_patients": True}, "n_patients must be a positive integer, got True"),
+            ({"n_patients": 10, "seed": True}, "seed must be a non-negative integer, got True"),
+            ({"n_patients": 10, "seed": False}, "seed must be a non-negative integer, got False"),
+        ],
+    )
+    def test_rejects_bools_as_integers(self, kwargs, message):
+        # bool subclasses int; a spec holding True would serialize "n_patients": true
+        with pytest.raises(ConfigError) as excinfo:
+            SyntheticSpec(**kwargs)
+        assert str(excinfo.value) == message
+
     def test_round_trip_dict(self):
         spec = SyntheticSpec(n_patients=10, seed=3)
         assert SyntheticSpec(
