@@ -188,13 +188,12 @@ def _given(**values) -> dict:
 
 
 class _Settings:
-    """Flag values merged over config-file values, else None; FusionConfig and CvPlan default the rest."""
+    """Flag values merged over config-file values, built once into FusionConfig and CvPlan, which
+    state every rule; a value they blame that came from the config file is reported by file and key."""
 
-    # config-file values checked beyond their JSON type: the allowed
-    # choices, the least allowed integer, and the thresholds' open interval
-    CHOICES = {"variable": FUSION_VARIABLES, "strategy": THRESHOLD_STRATEGIES, "format": OUTPUT_FORMATS}
-    MINIMUMS = {"k": 2, "runs": 1, "seed": 0}
-    THRESHOLDS = ("tau", "tau_star")
+    # the config key of each dataclass field named otherwise
+    KEYS = {"clinical_variable": "variable", "min": "norm_min", "max": "norm_max", "prelim_threshold": "tau",
+            "final_threshold": "tau_star", "n_runs": "runs", "base_seed": "seed"}
 
     def __init__(self, args: argparse.Namespace):
         config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
@@ -202,50 +201,40 @@ class _Settings:
         if config_path:
             self.file_values = _load_json(Path(config_path), CONFIG_FILE_KEYS, "config")
         self.args = args
-        # normalizer bounds out of order, with the file's key named when a flag does not override it
-        low, high = self.get("norm_min"), self.get("norm_max")
-        bounds_reversed = low is not None and high is not None and not high > low
-        max_flag = getattr(args, "norm_max", None) is not None
-        for key, value in self.file_values.items():
-            if value is None:
-                continue
-            if key in self.CHOICES and value not in self.CHOICES[key]:
-                problem = f"must be one of {', '.join(self.CHOICES[key])}"
-            elif key in self.MINIMUMS and value < self.MINIMUMS[key]:
-                problem = f"must be an integer >= {self.MINIMUMS[key]}"
-            elif key in self.THRESHOLDS and not 0.0 < value < 1.0:
-                problem = "must lie in (0, 1)"
-            elif key == "norm_max" and bounds_reversed and not max_flag:
-                problem = f"must be greater than 'norm_min' ({low!r})"
-            elif key == "norm_min" and bounds_reversed and max_flag and getattr(args, "norm_min", None) is None:
-                problem = f"must be less than 'norm_max' ({high!r})"
-            else:
-                continue
-            raise ConfigError(f"{config_path}: config key {key!r} {problem}, got {value!r}")
+        try:
+            if self.get("format") not in (None, *OUTPUT_FORMATS):  # the one choice the CLI states itself
+                raise ConfigError(("format", f"must be one of {', '.join(OUTPUT_FORMATS)}", self.get("format")))
+            self.config = self._fusion_config()
+            self.plan = CvPlan(**_given(k=self.get("k"), n_runs=self.get("runs"), base_seed=self.get("seed"),
+                                        stratified=self.get("stratified")))
+        except ConfigError as exc:
+            for field, problem, value in exc.blame:
+                key = self.KEYS.get(field, field)
+                if getattr(args, key, None) is None and self.file_values.get(key) is not None:
+                    for name, other in self.KEYS.items():
+                        problem = problem.replace(repr(name), repr(other))
+                    raise ConfigError(f"{config_path}: config key {key!r} {problem}, got {value!r}") from exc
+            raise
 
     def get(self, key: str):
         flag_value = getattr(self.args, key, None)
         return flag_value if flag_value is not None else self.file_values.get(key)
 
-    def fusion_config(self) -> FusionConfig:
-        given = _given(
+    def _fusion_config(self) -> FusionConfig:
+        config = FusionConfig(**_given(
             clinical_variable=self.get("variable"), strategy=self.get("strategy"),
             prelim_threshold=self.get("tau"), final_threshold=self.get("tau_star"),
-        )
-        norm_min, norm_max = self.get("norm_min"), self.get("norm_max")
-        if (norm_min is None) != (norm_max is None):
-            raise ConfigError("--norm-min and --norm-max must be given together")
-        if norm_min is not None:
-            variable = given.get("clinical_variable", FusionConfig.clinical_variable)
-            if variable == "none":
-                raise ConfigError("normalization bounds require a clinical variable")
-            given["normalizer"] = ClinicalNormalizer(variable=variable, min=norm_min, max=norm_max)
-        return FusionConfig(**given)
-
-    def plan(self) -> CvPlan:
-        return CvPlan(**_given(
-            k=self.get("k"), n_runs=self.get("runs"), base_seed=self.get("seed"), stratified=self.get("stratified"),
         ))
+        low, high = self.get("norm_min"), self.get("norm_max")
+        if (low is None) != (high is None):
+            key, value, other = ("norm_min", low, "norm_max") if high is None else ("norm_max", high, "norm_min")
+            raise ConfigError("--norm-min and --norm-max must be given together",
+                              (key, f"must be given together with {other!r}", value))
+        if low is None:
+            return config
+        if config.clinical_variable == "none":
+            raise ConfigError("normalization bounds require a clinical variable")
+        return replace(config, normalizer=ClinicalNormalizer(config.clinical_variable, low, high))
 
     def cohort_path(self) -> Path:
         cohort = self.get("cohort")
@@ -281,8 +270,7 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     cohort = _read_valid_cohort(settings.cohort_path())
-    config = settings.fusion_config()
-    resolved, _ = resolve_fold_config(cohort, config)
+    resolved, _ = resolve_fold_config(cohort, settings.config)
     _, weights, fused, poor = fuse_rows(cohort, resolved)
     poor_unweighted = fuse_rows(cohort, replace(resolved, clinical_variable="none", normalizer=None))[3]
     label_names = [str(label) for label in OutcomeLabel]  # indexed by "is poor"
@@ -324,8 +312,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     cohort_path = settings.cohort_path()
     cohort = _read_valid_cohort(cohort_path)
-    config = settings.fusion_config()
-    plan = settings.plan()
+    config, plan = settings.config, settings.plan
 
     # each module alone, the plain ensemble, and the weighted ensemble when the config weights
     configs = {name: (MODULE_BASELINE, name) for name in cohort.module_names}

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
 import numbers
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, is_number
 
 DEFAULT_MODULE_NAMES = ("ADC", "CBF", "CBV", "DWI", "Tmax")
 
@@ -91,15 +91,17 @@ class ClinicalNormalizer:
 
     def __post_init__(self) -> None:
         if self.variable not in CLINICAL_VARIABLES:
-            raise ConfigError(f"unknown clinical variable {self.variable!r}")
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise ConfigError("normalizer bounds must be finite")
+            raise ConfigError(("variable", f"must be one of {', '.join(CLINICAL_VARIABLES)}", self.variable))
+        # order and span imply this rule, but it names the bound at fault; an int too large for a float fails it
+        for name, bound in (("min", self.min), ("max", self.max)):
+            if not (is_number(bound) and abs(bound) <= sys.float_info.max):
+                raise ConfigError((name, "must be a finite number", bound))
         if not self.max > self.min:
-            raise ConfigError(
-                f"normalizer requires max > min, got [{self.min}, {self.max}]"
-            )
-        if not math.isfinite(self.max - self.min):
-            raise ConfigError(f"normalizer span max - min must be finite, got [{self.min}, {self.max}]")
+            raise ConfigError(("max", f"must be greater than 'min' ({self.min!r})", self.max),
+                              ("min", f"must be less than 'max' ({self.max!r})", self.min))
+        if not abs(self.max - self.min) <= sys.float_info.max:
+            raise ConfigError(("max", f"must lie within a finite span of 'min' ({self.min!r})", self.max),
+                              ("min", f"must lie within a finite span of 'max' ({self.max!r})", self.min))
 
 
 def normalize_clinical(value: float | np.ndarray, normalizer: ClinicalNormalizer) -> float | np.ndarray:
@@ -270,22 +272,18 @@ class Violation:
         return f"{who}: {self.field}: {self.reason}"
 
 
-def _is_number(value: object, kind: type = numbers.Real) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _record_fault(p: PatientRecord, module_names: tuple[str, ...]) -> Violation | None:
     """Why the cohort columns cannot hold this record, or None."""
     pid = p.patient_id
     for field, value, kind in (("age", p.age, numbers.Real), ("nihss", p.nihss, numbers.Integral),
                                ("mrs", 0 if p.mrs is None else p.mrs, numbers.Integral)):
-        if not _is_number(value, kind):
+        if not is_number(value, kind):
             return Violation(pid, field, _REASONS[field].format(value))
     if len(p.module_probs) != len(module_names):
         reason = f"expected {len(module_names)} probabilities, got {len(p.module_probs)}"
         return Violation(pid, "module_probs", reason)
     for name, prob in zip(module_names, p.module_probs):
-        if not _is_number(prob):
+        if not is_number(prob):
             return Violation(pid, module_column(name), _REASONS["probability"].format(prob))
     return None
 

@@ -46,9 +46,11 @@ class CvPlan:
     stratified: bool = True
 
     def __post_init__(self) -> None:
-        require_int("k", self.k, 2, "an integer >= 2")
-        require_int("n_runs", self.n_runs, 1, "an integer >= 1")
-        require_int("base_seed", self.base_seed, 0, "a non-negative integer")
+        require_int("k", self.k, 2)
+        require_int("n_runs", self.n_runs, 1)
+        require_int("base_seed", self.base_seed, 0)
+        if not isinstance(self.stratified, bool):  # a truthy string such as "no" would stratify
+            raise ConfigError(("stratified", "must be a bool", self.stratified))
 
 
 @dataclass(frozen=True)

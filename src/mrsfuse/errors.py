@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the integer setting check."""
+"""Exception types shared across the package, and the checks on setting values."""
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -6,7 +8,19 @@ class ValidationError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A configuration value is missing, inconsistent, or out of range."""
+    """A configuration value is missing, inconsistent, or out of range.
+
+    A rule on named settings passes a ``(field, problem, value)`` triple per field it blames, the most
+    at fault first, and ``blame`` keeps them. The message is a leading string if one is given, else
+    ``<field> <problem>, got <value!r>`` from the first triple.
+    """
+
+    def __init__(self, *blame: str | tuple[str, str, object]):
+        self.blame = [item for item in blame if isinstance(item, tuple)]
+        if blame and isinstance(blame[0], tuple):
+            field, problem, value = blame[0]
+            blame = (f"{field} {problem}, got {value!r}",)
+        super().__init__(*blame[:1])
 
 
 class DegenerateDataError(ValueError):
@@ -17,10 +31,12 @@ class DegenerateDataError(ValueError):
     """
 
 
-def require_int(name: str, value: object, minimum: int, wording: str) -> None:
-    """Raise ``<name> must be <wording>, got <value>`` unless ``value`` is an int >= ``minimum``.
+def is_number(value: object, kind: type = numbers.Real) -> bool:
+    """True for an instance of ``kind`` other than a bool: ``True`` is not a count, a seed or a bound."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
-    ``bool`` is an ``int`` subclass, but ``True`` is not a count or a seed.
-    """
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{name} must be {wording}, got {value!r}")
+
+def require_int(name: str, value: object, minimum: int, wording: str = "") -> None:
+    """Raise ``<name> must be <wording>, got <value>`` unless ``value`` is an int >= ``minimum``."""
+    if not is_number(value, int) or value < minimum:
+        raise ConfigError((name, f"must be {wording or f'an integer >= {minimum}'}", value))

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .cohort import ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, normalize_clinical
-from .errors import ConfigError, DegenerateDataError, ValidationError
+from .errors import ConfigError, DegenerateDataError, ValidationError, is_number
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -52,10 +52,10 @@ class FusionConfig:
     strategy: str = "youden"
 
     def __post_init__(self) -> None:
-        if self.clinical_variable not in FUSION_VARIABLES:
-            raise ConfigError(f"unknown clinical variable {self.clinical_variable!r}")
-        if self.strategy not in THRESHOLD_STRATEGIES:
-            raise ConfigError(f"unknown threshold strategy {self.strategy!r}")
+        for name, value, choices in (("clinical_variable", self.clinical_variable, FUSION_VARIABLES),
+                                     ("strategy", self.strategy, THRESHOLD_STRATEGIES)):
+            if value not in choices:
+                raise ConfigError((name, f"must be one of {', '.join(choices)}", value))
         if self.clinical_variable == "none" and self.normalizer is not None:
             raise ConfigError("clinical variable 'none' does not take a normalizer")
         if self.normalizer is not None and self.normalizer.variable != self.clinical_variable:
@@ -65,8 +65,8 @@ class FusionConfig:
             )
         for name, value in (("prelim_threshold", self.prelim_threshold),
                             ("final_threshold", self.final_threshold)):
-            if value is not None and not 0.0 < value < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1), got {value!r}")
+            if value is not None and not (is_number(value) and 0.0 < value < 1.0):
+                raise ConfigError((name, "must lie in (0, 1)", value))
         if self.strategy == "fixed" and (self.prelim_threshold is None or self.final_threshold is None):
             raise ConfigError("strategy 'fixed' requires explicit prelim and final thresholds")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 from .cohort import DEFAULT_MODULE_NAMES, NIHSS_MAX, Cohort
-from .errors import ConfigError, require_int
+from .errors import ConfigError, is_number, require_int
 
 # Default per-module discrimination targets for the five standard modules.
 DEFAULT_MODULE_AUCS = (0.69, 0.64, 0.56, 0.71, 0.58)
@@ -42,8 +42,8 @@ class SyntheticSpec:
         object.__setattr__(self, "module_aucs", tuple(float(a) for a in self.module_aucs))
         object.__setattr__(self, "module_names", tuple(self.module_names))
         require_int("n_patients", self.n_patients, 1, "a positive integer")
-        if not 0.0 < self.prevalence_poor < 1.0:
-            raise ConfigError(f"prevalence_poor must lie in (0, 1), got {self.prevalence_poor!r}")
+        if not (is_number(self.prevalence_poor) and 0.0 < self.prevalence_poor < 1.0):
+            raise ConfigError(("prevalence_poor", "must lie in (0, 1)", self.prevalence_poor))
         if len(self.module_aucs) != len(self.module_names):
             raise ConfigError(
                 f"{len(self.module_aucs)} AUC targets for {len(self.module_names)} modules"
@@ -54,8 +54,8 @@ class SyntheticSpec:
             if not 0.5 < target < 1.0:
                 raise ConfigError(f"module AUC targets must lie in (0.5, 1), got {target!r}")
         for name, rho in (("rho_age", self.rho_age), ("rho_nihss", self.rho_nihss)):
-            if not 0.0 <= rho <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {rho!r}")
+            if not (is_number(rho) and 0.0 <= rho <= 1.0):
+                raise ConfigError((name, "must lie in [0, 1]", rho))
         require_int("seed", self.seed, 0, "a non-negative integer")
 
 

@@ -458,8 +458,12 @@ class TestConfigFile:
         ({"norm_min": 5, "norm_max": 1}, [], "config key 'norm_max' must be greater than 'norm_min' (5), got 1"),
         ({"norm_max": 1}, ["--norm-min", "5"], "config key 'norm_max' must be greater than 'norm_min' (5.0), got 1"),
         ({"norm_min": 5}, ["--norm-max", "1"], "config key 'norm_min' must be less than 'norm_max' (1.0), got 5"),
+        # each bound has its own finite rule; an int too large for a float is not finite
+        ({"norm_min": 0, "norm_max": float("inf")}, [], "config key 'norm_max' must be a finite number, got inf"),
+        ({"norm_min": float("nan"), "norm_max": 5}, [], "config key 'norm_min' must be a finite number, got nan"),
+        ({"norm_min": 0, "norm_max": 10**400}, [], f"config key 'norm_max' must be a finite number, got {10**400!r}"),
     ], ids=["variable", "strategy", "k", "runs", "seed", "tau", "tau_star", "norm_max", "norm_max_beside_flag",
-            "norm_min_beside_flag"])
+            "norm_min_beside_flag", "infinite_max", "nan_min", "int_beyond_float"])
     def test_out_of_range_value_names_file_and_key(self, tmp_path, capsys, monkeypatch, document, flags, problem):
         monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
         cohort = tmp_path / "cohort.csv"
@@ -468,6 +472,69 @@ class TestConfigFile:
         config.write_text(json.dumps(document), encoding="utf-8")
         assert mrsfuse.cli.main(["cv", "--cohort", str(cohort), "--config", str(config), *flags]) == 2
         assert capsys.readouterr().err == f"error: {config}: {problem}\n"
+
+    @pytest.mark.parametrize("key, field, document, flags", [
+        ("k", "k", {"k": 1}, ["--k", "1"]),
+        ("runs", "n_runs", {"runs": 0}, ["--runs", "0"]),
+        ("seed", "base_seed", {"seed": -1}, ["--seed", "-1"]),
+        ("tau", "prelim_threshold", {"tau": 1.5}, ["--tau", "1.5"]),
+        ("tau_star", "final_threshold", {"tau_star": 0.0}, ["--tau-star", "0"]),
+        ("norm_max", "max", {"norm_min": 5.0, "norm_max": 1.0}, ["--norm-min", "5", "--norm-max", "1"]),
+    ], ids=["k", "runs", "seed", "tau", "tau_star", "reversed_bounds"])
+    def test_one_rule_reads_alike_from_flag_and_file(self, tmp_path, capsys, monkeypatch, key, field, document, flags):
+        # the file line is the flag line with the config key in place of the field name
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("patient_id,age,nihss,mrs,p_adc\na,60,5,1,0.3\n", encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        assert mrsfuse.cli.main(["cv", "--cohort", str(cohort), "--variable", "age", *flags]) == 2
+        flag_line = capsys.readouterr().err
+        assert flag_line.startswith(f"error: {field} ")
+        rest = flag_line.removeprefix(f"error: {field}").replace("'min'", "'norm_min'")
+        assert mrsfuse.cli.main(["cv", "--cohort", str(cohort), "--variable", "age", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {config}: config key {key!r}{rest}"
+
+    @pytest.mark.parametrize("document, flags, line", [
+        ({"norm_min": 0}, [], "{config}: config key 'norm_min' must be given together with 'norm_max', got 0"),
+        ({"norm_max": 26}, [], "{config}: config key 'norm_max' must be given together with 'norm_min', got 26"),
+        ({"norm_min": 0}, ["--norm-min", "1"], "--norm-min and --norm-max must be given together"),
+        ({}, ["--norm-max", "26"], "--norm-min and --norm-max must be given together"),
+    ], ids=["file_min", "file_max", "flag_over_file", "flag"])
+    def test_lone_bound_names_its_source(self, tmp_path, capsys, monkeypatch, document, flags, line):
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("patient_id,age,nihss,mrs,p_adc\na,60,5,1,0.3\n", encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        assert mrsfuse.cli.main(["fuse", "--cohort", str(cohort), "--config", str(config), *flags]) == 2
+        assert capsys.readouterr().err == "error: " + line.format(config=config) + "\n"
+
+    @pytest.mark.parametrize("argv, document, line", [
+        (["validate", "--tau", "1.5"], {}, "prelim_threshold must lie in (0, 1), got 1.5"),
+        (["validate"], {"strategy": "fixed"}, "strategy 'fixed' requires explicit prelim and final thresholds"),
+        (["fuse", "--tau", "1.5"], {"cohort": "missing.csv"}, "prelim_threshold must lie in (0, 1), got 1.5"),
+    ], ids=["validate_flag", "validate_file", "fuse_missing_cohort"])
+    def test_settings_are_built_before_the_cohort_is_read(self, tmp_path, capsys, monkeypatch, argv, document, line):
+        # a bad setting stops every command before the cohort is read, validate included
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("patient_id,age,nihss,mrs,p_adc\na,60,5,1,0.3\n", encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"cohort": str(cohort), **document}), encoding="utf-8")
+        assert mrsfuse.cli.main([*argv, "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
+    @pytest.mark.parametrize("document, flags", [
+        ({"k": 1}, ["--k", "2"]), ({"tau": 1.5}, ["--tau", "0.4"]), ({"variable": "height"}, ["--variable", "none"]),
+    ], ids=["k", "tau", "variable"])
+    def test_flag_replaces_out_of_range_file_value(self, tmp_path, monkeypatch, document, flags):
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("patient_id,age,nihss,mrs,p_adc\na,60,5,1,0.3\n", encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        assert mrsfuse.cli.main(["validate", "--cohort", str(cohort), "--config", str(config), *flags]) == 0
 
     @pytest.mark.parametrize("flags", [["--norm-min", "0"], ["--norm-max", "10"]])
     def test_flag_replaces_reversed_norm_bound(self, tmp_path, monkeypatch, flags):
@@ -487,7 +554,8 @@ class TestConfigFile:
         argv = ["fuse", "--cohort", str(cohort), "--config", str(config), "--variable", "age",
                 "--tau", "0.5", "--tau-star", "0.5", "--strategy", "fixed"]
         assert mrsfuse.cli.main(argv) == 2
-        assert capsys.readouterr() == ("", "error: normalizer span max - min must be finite, got [-1e+308, 1e+308]\n")
+        problem = "must lie within a finite span of 'norm_min' (-1e+308), got 1e+308"
+        assert capsys.readouterr() == ("", f"error: {config}: config key 'norm_max' {problem}\n")
 
     @pytest.mark.parametrize("command", ["fuse", "cv"])
     def test_unknown_format_exit_2(self, tmp_path, command):

@@ -99,9 +99,41 @@ class TestNormalizeClinical:
         with pytest.raises(ConfigError):
             ClinicalNormalizer(variable="height", min=0, max=1)
 
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (True, 3, "min must be a finite number, got True"),
+            ("a", 3, "min must be a finite number, got 'a'"),
+            (float("nan"), 3, "min must be a finite number, got nan"),
+            (0, float("inf"), "max must be a finite number, got inf"),
+            (0, 10**400, f"max must be a finite number, got {10**400!r}"),
+        ],
+        ids=["bool", "string", "nan", "infinite", "int_beyond_float"],
+    )
+    def test_each_bound_must_be_a_finite_number(self, lo, hi, message):
+        # the bound at fault is named alone, though order and span would also reject most of these
+        with pytest.raises(ConfigError) as excinfo:
+            ClinicalNormalizer(variable="age", min=lo, max=hi)
+        assert str(excinfo.value) == message
+        assert len(excinfo.value.blame) == 1
+
+    @pytest.mark.parametrize(
+        "lo, hi, problems",
+        [
+            (5, 1, ("must be greater than 'min' (5)", "must be less than 'max' (1)")),
+            (-1e308, 1e308, ("must lie within a finite span of 'min' (-1e+308)",
+                             "must lie within a finite span of 'max' (1e+308)")),
+        ],
+        ids=["order", "span"],
+    )
+    def test_two_bound_rules_blame_max_then_min(self, lo, hi, problems):
+        with pytest.raises(ConfigError) as excinfo:
+            ClinicalNormalizer(variable="age", min=lo, max=hi)
+        assert excinfo.value.blame == [("max", problems[0], hi), ("min", problems[1], lo)]
+
     def test_infinite_span_rejected(self):
         # finite bounds whose span max - min overflows would scale every covariate to 0
-        with pytest.raises(ConfigError, match=r"span max - min must be finite, got \[-1e\+308, 1e\+308\]"):
+        with pytest.raises(ConfigError, match=r"^max must lie within a finite span of 'min' \(-1e\+308\), got 1e\+308"):
             ClinicalNormalizer(variable="age", min=-1e308, max=1e308)
 
     def test_value_far_above_finite_span_clamps_without_overflow(self):

@@ -238,7 +238,10 @@ def _seed_make_folds(cohort, plan, run_index):
 
 
 class TestCvPlanValidation:
-    @pytest.mark.parametrize("kwargs", [{"k": 1}, {"n_runs": 0}, {"base_seed": -2}])
+    @pytest.mark.parametrize("kwargs", [
+        {"k": 1}, {"n_runs": 0}, {"base_seed": -2},
+        {"stratified": "no"}, {"stratified": 1},  # a truthy string such as "no" would stratify
+    ])
     def test_rejects_bad_plan(self, kwargs):
         with pytest.raises(ConfigError):
             CvPlan(**kwargs)
@@ -248,7 +251,7 @@ class TestCvPlanValidation:
         [
             ({"k": True}, "k must be an integer >= 2, got True"),
             ({"n_runs": True}, "n_runs must be an integer >= 1, got True"),
-            ({"base_seed": False}, "base_seed must be a non-negative integer, got False"),
+            ({"base_seed": False}, "base_seed must be an integer >= 0, got False"),
         ],
     )
     def test_rejects_bools_as_integers(self, kwargs, message):

@@ -285,7 +285,7 @@ class TestFusionConfig:
                 normalizer=ClinicalNormalizer(variable="nihss", min=0, max=26),
             )
 
-    @pytest.mark.parametrize("value", [0.0, 1.0, -0.2, 1.7])
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.2, 1.7, float("nan"), True, "0.4"])
     def test_thresholds_must_be_interior(self, value):
         with pytest.raises(ConfigError):
             FusionConfig(prelim_threshold=value)

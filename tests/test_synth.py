@@ -136,6 +136,9 @@ class TestSpecValidation:
             {"n_patients": 10, "rho_age": 1.2},
             {"n_patients": 10, "rho_nihss": -0.1},
             {"n_patients": 10, "seed": -1},
+            {"n_patients": 10, "rho_age": True},  # would serialize as true
+            {"n_patients": 10, "rho_nihss": "0.5"},
+            {"n_patients": 10, "prevalence_poor": "0.3"},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
