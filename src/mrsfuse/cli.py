@@ -14,13 +14,15 @@ MRSFUSE_CONFIG environment variable names a default config file.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator, TextIO
+
+import numpy as np
 
 from .cohort import (
     ClinicalNormalizer,
@@ -33,6 +35,7 @@ from .cohort import (
     read_cohort_csv,
     validate_cohort,
     write_cohort_csv,
+    write_csv_columns,
 )
 from .crossval import (
     MODULE_BASELINE,
@@ -187,11 +190,16 @@ def _given(**values) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 class _Settings:
     """Flag values merged over config-file values, built once into FusionConfig and CvPlan, which
-    state every rule; a value they blame that came from the config file is reported by file and key."""
+    state every rule; a value they blame is reported by where it was set: the config file's key
+    when no flag overrides it, else the flag."""
 
-    # the config key of each dataclass field named otherwise
+    # the config key of each dataclass field named otherwise; a key's flag is ``_flag(key)``
     KEYS = {"clinical_variable": "variable", "min": "norm_min", "max": "norm_max", "prelim_threshold": "tau",
             "final_threshold": "tau_star", "n_runs": "runs", "base_seed": "seed"}
 
@@ -208,13 +216,23 @@ class _Settings:
             self.plan = CvPlan(**_given(k=self.get("k"), n_runs=self.get("runs"), base_seed=self.get("seed"),
                                         stratified=self.get("stratified")))
         except ConfigError as exc:
+            lines: dict[str, str] = {}  # the first blamed value set in the file, and the first set by a flag
             for field, problem, value in exc.blame:
                 key = self.KEYS.get(field, field)
-                if getattr(args, key, None) is None and self.file_values.get(key) is not None:
-                    for name, other in self.KEYS.items():
-                        problem = problem.replace(repr(name), repr(other))
-                    raise ConfigError(f"{config_path}: config key {key!r} {problem}, got {value!r}") from exc
+                if getattr(args, key, None) is not None:
+                    lines.setdefault("flag", f"{_flag(key)} {self._renamed(problem, _flag)}, got {value!r}")
+                elif self.file_values.get(key) is not None:
+                    problem = self._renamed(problem, repr)
+                    lines.setdefault("file", f"{config_path}: config key {key!r} {problem}, got {value!r}")
+            if lines:
+                raise ConfigError(lines.get("file") or lines["flag"]) from exc
             raise
+
+    def _renamed(self, problem: str, name_of) -> str:
+        """A rule's problem text with each setting it names, by field or by key, as ``name_of(key)``."""
+        for name in (*self.KEYS, *CONFIG_FILE_KEYS):
+            problem = problem.replace(repr(name), name_of(self.KEYS.get(name, name)))
+        return problem
 
     def get(self, key: str):
         flag_value = getattr(self.args, key, None)
@@ -228,12 +246,13 @@ class _Settings:
         low, high = self.get("norm_min"), self.get("norm_max")
         if (low is None) != (high is None):
             key, value, other = ("norm_min", low, "norm_max") if high is None else ("norm_max", high, "norm_min")
-            raise ConfigError("--norm-min and --norm-max must be given together",
-                              (key, f"must be given together with {other!r}", value))
+            raise ConfigError((key, f"must be given together with {other!r}", value))
         if low is None:
             return config
         if config.clinical_variable == "none":
-            raise ConfigError("normalization bounds require a clinical variable")
+            problem = "needs a 'variable' other than 'none'"
+            raise ConfigError(("variable", "must not be 'none' when 'norm_min' and 'norm_max' are given", "none"),
+                              ("norm_min", problem, low), ("norm_max", problem, high))
         return replace(config, normalizer=ClinicalNormalizer(config.clinical_variable, low, high))
 
     def cohort_path(self) -> Path:
@@ -253,18 +272,19 @@ def _read_valid_cohort(path: Path) -> Cohort:
     return cohort
 
 
-def _csv_text(rows: list[list]) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    return buffer.getvalue()
+@contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """stdout, or a handle whose content replaces the file ``out`` once the block succeeds."""
+    if out is None:
+        yield sys.stdout
+    else:
+        with atomic_output(out) as handle:
+            yield handle
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with atomic_output(out) as handle:
-            handle.write(text)
+    with _output(out) as handle:
+        handle.write(text)
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
@@ -273,24 +293,15 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     resolved, _ = resolve_fold_config(cohort, settings.config)
     _, weights, fused, poor = fuse_rows(cohort, resolved)
     poor_unweighted = fuse_rows(cohort, replace(resolved, clinical_variable="none", normalizer=None))[3]
-    label_names = [str(label) for label in OutcomeLabel]  # indexed by "is poor"
+    label_names = np.array([str(label) for label in OutcomeLabel], dtype=object)  # indexed by "is poor"
 
     header = (
         ["patient_id"] + [module_column(name) for name in cohort.module_names]
         + [f"w_{name.lower()}" for name in cohort.module_names]
         + ["fused_prob", "label_unweighted", "label_weighted"]
     )
-    table = [
-        [pid, *probs, *w, f, label_names[poor_unweighted], label_names[poor_weighted]]
-        for pid, probs, w, f, poor_unweighted, poor_weighted in zip(
-            cohort.ids.tolist(),
-            cohort.probs.tolist(),
-            weights.tolist(),
-            fused.tolist(),
-            poor_unweighted.tolist(),
-            poor.tolist(),
-        )
-    ]
+    columns = [cohort.ids, *cohort.probs.T, *weights.T, fused,
+               label_names[poor_unweighted.astype(np.intp)], label_names[poor.astype(np.intp)]]
 
     if settings.get("format") == "json":
         document = {
@@ -299,12 +310,12 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
                 "prelim_threshold": resolved.prelim_threshold,
                 "final_threshold": resolved.final_threshold,
             },
-            "patients": [dict(zip(header, row)) for row in table],
+            "patients": [dict(zip(header, row)) for row in zip(*(column.tolist() for column in columns))],
         }
-        text = _json_dumps(document)
+        _emit(_json_dumps(document), settings.get("out"))
     else:
-        text = _csv_text([header, *table])
-    _emit(text, settings.get("out"))
+        with _output(settings.get("out")) as handle:
+            write_csv_columns(handle, header, columns)
     return EXIT_OK
 
 
@@ -332,8 +343,11 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     if out is not None:  # without a file, stdout is the document alone
         _print_cv_table(variants)
 
-    text = _cv_table_csv(variants) if settings.get("format") == "csv" else _json_dumps(document)
-    _emit(text, out)
+    if settings.get("format") == "csv":
+        with _output(out) as handle:
+            _cv_table_csv(variants, handle)
+    else:
+        _emit(_json_dumps(document), out)
     return EXIT_OK
 
 
@@ -357,12 +371,11 @@ def _print_cv_table(variants: dict[str, dict]) -> None:
             print(f"note: {name}: {len(failures)} failed runs ({failures[0]}...)")
 
 
-def _cv_table_csv(variants: dict[str, dict]) -> str:
-    rows = [["model"] + [f"{m}_{s}" for m in MEASURES for s in ("mean", "std")]]
-    for name, variant in variants.items():
-        stats = [variant["measures"][measure] or {"mean": "", "std": ""} for measure in MEASURES]
-        rows.append([name] + [st[key] for st in stats for key in ("mean", "std")])
-    return _csv_text(rows)
+def _cv_table_csv(variants: dict[str, dict], handle: TextIO) -> None:
+    header = ["model"] + [f"{m}_{s}" for m in MEASURES for s in ("mean", "std")]
+    rows = [[name] + [(variant["measures"][m] or {"mean": "", "std": ""})[key] for m in MEASURES
+                      for key in ("mean", "std")] for name, variant in variants.items()]
+    write_csv_columns(handle, header, [np.array(column, dtype=object) for column in zip(*rows)])
 
 
 def _pick_variant(document: object, requested: str | None, path: str) -> dict:

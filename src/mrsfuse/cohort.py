@@ -11,6 +11,7 @@ import csv
 import enum
 import numbers
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
@@ -35,6 +36,9 @@ GOOD_MRS_MAX = 2  # disability grades 0-2 count as good outcome, 3-6 as poor
 
 CSV_REQUIRED_COLUMNS = ("patient_id", "age", "nihss", "mrs")
 CSV_MODULE_PREFIX = "p_"
+CSV_CHUNK_ROWS = 4096  # rows that write_csv_columns formats and writes at a time
+
+_CSV_QUOTED = re.compile('[,"\r\n]')  # a cell holding one of these is quoted, as csv.QUOTE_MINIMAL does
 
 # Violation reasons by field, formatted with the offending value.
 _REASONS = {
@@ -408,12 +412,32 @@ def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     if repeated:  # module names equal ignoring case
         raise ValidationError(f"{path}: duplicate column {repeated[0]!r}: module names must differ ignoring case")
     with atomic_output(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(
-            [pid, repr(age), nihss, "" if mrs is None else mrs, *map(repr, probs)]
-            for pid, age, nihss, probs, mrs in cohort.iter_rows()
-        )
+        write_csv_columns(handle, header, [cohort.ids, cohort.age, cohort.nihss, cohort.mrs, *cohort.probs.T])
+
+
+def write_csv_columns(handle: TextIO, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write a table of two or more row-aligned columns, byte for byte as the csv module writes its rows.
+
+    A column of numbers (float, integer or bool) is formatted by ``str`` in one pass; any other
+    column cell by cell: None empty, anything else by ``str``, quoted when it holds a comma, a
+    quote or a line break. Rows end in ``\\r\\n`` and go out ``CSV_CHUNK_ROWS`` at a time, so the
+    text of a large table is never held whole.
+    """
+    handle.write(",".join(map(_csv_quote, header)) + "\r\n")
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        cells = [_csv_cells(column[start:start + CSV_CHUNK_ROWS]) for column in columns]
+        handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _csv_cells(column: np.ndarray) -> list[str]:
+    values = column.tolist()
+    if column.dtype.kind in "biuf":  # the text of a number never needs quotes
+        return list(map(str, values))
+    return [_csv_quote("" if v is None else str(v)) for v in values]
+
+
+def _csv_quote(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
 
 
 @contextmanager

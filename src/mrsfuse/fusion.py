@@ -68,7 +68,8 @@ class FusionConfig:
             if value is not None and not (is_number(value) and 0.0 < value < 1.0):
                 raise ConfigError((name, "must lie in (0, 1)", value))
         if self.strategy == "fixed" and (self.prelim_threshold is None or self.final_threshold is None):
-            raise ConfigError("strategy 'fixed' requires explicit prelim and final thresholds")
+            raise ConfigError(("strategy", "must not be 'fixed' without explicit 'prelim_threshold' and 'final_threshold'",
+                               self.strategy))
 
     def is_resolved(self) -> bool:
         """True when thresholds are concrete and the normalizer is present if needed."""

@@ -39,7 +39,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "module_aucs", tuple(float(a) for a in self.module_aucs))
+        if isinstance(self.module_names, str):  # a bare string would read as one module per letter
+            raise ConfigError(("module_names", "must be a sequence of strings, not a string", self.module_names))
+        object.__setattr__(self, "module_aucs", tuple(self.module_aucs))
         object.__setattr__(self, "module_names", tuple(self.module_names))
         require_int("n_patients", self.n_patients, 1, "a positive integer")
         if not (is_number(self.prevalence_poor) and 0.0 < self.prevalence_poor < 1.0):
@@ -50,8 +52,11 @@ class SyntheticSpec:
             )
         if not self.module_names:
             raise ConfigError("module list must not be empty")
+        for name in self.module_names:
+            if not isinstance(name, str):
+                raise ConfigError(f"module names must be strings, got {name!r}")
         for target in self.module_aucs:
-            if not 0.5 < target < 1.0:
+            if not (is_number(target) and 0.5 < target < 1.0):
                 raise ConfigError(f"module AUC targets must lie in (0.5, 1), got {target!r}")
         for name, rho in (("rho_age", self.rho_age), ("rho_nihss", self.rho_nihss)):
             if not (is_number(rho) and 0.0 <= rho <= 1.0):

@@ -1,8 +1,9 @@
-"""Shared fixtures: the published worked-example rows and a CLI runner."""
+"""Shared fixtures: the published worked-example rows, a CLI runner and the CSV writer's oracle."""
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -10,6 +11,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
+
+from mrsfuse.cohort import CSV_CHUNK_ROWS
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -113,3 +117,26 @@ def run_cli(
         cwd=cwd,
         env=env,
     )
+
+
+def csv_writer_bytes(rows) -> bytes:
+    """The rows as ``csv.writer`` writes them, UTF-8 encoded: the oracle of the column-wise writer."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+# cells csv quotes (a comma, a quote, a line break) beside ones it leaves bare (NUL, spaces, non-ASCII, empty)
+WRITER_IDS = st.text(alphabet=[",", '"', "\r", "\n", "\x00", " ", "é", "a"], max_size=5)
+# module names holding a quote or a comma; names equal ignoring case would share a column
+WRITER_MODULE_NAMES = st.lists(st.text(alphabet='a,"é ', min_size=1, max_size=4), min_size=1, max_size=3,
+                               unique_by=str.lower).map(tuple)
+# each side of a chunk boundary
+CHUNK_EDGE_ROWS = [1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1]
+
+
+def cycled(draw, strategy, n: int) -> list:
+    """n values taking a few drawn ones in turn, so that a table of thousands of rows costs a few draws."""
+    drawn = draw(st.lists(strategy, min_size=1, max_size=5))
+    return [drawn[i % len(drawn)] for i in range(n)]
+

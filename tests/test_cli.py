@@ -2,25 +2,40 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mrsfuse.cli
 import mrsfuse.cohort
 import mrsfuse.crossval
 from conftest import (
+    CHUNK_EDGE_ROWS,
     REFERENCE_PRELIM_THRESHOLD,
     SRC_DIR,
     TABLE_CONSISTENT_FINAL_THRESHOLD,
+    WRITER_IDS,
+    WRITER_MODULE_NAMES,
+    csv_writer_bytes,
+    cycled,
     panel_rows,
     run_cli,
 )
+from mrsfuse import ClinicalNormalizer, Cohort, FusionConfig, OutcomeLabel, read_cohort_csv, write_cohort_csv
+from mrsfuse.cohort import module_column
+from mrsfuse.fusion import fuse_rows
+from mrsfuse.metrics import MEASURES
 
 NIHSS_FLAGS = (
     "--variable", "nihss", "--norm-min", "0", "--norm-max", "26",
@@ -117,6 +132,74 @@ class TestFuse:
         result = run_cli("fuse", "--cohort", str(tmp_path / "nope.csv"), "--variable", "none")
         assert result.returncode == 3
         assert "error: io" in result.stderr
+
+
+def _csv_writer_fuse_bytes(cohort_path: Path, config: FusionConfig) -> bytes:
+    """The table fuse built row by row for csv.writer before it streamed its columns, kept as its oracle."""
+    cohort = read_cohort_csv(cohort_path)
+    resolved, _ = mrsfuse.crossval.resolve_fold_config(cohort, config)
+    _, weights, fused, poor = fuse_rows(cohort, resolved)
+    poor_unweighted = fuse_rows(cohort, replace(resolved, clinical_variable="none", normalizer=None))[3]
+    label_names = [str(label) for label in OutcomeLabel]
+    header = (
+        ["patient_id"] + [module_column(name) for name in cohort.module_names]
+        + [f"w_{name.lower()}" for name in cohort.module_names]
+        + ["fused_prob", "label_unweighted", "label_weighted"]
+    )
+    table = [
+        [pid, *probs, *w, f, label_names[unweighted], label_names[weighted]]
+        for pid, probs, w, f, unweighted, weighted in zip(
+            cohort.ids.tolist(), cohort.probs.tolist(), weights.tolist(), fused.tolist(),
+            poor_unweighted.tolist(), poor.tolist(),
+        )
+    ]
+    return csv_writer_bytes([header, *table])
+
+
+_FIXED = ["--strategy", "fixed"]
+FUSE_SETTINGS = [
+    (["--variable", "age", "--norm-min", "20", "--norm-max", "95", "--tau", "0.5", "--tau-star", "0.5", *_FIXED],
+     FusionConfig("age", ClinicalNormalizer("age", 20.0, 95.0), 0.5, 0.5, "fixed")),
+    (["--variable", "nihss", "--norm-min", "0", "--norm-max", "26", "--tau", "0.4", "--tau-star", "0.45", *_FIXED],
+     FusionConfig("nihss", ClinicalNormalizer("nihss", 0.0, 26.0), 0.4, 0.45, "fixed")),
+    (["--variable", "none", "--tau", "0.3", "--tau-star", "0.6", *_FIXED],
+     FusionConfig("none", None, 0.3, 0.6, "fixed")),
+]
+
+
+@st.composite
+def valid_cohorts(draw):
+    """Cohorts that pass validation, with ids and module names that csv must quote."""
+    module_names = draw(WRITER_MODULE_NAMES)
+    n = draw(st.sampled_from(CHUNK_EDGE_ROWS))  # an empty cohort fails validation
+    unit = st.floats(0.0, 1.0)
+    # the "#i" suffix keeps ids unique and non-empty once the reader strips them
+    ids = [f"{text}#{i}" for i, text in enumerate(cycled(draw, WRITER_IDS, n))]
+    probs = np.array(cycled(draw, st.tuples(*[unit] * len(module_names)), n)).reshape(n, len(module_names))
+    return Cohort.of_columns(
+        module_names, np.array(ids, dtype=object), probs, np.array(cycled(draw, st.floats(0.0, 120.0), n)),
+        np.array(cycled(draw, st.integers(0, 42), n), dtype=np.int64),
+        np.array(cycled(draw, st.none() | st.integers(0, 6), n), dtype=object),
+    )
+
+
+class TestFuseCsvOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(valid_cohorts(), st.sampled_from(FUSE_SETTINGS))
+    def test_stdout_and_out_bytes_match_the_csv_writer(self, cohort, fuse_settings):
+        flags, config = fuse_settings
+        with tempfile.TemporaryDirectory() as tmp:
+            cohort_path, out, empty = Path(tmp) / "cohort.csv", Path(tmp) / "fused.csv", Path(tmp) / "empty.json"
+            write_cohort_csv(cohort, cohort_path)
+            empty.write_text("{}", encoding="utf-8")  # shadows any MRSFUSE_CONFIG
+            argv = ["fuse", "--cohort", str(cohort_path), "--config", str(empty), *flags]
+            stdout = io.StringIO(newline="")
+            with contextlib.redirect_stdout(stdout):
+                assert mrsfuse.cli.main(argv) == 0
+            assert mrsfuse.cli.main([*argv, "--out", str(out)]) == 0
+            expected = _csv_writer_fuse_bytes(cohort_path, config)
+            assert stdout.getvalue().encode("utf-8") == expected
+            assert out.read_bytes() == expected
 
 
 class TestValidate:
@@ -257,6 +340,14 @@ class TestSynth:
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: {spec}: not UTF-8")
 
+    def test_non_string_module_name_in_spec_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a number among the names used to escape as an AttributeError from the CSV header
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_patients": 5, "module_names": [3], "module_aucs": [0.7]}), encoding="utf-8")
+        assert mrsfuse.cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == "error: invalid synthetic spec: module names must be strings, got 3\n"
+        assert not (tmp_path / "c.csv").exists()
+
     def test_non_numeric_module_aucs_exit_2(self, tmp_path):
         result = run_cli("synth", "--n-patients", "10", "--module-aucs", "a,b",
                          "--out", str(tmp_path / "c.csv"))
@@ -368,6 +459,17 @@ class TestCv:
         assert [row["model"] for row in rows] == ["ADC", "DWI", "ensemble"]
         assert all("auc_mean" in row for row in rows)
 
+    def test_csv_bytes_match_the_csv_writer(self, cohort_csv, monkeypatch, capsys):
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        argv = ["cv", "--cohort", str(cohort_csv), "--variable", "age", "--k", "3", "--runs", "2"]
+        assert mrsfuse.cli.main(argv) == 0
+        variants = json.loads(capsys.readouterr().out)["variants"]
+        assert mrsfuse.cli.main([*argv, "--format", "csv"]) == 0
+        header = ["model"] + [f"{m}_{s}" for m in MEASURES for s in ("mean", "std")]
+        rows = [[name] + [(variant["measures"][m] or {"mean": "", "std": ""})[s] for m in MEASURES
+                          for s in ("mean", "std")] for name, variant in variants.items()]
+        assert capsys.readouterr().out.encode("utf-8") == csv_writer_bytes([header, *rows])
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_stdout_is_the_document_without_out(self, cohort_csv, tmp_path, monkeypatch, capsys, fmt):
         # the measures table is printed only beside a file, so `cv > summary` is usable
@@ -473,16 +575,16 @@ class TestConfigFile:
         assert mrsfuse.cli.main(["cv", "--cohort", str(cohort), "--config", str(config), *flags]) == 2
         assert capsys.readouterr().err == f"error: {config}: {problem}\n"
 
-    @pytest.mark.parametrize("key, field, document, flags", [
-        ("k", "k", {"k": 1}, ["--k", "1"]),
-        ("runs", "n_runs", {"runs": 0}, ["--runs", "0"]),
-        ("seed", "base_seed", {"seed": -1}, ["--seed", "-1"]),
-        ("tau", "prelim_threshold", {"tau": 1.5}, ["--tau", "1.5"]),
-        ("tau_star", "final_threshold", {"tau_star": 0.0}, ["--tau-star", "0"]),
-        ("norm_max", "max", {"norm_min": 5.0, "norm_max": 1.0}, ["--norm-min", "5", "--norm-max", "1"]),
+    @pytest.mark.parametrize("key, flag, document, flags", [
+        ("k", "--k", {"k": 1}, ["--k", "1"]),
+        ("runs", "--runs", {"runs": 0}, ["--runs", "0"]),
+        ("seed", "--seed", {"seed": -1}, ["--seed", "-1"]),
+        ("tau", "--tau", {"tau": 1.5}, ["--tau", "1.5"]),
+        ("tau_star", "--tau-star", {"tau_star": 0.0}, ["--tau-star", "0"]),
+        ("norm_max", "--norm-max", {"norm_min": 5.0, "norm_max": 1.0}, ["--norm-min", "5", "--norm-max", "1"]),
     ], ids=["k", "runs", "seed", "tau", "tau_star", "reversed_bounds"])
-    def test_one_rule_reads_alike_from_flag_and_file(self, tmp_path, capsys, monkeypatch, key, field, document, flags):
-        # the file line is the flag line with the config key in place of the field name
+    def test_one_rule_reads_alike_from_flag_and_file(self, tmp_path, capsys, monkeypatch, key, flag, document, flags):
+        # the file line is the flag line with the config key in place of each flag
         monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
         cohort = tmp_path / "cohort.csv"
         cohort.write_text("patient_id,age,nihss,mrs,p_adc\na,60,5,1,0.3\n", encoding="utf-8")
@@ -490,16 +592,16 @@ class TestConfigFile:
         config.write_text(json.dumps(document), encoding="utf-8")
         assert mrsfuse.cli.main(["cv", "--cohort", str(cohort), "--variable", "age", *flags]) == 2
         flag_line = capsys.readouterr().err
-        assert flag_line.startswith(f"error: {field} ")
-        rest = flag_line.removeprefix(f"error: {field}").replace("'min'", "'norm_min'")
+        assert flag_line.startswith(f"error: {flag} ")
+        rest = flag_line.removeprefix(f"error: {flag}").replace("--norm-min", "'norm_min'")
         assert mrsfuse.cli.main(["cv", "--cohort", str(cohort), "--variable", "age", "--config", str(config)]) == 2
         assert capsys.readouterr().err == f"error: {config}: config key {key!r}{rest}"
 
     @pytest.mark.parametrize("document, flags, line", [
         ({"norm_min": 0}, [], "{config}: config key 'norm_min' must be given together with 'norm_max', got 0"),
         ({"norm_max": 26}, [], "{config}: config key 'norm_max' must be given together with 'norm_min', got 26"),
-        ({"norm_min": 0}, ["--norm-min", "1"], "--norm-min and --norm-max must be given together"),
-        ({}, ["--norm-max", "26"], "--norm-min and --norm-max must be given together"),
+        ({"norm_min": 0}, ["--norm-min", "1"], "--norm-min must be given together with --norm-max, got 1.0"),
+        ({}, ["--norm-max", "26"], "--norm-max must be given together with --norm-min, got 26.0"),
     ], ids=["file_min", "file_max", "flag_over_file", "flag"])
     def test_lone_bound_names_its_source(self, tmp_path, capsys, monkeypatch, document, flags, line):
         monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
@@ -511,9 +613,10 @@ class TestConfigFile:
         assert capsys.readouterr().err == "error: " + line.format(config=config) + "\n"
 
     @pytest.mark.parametrize("argv, document, line", [
-        (["validate", "--tau", "1.5"], {}, "prelim_threshold must lie in (0, 1), got 1.5"),
-        (["validate"], {"strategy": "fixed"}, "strategy 'fixed' requires explicit prelim and final thresholds"),
-        (["fuse", "--tau", "1.5"], {"cohort": "missing.csv"}, "prelim_threshold must lie in (0, 1), got 1.5"),
+        (["validate", "--tau", "1.5"], {}, "--tau must lie in (0, 1), got 1.5"),
+        (["validate"], {"strategy": "fixed"},
+         "{config}: config key 'strategy' must not be 'fixed' without explicit 'tau' and 'tau_star', got 'fixed'"),
+        (["fuse", "--tau", "1.5"], {"cohort": "missing.csv"}, "--tau must lie in (0, 1), got 1.5"),
     ], ids=["validate_flag", "validate_file", "fuse_missing_cohort"])
     def test_settings_are_built_before_the_cohort_is_read(self, tmp_path, capsys, monkeypatch, argv, document, line):
         # a bad setting stops every command before the cohort is read, validate included
@@ -523,7 +626,44 @@ class TestConfigFile:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"cohort": str(cohort), **document}), encoding="utf-8")
         assert mrsfuse.cli.main([*argv, "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"error: {line.format(config=config)}\n")
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--variable", "none", "--norm-min", "0", "--norm-max", "26"],
+         "--variable must not be 'none' when --norm-min and --norm-max are given, got 'none'"),
+        (["--norm-min", "inf", "--norm-max", "3"], "--norm-min must be a finite number, got inf"),
+        (["--norm-min", "5", "--norm-max", "1"], "--norm-max must be greater than --norm-min (5.0), got 1.0"),
+        (["--tau", "1.5"], "--tau must lie in (0, 1), got 1.5"),
+        (["--tau-star", "0"], "--tau-star must lie in (0, 1), got 0.0"),
+        (["--runs", "0"], "--runs must be an integer >= 1, got 0"),
+        (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+        (["--k", "1"], "--k must be an integer >= 2, got 1"),
+        (["--strategy", "fixed", "--tau", "0.4"],
+         "--strategy must not be 'fixed' without explicit --tau and --tau-star, got 'fixed'"),
+    ], ids=["variable", "norm_min", "norm_max", "tau", "tau_star", "runs", "seed", "k", "strategy"])
+    def test_flag_lines_name_the_flag(self, tmp_path, capsys, monkeypatch, flags, line):
+        # the fields the library names otherwise (max, base_seed, ...) are reported by the flag that set them
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        assert mrsfuse.cli.main(["cv", "--cohort", str(tmp_path / "missing.csv"), *flags]) == 2
         assert capsys.readouterr() == ("", f"error: {line}\n")
+
+    @pytest.mark.parametrize("document, flags, line", [
+        ({"strategy": "fixed"}, [], "config key 'strategy' must not be 'fixed' without explicit 'tau' and 'tau_star', "
+                                    "got 'fixed'"),
+        ({"variable": "none", "norm_min": 0, "norm_max": 26}, [],
+         "config key 'variable' must not be 'none' when 'norm_min' and 'norm_max' are given, got 'none'"),
+        ({"norm_min": 0, "norm_max": 26}, ["--variable", "none"],
+         "config key 'norm_min' needs a 'variable' other than 'none', got 0"),
+        ({"variable": "none"}, ["--norm-min", "0", "--norm-max", "26"],
+         "config key 'variable' must not be 'none' when 'norm_min' and 'norm_max' are given, got 'none'"),
+    ], ids=["fixed_without_thresholds", "bounds_without_variable", "file_bounds_flag_none", "file_none_flag_bounds"])
+    def test_cross_field_rules_name_file_and_key(self, tmp_path, capsys, monkeypatch, document, flags, line):
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        argv = ["fuse", "--cohort", str(tmp_path / "missing.csv"), "--config", str(config), *flags]
+        assert mrsfuse.cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {config}: {line}\n")
 
     @pytest.mark.parametrize("document, flags", [
         ({"k": 1}, ["--k", "2"]), ({"tau": 1.5}, ["--tau", "0.4"]), ({"variable": "height"}, ["--variable", "none"]),

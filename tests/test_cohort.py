@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import tempfile
@@ -29,7 +30,16 @@ from mrsfuse import (
     validate_cohort,
     write_cohort_csv,
 )
-from mrsfuse.cohort import CSV_REQUIRED_COLUMNS, DEFAULT_MODULE_NAMES, MRS_MAX, NIHSS_MAX, atomic_output
+from conftest import CHUNK_EDGE_ROWS, WRITER_IDS, WRITER_MODULE_NAMES, csv_writer_bytes, cycled
+from mrsfuse.cohort import (
+    CSV_REQUIRED_COLUMNS,
+    DEFAULT_MODULE_NAMES,
+    MRS_MAX,
+    NIHSS_MAX,
+    atomic_output,
+    module_column,
+    write_csv_columns,
+)
 
 
 def make_patient(pid="p1", age=60.0, nihss=10, probs=(0.1, 0.2, 0.3, 0.4, 0.5), mrs=2):
@@ -569,3 +579,55 @@ class TestCsvRoundTrip:
             loaded = read_cohort_csv(path)
         assert loaded == cohort
         assert [repr(row) for row in loaded.iter_rows()] == [repr(row) for row in cohort.iter_rows()]
+
+
+def _csv_writer_cohort_bytes(cohort):
+    """The csv.writer row path that write_cohort_csv replaced, kept as its oracle."""
+    header = list(CSV_REQUIRED_COLUMNS) + [module_column(name) for name in cohort.module_names]
+    return csv_writer_bytes([header] + [
+        [pid, repr(age), nihss, "" if mrs is None else mrs, *map(repr, probs)]
+        for pid, age, nihss, probs, mrs in cohort.iter_rows()
+    ])
+
+
+def _int_array(values: list, as_objects: bool) -> np.ndarray:
+    fits = all(v is not None and -2**63 <= v < 2**63 for v in values)
+    return np.array(values, dtype=np.int64 if fits and not as_objects else object)
+
+
+@st.composite
+def _writer_cohorts(draw):
+    module_names = draw(WRITER_MODULE_NAMES)
+    n = draw(st.sampled_from([0] + CHUNK_EDGE_ROWS))
+    probs = cycled(draw, st.tuples(*[st.floats()] * len(module_names)), n)  # NaN, infinities and -0.0 too
+    # int64 columns, or Python ints beyond int64 and missing grades as objects
+    as_objects = draw(st.booleans())
+    nihss = _int_array(cycled(draw, st.integers(-2**70, 2**70), n), as_objects)
+    mrs = _int_array(cycled(draw, st.none() | st.integers(-2**70, 2**70), n), as_objects)
+    return Cohort.of_columns(module_names, np.array(cycled(draw, WRITER_IDS, n), dtype=object),
+                             np.array(probs, dtype=float).reshape(n, len(module_names)),
+                             np.array(cycled(draw, st.floats(), n), dtype=float), nihss, mrs)
+
+
+class TestCsvWriterOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(_writer_cohorts())
+    def test_cohort_bytes_match_the_csv_writer(self, cohort):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cohort.csv"
+            write_cohort_csv(cohort, path)
+            assert path.read_bytes() == _csv_writer_cohort_bytes(cohort)
+
+    def test_every_column_kind_matches_the_csv_writer(self):
+        # kinds no cohort column has: bools, fixed-width text, and object cells of mixed types
+        columns = [
+            np.array([True, False, True]),
+            np.array(["x", 'say "y"', "a\r\nb"]),
+            np.array([np.float64(0.5), None, 10**30], dtype=object),
+            np.array([0.1, np.nan, -0.0], dtype=np.float32),
+            np.array([-1, 0, 2**40], dtype=np.int64),
+        ]
+        header = ["flag", "note,", 'q"', "line\nbreak", ""]
+        buffer = io.StringIO(newline="")
+        write_csv_columns(buffer, header, columns)
+        assert buffer.getvalue().encode("utf-8") == csv_writer_bytes([header, *zip(*(c.tolist() for c in columns))])

@@ -159,6 +159,25 @@ class TestSpecValidation:
             SyntheticSpec(**kwargs)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"module_aucs": ("0.7", " 0.8 "), "module_names": ("A", "B")},
+             "module AUC targets must lie in (0.5, 1), got '0.7'"),
+            ({"module_aucs": (0.7, True), "module_names": ("A", "B")},
+             "module AUC targets must lie in (0.5, 1), got True"),
+            ({"module_aucs": (0.7,) * 3, "module_names": "ADC"},
+             "module_names must be a sequence of strings, not a string, got 'ADC'"),
+            ({"module_aucs": (0.7,), "module_names": (3,)}, "module names must be strings, got 3"),
+        ],
+        ids=["text_aucs", "bool_auc", "bare_string_names", "number_name"],
+    )
+    def test_module_lists_are_not_coerced(self, kwargs, message):
+        # float("0.7") used to accept text AUCs, and tuple("ADC") made the modules A, D and C
+        with pytest.raises(ConfigError) as excinfo:
+            SyntheticSpec(n_patients=5, **kwargs)
+        assert str(excinfo.value) == message
+
     def test_round_trip_dict(self):
         spec = SyntheticSpec(n_patients=10, seed=3)
         assert SyntheticSpec(
