@@ -114,8 +114,13 @@ def normalize_clinical(value: float | np.ndarray, normalizer: ClinicalNormalizer
     Values at or below the lower bound, NaN and -0.0 included, map to +0.0. The value is
     clipped into the bounds before the subtraction, so a value far outside them cannot overflow.
     """
-    clipped = np.clip(value, normalizer.min, normalizer.max)
-    scaled = np.asarray((clipped - normalizer.min) / (normalizer.max - normalizer.min), dtype=float)
+    return scale_clamped(value, normalizer.min, normalizer.max)
+
+
+def scale_clamped(value: float | np.ndarray, lo: float | np.ndarray, hi: float | np.ndarray) -> float | np.ndarray:
+    """:func:`normalize_clinical` between bounds ``lo`` < ``hi``, which may be arrays aligned with ``value``."""
+    clipped = np.clip(value, lo, hi)
+    scaled = np.asarray((clipped - lo) / (hi - lo), dtype=float)
     clamped = np.where(scaled > 0.0, np.minimum(scaled, 1.0), 0.0)
     return clamped if clamped.ndim else float(clamped)
 
@@ -288,7 +293,7 @@ def _record_fault(p: PatientRecord, module_names: tuple[str, ...]) -> Violation 
         return Violation(pid, "module_probs", reason)
     for name, prob in zip(module_names, p.module_probs):
         if not is_number(prob):
-            return Violation(pid, module_column(name), _REASONS["probability"].format(prob))
+            return Violation(pid, module_column(str(name)), _REASONS["probability"].format(prob))
     return None
 
 
@@ -301,7 +306,10 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
     violations: list[Violation] = []
     if not cohort.module_names:
         violations.append(Violation(None, "module_names", "empty module list"))
-    if len(set(cohort.module_names)) != len(cohort.module_names):
+    unnamed = _non_string_module_name(cohort.module_names)
+    if unnamed:
+        violations.append(Violation(None, "module_names", unnamed))
+    elif len(set(cohort.module_names)) != len(cohort.module_names):
         violations.append(Violation(None, "module_names", "duplicate module names"))
     if len(cohort) == 0:
         violations.append(Violation(None, "patients", "empty cohort"))
@@ -320,7 +328,7 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
         ("nihss", _outside(cohort.nihss, NIHSS_MAX), cohort.nihss, _REASONS["nihss"]),
         ("mrs", _outside(cohort.mrs, MRS_MAX) & ~np.equal(cohort.mrs, None), cohort.mrs, _REASONS["mrs"]),
     ] + [
-        (module_column(name), ~((column >= 0.0) & (column <= 1.0)), column, _REASONS["probability"])
+        (module_column(str(name)), ~((column >= 0.0) & (column <= 1.0)), column, _REASONS["probability"])
         for name, column in zip(cohort.module_names, cohort.probs.T)
     ]
     found: list[tuple[int, Violation]] = []
@@ -335,6 +343,14 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
 def _module_name_from_column(column: str) -> str:
     suffix = column[len(CSV_MODULE_PREFIX):]
     return _CANONICAL_MODULES.get(suffix.lower(), suffix.upper())
+
+
+def _non_string_module_name(module_names: tuple[str, ...]) -> str | None:
+    """Why the first module name that is not a string cannot name a column, or None."""
+    for name in module_names:
+        if not isinstance(name, str):
+            return f"module names must be strings, got {name!r}"
+    return None
 
 
 def module_column(name: str) -> str:
@@ -407,6 +423,9 @@ def _parse_cohort_csv(handle: TextIO, path: Path) -> Cohort:
 
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     """Write a cohort in the standard CSV schema (atomically: temp file + rename)."""
+    unnamed = _non_string_module_name(cohort.module_names)
+    if unnamed:
+        raise ValidationError(f"{path}: {unnamed}")
     header = list(CSV_REQUIRED_COLUMNS) + [module_column(name) for name in cohort.module_names]
     repeated = [column for i, column in enumerate(header) if column in header[:i]]
     if repeated:  # module names equal ignoring case

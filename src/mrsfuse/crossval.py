@@ -4,27 +4,29 @@ Each run reshuffles the fold assignment from a seed derived from
 (base_seed, run_index); fusion itself is deterministic. All model
 variants share each run's folds, drawn once. Thresholds and normalizer
 bounds are resolved on the training folds only; module scores are sorted
-once per cohort, and equal searches run once. Predictions are pooled over
-the test folds of a run, and per-run reports are aggregated into means and
-standard deviations across runs. Degenerate folds are recorded as run-level
-failures instead of aborting the evaluation.
+once per cohort, and equal searches run once. Each variant fuses a run's
+rows in one call, every row under its own fold's resolution. Predictions
+are pooled over the test folds of a run, and per-run reports are
+aggregated into means and standard deviations across runs. Degenerate
+folds are recorded as run-level failures instead of aborting the
+evaluation.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cohort import Cohort, OutcomeLabel, as_plain, validate_cohort
-from .errors import ConfigError, DegenerateDataError, ValidationError, require_int
+from .cohort import ClinicalNormalizer, Cohort, OutcomeLabel, as_plain, scale_clamped, validate_cohort
+from .errors import ConfigError, DegenerateDataError, ValidationError, is_number, require_int
 from .fusion import (
     FusionConfig,
     fuse_matrix,
-    fuse_rows,
-    normalized_covariate,
+    is_poor,
     normalizer_from_patients,
     search_sorted_threshold,
     search_threshold,
@@ -170,48 +172,82 @@ def _searched(value: float, what: str) -> float:
     return value
 
 
-def resolve_fold_config(
-    train: Cohort, config: FusionConfig, fold_index: int = 0, search_modules: Callable[[str], float] | None = None
-) -> tuple[FusionConfig, FoldResolution]:
-    """Make thresholds and normalizer concrete using training patients only.
+def resolve_folds(
+    rows: Cohort, train_rows: Sequence[np.ndarray], config: FusionConfig, search_modules: Callable[[int, str], float]
+) -> list[FoldResolution]:
+    """Make thresholds and normalizer concrete per training fold, fold f being the rows ``train_rows[f]``.
 
     Threshold searches need labeled training patients; a fully fixed config
-    resolves without reading any outcome. ``search_modules(strategy)`` is the
-    search over every training module score (by default run here, once per
-    strategy). A single-module config reuses it as its final search: its
-    fused scores are its module scores bit for bit (weight 1.0, row sum from 0).
+    resolves without reading any outcome. ``search_modules(f, strategy)`` is
+    the search over every module score of training fold f. A single-module
+    config reuses it as its final search: its fused scores are its module
+    scores bit for bit (weight 1.0, row sum from 0). A multi-module config
+    fuses the training rows of every fold in one call, then searches each
+    fold's share. The error raised is the first one met fold by fold: the
+    normalizer, the preliminary threshold, the final threshold, then the
+    next fold.
     """
-    if search_modules is None:
-        # every module score of every patient, patient by patient
-        search_modules = functools.cache(lambda strategy: search_threshold(
-            train.probs.ravel(), np.repeat(train.outcomes(), train.probs.shape[1]), strategy))
-    resolved = config
-    if resolved.clinical_variable != "none" and resolved.normalizer is None:
-        resolved = replace(resolved, normalizer=normalizer_from_patients(train, resolved.clinical_variable))
+    resolutions: list[FoldResolution] = []
+    stop = None  # the error of the first fold whose normalizer or preliminary threshold fails
+    for fold_index, train in enumerate(train_rows):
+        try:
+            norm = config.normalizer
+            if config.clinical_variable != "none" and norm is None:
+                norm = normalizer_from_patients(rows, config.clinical_variable, train)
+            prelim = config.prelim_threshold
+            if prelim is None:
+                prelim = _searched(search_modules(fold_index, config.strategy), "preliminary threshold")
+        except (DegenerateDataError, ValidationError) as exc:  # raised after the earlier folds' final searches
+            stop = exc
+            break
+        bounds = (None, None) if norm is None else (norm.min, norm.max)
+        resolutions.append(FoldResolution(fold_index, prelim, config.final_threshold, *bounds))
 
-    prelim = resolved.prelim_threshold
-    if prelim is None:
-        prelim = _searched(search_modules(resolved.strategy), "preliminary threshold")
-
-    final = resolved.final_threshold
-    if final is None:
-        if train.probs.shape[1] == 1:
-            value = search_modules(resolved.strategy)
+    if config.final_threshold is None and resolutions:
+        if rows.probs.shape[1] == 1:
+            values = (search_modules(r.fold_index, config.strategy) for r in resolutions)
         else:
-            _, _, fused_scores = fuse_matrix(train.probs, normalized_covariate(train, resolved), prelim)
-            value = search_threshold(fused_scores, train.outcomes(), resolved.strategy)
-        final = _searched(value, "final threshold")
+            trains = train_rows[:len(resolutions)]
+            sizes = [len(train) for train in trains]
+            fused = _fuse_by_fold(rows, np.concatenate(trains), np.repeat(np.arange(len(trains)), sizes),
+                                  config, resolutions)
+            truth = rows.outcomes()
+            values = (search_threshold(scores, truth[train], config.strategy)
+                      for scores, train in zip(np.split(fused, np.cumsum(sizes[:-1])), trains))
+        resolutions = [FoldResolution(r.fold_index, r.prelim_threshold, _searched(value, "final threshold"),
+                                      r.norm_min, r.norm_max) for r, value in zip(resolutions, values)]
+    if stop is not None:
+        raise stop
+    return resolutions
 
-    resolved = replace(resolved, prelim_threshold=prelim, final_threshold=final)
-    norm = resolved.normalizer
-    resolution = FoldResolution(
-        fold_index=fold_index,
-        prelim_threshold=prelim,
-        final_threshold=final,
-        norm_min=None if norm is None else norm.min,
-        norm_max=None if norm is None else norm.max,
-    )
-    return resolved, resolution
+
+def resolve_fold_config(
+    train: Cohort, config: FusionConfig, fold_index: int = 0
+) -> tuple[FusionConfig, FoldResolution]:
+    """:func:`resolve_folds` of one training fold, every row of ``train``, as a resolved config."""
+    # every module score of every patient, patient by patient
+    search = functools.cache(lambda strategy: search_threshold(
+        train.probs.ravel(), np.repeat(train.outcomes(), train.probs.shape[1]), strategy))
+    (resolution,) = resolve_folds(train, [np.arange(len(train))], config, lambda _, strategy: search(strategy))
+    norm = config.normalizer
+    if norm is None and resolution.norm_min is not None:
+        norm = ClinicalNormalizer(config.clinical_variable, resolution.norm_min, resolution.norm_max)
+    resolved = replace(config, normalizer=norm, prelim_threshold=resolution.prelim_threshold,
+                       final_threshold=resolution.final_threshold)
+    return resolved, replace(resolution, fold_index=fold_index)
+
+
+def _fuse_by_fold(
+    rows: Cohort, at: np.ndarray | slice, fold_of: np.ndarray, config: FusionConfig,
+    resolutions: Sequence[FoldResolution],
+) -> np.ndarray:
+    """Fused scores of the rows ``at``, the i-th fused as fold ``fold_of[i]`` resolved it (threshold and bounds)."""
+    prelim = np.array([r.prelim_threshold for r in resolutions])[fold_of, None]
+    covariate = None
+    if config.clinical_variable != "none":
+        lo, hi = (np.array(bounds)[fold_of] for bounds in zip(*((r.norm_min, r.norm_max) for r in resolutions)))
+        covariate = scale_clamped(rows.covariate(config.clinical_variable)[at], lo, hi)
+    return fuse_matrix(rows.probs[at], covariate, prelim)[2]
 
 
 def ensemble_name(config: FusionConfig) -> str:
@@ -262,28 +298,24 @@ def evaluate_variants(
             for name in configs:
                 failures[name].append(f"run {run_index}: {exc}")
             continue
-        parts = [(cohort.take(fold.train_rows), cohort.take(fold.test_rows)) for fold in folds]
-        in_train = [np.bincount(fold.train_rows, minlength=len(cohort)) > 0 for fold in folds]
+        train_rows = [fold.train_rows for fold in folds]
+        fold_of = np.empty(len(cohort), dtype=np.intp)  # each row's test fold
+        for fold_index, fold in enumerate(folds):
+            fold_of[fold.test_rows] = fold_index
 
         @functools.cache
-        def search(fold_index: int, modules: tuple[str, ...], strategy: str) -> float:
+        def search(modules: tuple[str, ...], fold_index: int, strategy: str) -> float:
             # the training fold's scores, a masked subsequence of the presorted ones
             scores, rows, truths = presorted[modules]
-            keep = in_train[fold_index][rows]
+            keep = fold_of[rows] != fold_index
             return search_sorted_threshold(scores[keep], truths[keep], strategy)
 
         for name, (config, module) in configs.items():
+            view = views[module]
             try:
-                resolutions: list[FoldResolution] = []
-                fused = np.empty(len(cohort))
-                predicted = np.empty(len(cohort), dtype=np.int8)
-                for fold_index, (fold, (train, test)) in enumerate(zip(folds, parts)):
-                    if module is not None:
-                        train, test = train.single_module_view(module), test.single_module_view(module)
-                    shared = functools.partial(search, fold_index, train.module_names)
-                    resolved, resolution = resolve_fold_config(train, config, fold_index, shared)
-                    resolutions.append(resolution)
-                    fused[fold.test_rows], predicted[fold.test_rows] = fuse_rows(test, resolved)[2:]
+                resolutions = resolve_folds(view, train_rows, config, functools.partial(search, view.module_names))
+                fused = _fuse_by_fold(view, slice(None), fold_of, config, resolutions)
+                predicted = is_poor(fused, np.array([r.final_threshold for r in resolutions])[fold_of])
                 run_report = report(predicted=predicted, fused_probs=fused, truth=truth)
                 runs[name].append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))
             except DegenerateDataError as exc:
@@ -306,6 +338,14 @@ def evaluate_per_module(cohort: Cohort, plan: CvPlan) -> dict[str, RunSummary]:
     return evaluate_variants(cohort, plan, {name: (MODULE_BASELINE, name) for name in cohort.module_names})
 
 
+def _summary_value(record: dict, key: str, kind: type = numbers.Real) -> object:
+    """``record[key]``, which must be a number of ``kind`` other than a bool."""
+    value = record[key]
+    if not is_number(value, kind):
+        raise TypeError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return value
+
+
 def compare_summary_dicts(
     a: dict, b: dict, measure: str, names: tuple[str, str] = ("a", "b")
 ) -> TestResult:
@@ -323,7 +363,8 @@ def compare_summary_dicts(
             raise ValidationError(f"malformed summary: {name}: missing seed_schedule")
         schedules.append(summary["seed_schedule"])
         try:
-            pairs.append([(r["run_index"], float(r["metrics"][measure])) for r in summary["runs"]])
+            pairs.append([(_summary_value(r, "run_index", int), float(_summary_value(r["metrics"], measure)))
+                          for r in summary["runs"]])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
             raise ValidationError(f"malformed summary: {name}: {detail}") from exc

@@ -97,7 +97,7 @@ def _check_unit(values: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} must be in [0, 1], got {float(values[outside][0])!r}")
 
 
-def _poor(scores: np.ndarray, threshold: float) -> np.ndarray:
+def is_poor(scores: np.ndarray, threshold: float | np.ndarray) -> np.ndarray:
     """The cut: a score at or below the threshold is good, any other (NaN included) poor."""
     return ~(scores <= threshold)
 
@@ -139,16 +139,19 @@ def _weighted_sums(weights: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def fuse_matrix(
-    probs: np.ndarray, covariate: np.ndarray | None, prelim_threshold: float
+    probs: np.ndarray, covariate: np.ndarray | None, prelim_threshold: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Poor votes (n, m), weights (n, m) and fused probabilities (n,) of n patients by m modules."""
+    """Poor votes (n, m), weights (n, m) and fused probabilities (n,) of n patients by m modules.
+
+    ``prelim_threshold`` is one cut for every patient, or an (n, 1) column of each patient's own.
+    """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2:
         raise ValidationError(f"probabilities must form an (n, m) matrix, got shape {p.shape}")
     if p.shape[1] == 0:
         raise ValidationError("cannot fuse an empty probability list")
     _check_unit(p, "module probability")
-    votes = _poor(p, prelim_threshold)
+    votes = is_poor(p, prelim_threshold)
     weights = _vote_weights(votes, covariate)
     return votes, weights, _weighted_sums(weights, p)
 
@@ -157,7 +160,7 @@ def derive_labels(probs: Sequence[float], threshold: float) -> tuple[OutcomeLabe
     """Preliminary per-module labels: probability <= threshold means good."""
     p = np.array([probs], dtype=float)
     _check_unit(p, "module probability")
-    return tuple(map(OutcomeLabel, _poor(p[0], threshold).tolist()))
+    return tuple(map(OutcomeLabel, is_poor(p[0], threshold).tolist()))
 
 
 def compute_weights(labels: Sequence[OutcomeLabel], covariate: float) -> tuple[float, ...]:
@@ -191,7 +194,7 @@ def fuse(probs: Sequence[float], weights: Sequence[float]) -> float:
 
 def classify(fused_probability: float, threshold: float) -> OutcomeLabel:
     """Final decision; a fused probability at or below the threshold is good."""
-    return OutcomeLabel(bool(_poor(np.float64(fused_probability), threshold)))
+    return OutcomeLabel(bool(is_poor(np.float64(fused_probability), threshold)))
 
 
 def normalized_covariate(rows: Cohort, config: FusionConfig) -> np.ndarray | None:
@@ -206,7 +209,7 @@ def fuse_rows(rows: Cohort, config: FusionConfig) -> tuple[np.ndarray, np.ndarra
     if not config.is_resolved():
         raise ConfigError("fusion config is not resolved: thresholds or normalizer missing")
     votes, weights, fused = fuse_matrix(rows.probs, normalized_covariate(rows, config), config.prelim_threshold)
-    return votes, weights, fused, _poor(fused, config.final_threshold)
+    return votes, weights, fused, is_poor(fused, config.final_threshold)
 
 
 def search_threshold(
@@ -273,9 +276,11 @@ def fuse_patient(record: PatientRecord, config: FusionConfig) -> FusionResult:
     )
 
 
-def normalizer_from_patients(cohort: Cohort, variable: str) -> ClinicalNormalizer:
-    """Min-max normalizer with bounds taken from the cohort's patients."""
-    values = cohort.covariate(variable)
+def normalizer_from_patients(
+    cohort: Cohort, variable: str, rows: np.ndarray | slice = slice(None)
+) -> ClinicalNormalizer:
+    """Min-max normalizer with bounds taken from the cohort's patients (those at ``rows``)."""
+    values = cohort.covariate(variable)[rows]
     if len(values) == 0:
         raise ValidationError("cannot derive normalizer bounds from an empty patient list")
     lo, hi = float(values.min()), float(values.max())

@@ -799,29 +799,41 @@ class TestCompare:
         assert result.stderr.startswith("error: malformed summary")
 
     @pytest.mark.parametrize(
-        "damage", ["non_numeric_measure", "missing_seed_schedule", "missing_runs", "missing_metrics"]
+        "damage", ["non_numeric_measure", "missing_seed_schedule", "missing_runs", "missing_metrics",
+                   "bool_measure", "text_measure", "float_run_index"]
     )
     def test_malformed_summary_names_the_bad_file(self, summaries, tmp_path, damage):
         out_a, _ = summaries
         document = json.loads(out_a.read_text())
         variant = document["variants"]["ensemble_w_nihss"]
+        problem = None  # what the error line names after the file, where this test pins it
         if damage == "non_numeric_measure":
             variant["runs"][0]["metrics"]["auc"] = "x"
+        elif damage == "bool_measure":  # compare takes no value that needs coercing
+            variant["runs"][0]["metrics"]["auc"] = True
+            problem = "auc must be a number, got True"
+        elif damage == "text_measure":
+            variant["runs"][0]["metrics"]["auc"] = " 0.5 "
+            problem = "auc must be a number, got ' 0.5 '"
+        elif damage == "float_run_index":
+            variant["runs"][0]["run_index"] = 0.0
+            problem = "run_index must be an integer, got 0.0"
         elif damage == "missing_seed_schedule":
             del variant["seed_schedule"]
         elif damage == "missing_runs":
             del variant["runs"]
+            problem = "missing key 'runs'"
         else:
             del variant["runs"][0]["metrics"]
+            problem = "missing key 'metrics'"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(document), encoding="utf-8")
         result = run_cli("compare", str(out_a), str(bad), "--measure", "auc")
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: malformed summary: {bad}: ")
         assert str(out_a) not in result.stderr
-        missing = {"missing_runs": "runs", "missing_metrics": "metrics"}.get(damage)
-        if missing:
-            assert result.stderr == f"error: malformed summary: {bad}: missing key {missing!r}\n"
+        if problem:
+            assert result.stderr == f"error: malformed summary: {bad}: {problem}\n"
 
     def test_overflowing_run_differences_leave_stderr_empty(self, tmp_path):
         # 1.7e308 - (-1.7e308) exceeds the largest float; numpy's overflow warning reached stderr

@@ -218,6 +218,20 @@ class TestValidateCohort:
         fields = {v.field for v in validate_cohort(cohort)}
         assert fields == {"patient_id", "age"}
 
+    @pytest.mark.parametrize("module_names, shown", [((3,), "3"), (("ADC", None), "None"), (([1],), "[1]")])
+    def test_non_string_module_name_is_a_cohort_violation(self, module_names, shown):
+        patient = make_patient(probs=(0.3,) * len(module_names))
+        violations = validate_cohort(Cohort(module_names=module_names, patients=(patient,)))
+        assert violations == [Violation(None, "module_names", f"module names must be strings, got {shown}")]
+
+    def test_non_string_module_name_keeps_the_patient_findings(self):
+        cohort = Cohort(module_names=(3,), patients=(make_patient(probs=(1.3,), nihss=43),))
+        assert [str(v) for v in validate_cohort(cohort)] == [
+            "<cohort>: module_names: module names must be strings, got 3",
+            "p1: nihss: nihss must be an integer in 0..42, got 43",
+            "p1: p_3: probability must be in [0, 1], got 1.3",
+        ]
+
     def test_missing_mrs_allowed_but_outcome_raises(self):
         patient = make_patient(mrs=None)
         assert validate_cohort(Cohort(patients=(patient,))) == []
@@ -232,6 +246,14 @@ class TestCohortCsv:
         write_cohort_csv(cohort, path)
         loaded = read_cohort_csv(path)
         assert loaded == cohort
+
+    def test_non_string_module_name_is_not_written(self, tmp_path: Path):
+        cohort = Cohort(module_names=(3,), patients=(make_patient(probs=(0.3,)),))
+        path = tmp_path / "cohort.csv"
+        with pytest.raises(ValidationError) as excinfo:
+            write_cohort_csv(cohort, path)
+        assert str(excinfo.value) == f"{path}: module names must be strings, got 3"
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_order_follows_header(self, tmp_path: Path):
         path = tmp_path / "c.csv"

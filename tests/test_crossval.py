@@ -436,6 +436,45 @@ class TestEvaluateVariants:
         )
         assert summaries["CBF"].failures == () and len(summaries["CBF"].runs) == 2
 
+    def test_earliest_fold_error_names_the_run(self):
+        # fold 0 collapses in its final search, fold 1 already in its preliminary one;
+        # the run reports fold 0's error, as resolving fold by fold meets it first
+        probs = [(0.4, 0.6), (0.6, 0.2), (0.4, 0.8), (0.6, 0.2), (0.4, 0.4), (0.2, 0.4)]
+        mrs = [6, 1, 1, 1, 4, 5]
+        patients = [PatientRecord(f"p{i}", 60.0, 5, p, grade) for i, (p, grade) in enumerate(zip(probs, mrs))]
+        cohort = Cohort(module_names=("A", "B"), patients=patients)
+        plan = CvPlan(k=3, n_runs=1, base_seed=0)
+        folds = make_folds(cohort, plan, 0)
+        with pytest.raises(DegenerateDataError, match=r"^preliminary threshold search collapsed"):
+            resolve_fold_config(cohort.take(folds[1].train_rows), UNWEIGHTED)
+        summary = evaluate_variants(cohort, plan, {"ensemble": (UNWEIGHTED, None)})["ensemble"]
+        assert summary.failures == ("run 0: final threshold search collapsed to the boundary (0.0)",)
+        assert summary.as_dict() == _seed_evaluate_model(cohort, plan, UNWEIGHTED, "ensemble").as_dict()
+
+    def test_one_fusion_per_variant_and_run(self, monkeypatch, cohort119):
+        # rows fused per call: all n test rows once per variant, and one stacked
+        # training call per multi-module variant that searches its final threshold
+        sizes = []
+        fuse = mrsfuse.crossval.fuse_matrix
+        monkeypatch.setattr(mrsfuse.crossval, "fuse_matrix",
+                            lambda probs, *args: sizes.append(len(probs)) or fuse(probs, *args))
+        monkeypatch.setattr(Cohort, "take", lambda *a: pytest.fail("a fold was copied"))
+        plan = CvPlan(k=5, n_runs=3, base_seed=2)
+        fixed_final = FusionConfig("nihss", prelim_threshold=0.4, final_threshold=0.45, strategy="fixed")
+        configs = {name: (UNWEIGHTED, name) for name in cohort119.module_names}
+        configs.update({"ensemble": (UNWEIGHTED, None), "weighted": (FusionConfig("age"), None),
+                        "fixed": (fixed_final, None)})
+        summaries = evaluate_variants(cohort119, plan, configs)
+        assert all(not summary.failures for summary in summaries.values())
+        n = len(cohort119)
+        per_run = [n] * len(configs) + [(plan.k - 1) * n] * 2  # each row trains in k - 1 folds
+        assert sorted(sizes) == sorted(per_run * plan.n_runs)
+
+    def test_non_string_module_name_is_a_validation_error(self):
+        cohort = Cohort(module_names=(3,), patients=[PatientRecord("a", 60.0, 5, (0.3,), 1)])
+        with pytest.raises(ValidationError, match="module names must be strings, got 3"):
+            evaluate_variants(cohort, CvPlan(k=2, n_runs=1), {"ensemble": (UNWEIGHTED, None)})
+
     def test_unknown_module(self, cohort119):
         with pytest.raises(ConfigError, match="unknown module"):
             evaluate_variants(cohort119, CvPlan(k=5, n_runs=1), {"x": (UNWEIGHTED, "XYZ")})
