@@ -145,8 +145,15 @@ def _add_shared_flags(parser: argparse.ArgumentParser, output: bool) -> None:
         parser.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so they print as one ``error:`` line."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mrsfuse",
         description="Covariate-weighted late fusion and evaluation for binary outcome prediction.",
     )
@@ -465,9 +472,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ValidationError, ConfigError, DegenerateDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

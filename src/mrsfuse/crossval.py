@@ -5,7 +5,7 @@ Each run reshuffles the fold assignment from a seed derived from
 variants share each run's folds, drawn once. Thresholds and normalizer
 bounds are resolved on the training folds only; module scores are sorted
 once per cohort, and equal searches run once. Each variant fuses a run's
-rows in one call, every row under its own fold's resolution. Predictions
+test rows in one call, every row under its own fold's resolution. Predictions
 are pooled over the test folds of a run, and per-run reports are
 aggregated into means and standard deviations across runs. Degenerate
 folds are recorded as run-level failures instead of aborting the
@@ -15,6 +15,7 @@ evaluation.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -136,8 +137,6 @@ def make_folds(cohort: Cohort, plan: CvPlan, run_index: int) -> list[Fold]:
     n = len(cohort)
     if n == 0:
         raise ValidationError("cannot fold an empty cohort")
-    if not cohort.is_labeled():
-        raise ValidationError("cross-validation requires mrs for every patient")
     if plan.k > n:
         raise ValidationError(f"k={plan.k} exceeds cohort size {n}")
 
@@ -177,47 +176,35 @@ def resolve_folds(
 ) -> list[FoldResolution]:
     """Make thresholds and normalizer concrete per training fold, fold f being the rows ``train_rows[f]``.
 
-    Threshold searches need labeled training patients; a fully fixed config
-    resolves without reading any outcome. ``search_modules(f, strategy)`` is
-    the search over every module score of training fold f. A single-module
-    config reuses it as its final search: its fused scores are its module
-    scores bit for bit (weight 1.0, row sum from 0). A multi-module config
-    fuses the training rows of every fold in one call, then searches each
-    fold's share. The error raised is the first one met fold by fold: the
-    normalizer, the preliminary threshold, the final threshold, then the
-    next fold.
+    Folds are resolved one after another, each completely: its normalizer,
+    its preliminary threshold, then its final threshold. So the error raised
+    is the first one met fold by fold. Threshold searches need labeled
+    training patients; a fully fixed config resolves without reading any
+    outcome. ``search_modules(f, strategy)`` is the search over every module
+    score of training fold f. A single-module config reuses it as its final
+    search: its fused scores are its module scores bit for bit (weight 1.0,
+    row sum from 0). A multi-module config fuses the fold's training rows,
+    then searches them.
     """
     resolutions: list[FoldResolution] = []
-    stop = None  # the error of the first fold whose normalizer or preliminary threshold fails
     for fold_index, train in enumerate(train_rows):
-        try:
-            norm = config.normalizer
-            if config.clinical_variable != "none" and norm is None:
-                norm = normalizer_from_patients(rows, config.clinical_variable, train)
-            prelim = config.prelim_threshold
-            if prelim is None:
-                prelim = _searched(search_modules(fold_index, config.strategy), "preliminary threshold")
-        except (DegenerateDataError, ValidationError) as exc:  # raised after the earlier folds' final searches
-            stop = exc
-            break
+        norm = config.normalizer
+        if config.clinical_variable != "none" and norm is None:
+            norm = normalizer_from_patients(rows, config.clinical_variable, train)
+        prelim = config.prelim_threshold
+        if prelim is None:
+            prelim = _searched(search_modules(fold_index, config.strategy), "preliminary threshold")
         bounds = (None, None) if norm is None else (norm.min, norm.max)
-        resolutions.append(FoldResolution(fold_index, prelim, config.final_threshold, *bounds))
-
-    if config.final_threshold is None and resolutions:
-        if rows.probs.shape[1] == 1:
-            values = (search_modules(r.fold_index, config.strategy) for r in resolutions)
-        else:
-            trains = train_rows[:len(resolutions)]
-            sizes = [len(train) for train in trains]
-            fused = _fuse_by_fold(rows, np.concatenate(trains), np.repeat(np.arange(len(trains)), sizes),
-                                  config, resolutions)
-            truth = rows.outcomes()
-            values = (search_threshold(scores, truth[train], config.strategy)
-                      for scores, train in zip(np.split(fused, np.cumsum(sizes[:-1])), trains))
-        resolutions = [FoldResolution(r.fold_index, r.prelim_threshold, _searched(value, "final threshold"),
-                                      r.norm_min, r.norm_max) for r, value in zip(resolutions, values)]
-    if stop is not None:
-        raise stop
+        final = config.final_threshold
+        if final is None:
+            if rows.probs.shape[1] == 1:
+                value = search_modules(fold_index, config.strategy)
+            else:
+                unfinished = [FoldResolution(fold_index, prelim, final, *bounds)]
+                fused = _fuse_by_fold(rows, train, np.zeros(len(train), dtype=np.intp), config, unfinished)
+                value = search_threshold(fused, rows.outcomes()[train], config.strategy)
+            final = _searched(value, "final threshold")
+        resolutions.append(FoldResolution(fold_index, prelim, final, *bounds))
     return resolutions
 
 
@@ -282,8 +269,6 @@ def evaluate_variants(
     if violations:
         listing = "; ".join(str(v) for v in violations[:5])
         raise ValidationError(f"cohort failed validation ({len(violations)} violations): {listing}")
-    if not cohort.is_labeled():
-        raise ValidationError("evaluation requires mrs for every patient")
 
     truth = cohort.outcomes()
     views = {module: cohort if module is None else cohort.single_module_view(module)
@@ -339,10 +324,12 @@ def evaluate_per_module(cohort: Cohort, plan: CvPlan) -> dict[str, RunSummary]:
 
 
 def _summary_value(record: dict, key: str, kind: type = numbers.Real) -> object:
-    """``record[key]``, which must be a number of ``kind`` other than a bool."""
+    """``record[key]``, which must be a finite number of ``kind`` other than a bool."""
     value = record[key]
     if not is_number(value, kind):
         raise TypeError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
+        raise ValueError(f"{key} must be finite, got {value!r}")
     return value
 
 

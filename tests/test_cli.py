@@ -235,10 +235,8 @@ class TestValidate:
     @pytest.mark.parametrize("flag, value", [("--out", "x.json"), ("--format", "json")])
     def test_output_flags_are_rejected(self, tmp_path, capsys, flag, value):
         # validate writes nothing, so it takes neither flag
-        with pytest.raises(SystemExit) as exited:
-            mrsfuse.cli.main(["validate", "--cohort", str(tmp_path / "c.csv"), flag, value])
-        assert exited.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert mrsfuse.cli.main(["validate", "--cohort", str(tmp_path / "c.csv"), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
         assert not (tmp_path / value).exists()
 
     def test_integer_and_nan_cells_keep_their_error_lines(self, tmp_path, capsys):
@@ -447,6 +445,14 @@ class TestCv:
         result = run_cli("cv", "--cohort", str(path))
         assert result.returncode == 2
         assert "mrs" in result.stderr
+
+    def test_unlabeled_patient_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        path = tmp_path / "cohort.csv"
+        path.write_text("patient_id,age,nihss,mrs,p_adc\na,60,5,1,0.3\nb,61,4,,0.4\nc,70,9,4,0.7\n",
+                        encoding="utf-8")
+        assert mrsfuse.cli.main(["cv", "--cohort", str(path), "--k", "2", "--runs", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: patient 'b' has no recorded mrs\n")
 
     def test_csv_format(self, cohort_csv, tmp_path):
         out = tmp_path / "summary.csv"
@@ -800,7 +806,7 @@ class TestCompare:
 
     @pytest.mark.parametrize(
         "damage", ["non_numeric_measure", "missing_seed_schedule", "missing_runs", "missing_metrics",
-                   "bool_measure", "text_measure", "float_run_index"]
+                   "bool_measure", "text_measure", "float_run_index", "nan_measure", "inf_measure"]
     )
     def test_malformed_summary_names_the_bad_file(self, summaries, tmp_path, damage):
         out_a, _ = summaries
@@ -815,6 +821,12 @@ class TestCompare:
         elif damage == "text_measure":
             variant["runs"][0]["metrics"]["auc"] = " 0.5 "
             problem = "auc must be a number, got ' 0.5 '"
+        elif damage == "nan_measure":  # json reads NaN and Infinity
+            variant["runs"][0]["metrics"]["auc"] = float("nan")
+            problem = "auc must be finite, got nan"
+        elif damage == "inf_measure":
+            variant["runs"][0]["metrics"]["auc"] = float("inf")
+            problem = "auc must be finite, got inf"
         elif damage == "float_run_index":
             variant["runs"][0]["run_index"] = 0.0
             problem = "run_index must be an integer, got 0.0"
@@ -892,6 +904,31 @@ class TestCompare:
         result = run_cli("compare", str(out_a), str(other), "--measure", "auc")
         assert result.returncode == 2
         assert "schedule" in result.stderr
+
+
+@pytest.mark.parametrize("argv, files, line", [
+    (["compare", "{d}/a.json", "{d}/a.json", "--measure", "auc"], {"a.json": "[]"},
+     "{d}/a.json: not a recognizable summary file"),
+    (["compare", "{d}/a.json", "{d}/a.json", "--measure", "auc"],
+     {"a.json": '{"primary": "x", "variants": {"x": 1}}'}, "{d}/a.json: variant 'x' is not a summary object"),
+    (["compare", "{d}/a.json", "{d}/a.json", "--measure", "auc"], {"a.json": '{"runs": []}'},
+     "malformed summary: {d}/a.json: missing seed_schedule"),
+    (["cv", "--config", "{d}/run.json"], {"run.json": "[]"}, "{d}/run.json: config must be a JSON object"),
+    (["synth", "--spec", "{d}/spec.json", "--out", "{d}/c.csv"],
+     {"spec.json": '{"n_patients": 12, "module_aucs": [], "module_names": []}'},
+     "invalid synthetic spec: module list must not be empty"),
+    (["synth", "--module-aucs", "x", "--out", "{d}/c.csv"], {},
+     "--module-aucs must be comma-separated numbers: could not convert string to float: 'x'"),
+    (["cv"], {}, "a cohort CSV is required (--cohort or config file)"),
+], ids=["summary_list", "variant_not_object", "no_seed_schedule", "config_list", "empty_module_lists",
+        "module_aucs_text", "no_cohort"])
+def test_error_lines(tmp_path, monkeypatch, capsys, argv, files, line):
+    monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert mrsfuse.cli.main([arg.replace("{d}", str(tmp_path)) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {line.replace('{d}', str(tmp_path))}\n")
+    assert not (tmp_path / "c.csv").exists()
 
 
 # Run in a fresh interpreter: the test process itself has scipy loaded.

@@ -162,7 +162,7 @@ _GOOD_FLAGS = [
 ]
 _BAD_FLAGS = [
     ("--strategy", "fixed"), ("--tau", "1.2"), ("--norm-min", "0"), ("--norm-max", "30"), ("--k", "40"),
-    ("--out", "{d}"), ("--cohort", "{d}/none.csv"),
+    ("--out", "{d}"), ("--cohort", "{d}/none.csv"), ("--k", "x"), ("--variable", "height"),
 ]
 _SYNTH_FLAGS = [
     ("--n-patients", "15"), ("--module-names", "adc,ADC"), ("--module-aucs", "0.7,0.7"),
@@ -197,8 +197,6 @@ def cases(draw) -> tuple[tuple[str, ...], tuple[tuple[str, bytes], ...]]:
     else:
         argv += ["--cohort", "{d}/cohort.csv", "--k", "2", "--runs", "1"]
     flags = draw(st.lists(st.sampled_from(_GOOD_FLAGS if clean else _GOOD_FLAGS + _BAD_FLAGS), max_size=4))
-    if command == "validate":
-        flags = [flag for flag in flags if flag[0] not in ("--format", "--out")]
     return tuple(argv + _flat(flags)), tuple(files)
 
 

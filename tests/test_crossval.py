@@ -114,6 +114,14 @@ class TestMakeFolds:
         with pytest.raises(ValidationError, match="mrs"):
             make_folds(stripped, CvPlan(k=2, n_runs=1, base_seed=0), 0)
 
+    def test_unlabeled_patient_is_named(self):
+        # the outcome read names the first patient without an mrs
+        patients = list(small_cohort(n=8).patients)
+        patients[1] = replace(patients[1], mrs=None)
+        unlabeled = Cohort(module_names=("ADC", "CBF"), patients=patients)
+        with pytest.raises(ValidationError, match=r"^patient 'q01' has no recorded mrs$"):
+            make_folds(unlabeled, CvPlan(k=2, n_runs=1, base_seed=0), 0)
+
     def test_lone_minority_patient_degenerate(self):
         # one poor patient: the fold testing it always trains on a single class
         cohort = small_cohort(n=6)
@@ -452,8 +460,9 @@ class TestEvaluateVariants:
         assert summary.as_dict() == _seed_evaluate_model(cohort, plan, UNWEIGHTED, "ensemble").as_dict()
 
     def test_one_fusion_per_variant_and_run(self, monkeypatch, cohort119):
-        # rows fused per call: all n test rows once per variant, and one stacked
-        # training call per multi-module variant that searches its final threshold
+        # rows fused per call, in call order: each multi-module variant that searches its
+        # final threshold fuses each training fold's rows, fold by fold, and then every
+        # variant fuses all n test rows once per run
         sizes = []
         fuse = mrsfuse.crossval.fuse_matrix
         monkeypatch.setattr(mrsfuse.crossval, "fuse_matrix",
@@ -466,9 +475,13 @@ class TestEvaluateVariants:
                         "fixed": (fixed_final, None)})
         summaries = evaluate_variants(cohort119, plan, configs)
         assert all(not summary.failures for summary in summaries.values())
-        n = len(cohort119)
-        per_run = [n] * len(configs) + [(plan.k - 1) * n] * 2  # each row trains in k - 1 folds
-        assert sorted(sizes) == sorted(per_run * plan.n_runs)
+        expected = []
+        for run_index in range(plan.n_runs):
+            train_sizes = [len(fold.train_rows) for fold in make_folds(cohort119, plan, run_index)]
+            for name in configs:
+                expected += train_sizes if name in ("ensemble", "weighted") else []
+                expected.append(len(cohort119))
+        assert sizes == expected
 
     def test_non_string_module_name_is_a_validation_error(self):
         cohort = Cohort(module_names=(3,), patients=[PatientRecord("a", 60.0, 5, (0.3,), 1)])
