@@ -13,6 +13,7 @@ import numbers
 import os
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -233,9 +234,6 @@ class Cohort:
     def __iter__(self) -> Iterator[PatientRecord]:
         return iter(self.patients)
 
-    def is_labeled(self) -> bool:
-        return len(self) > 0 and not np.equal(self.mrs, None).any()
-
     def outcomes(self) -> np.ndarray:
         """Outcome labels (good 0, poor 1) as int8; raises on a missing or out-of-range mrs."""
         bad = np.flatnonzero(_outside(self.mrs, MRS_MAX))
@@ -368,7 +366,7 @@ def read_cohort_csv(path: str | Path) -> Cohort:
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
-            return _parse_cohort_csv(handle, path)
+            return _read_cohort(handle, path)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: {not_utf8_reason(exc)}") from exc
 
@@ -376,6 +374,40 @@ def read_cohort_csv(path: str | Path) -> Cohort:
 def not_utf8_reason(exc: UnicodeDecodeError) -> str:
     """Describe a decoding failure; the codec's position is chunk-relative, so omit it."""
     return f"not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+
+
+def _read_cohort(handle: TextIO, path: Path) -> Cohort:
+    """Read a plain CSV, as ``synth`` writes, in one streamed ``np.loadtxt`` pass, else by the row loop.
+
+    Plain: ASCII without quotes or \\x1c-\\x1f, no line over the csv field limit, no repeated header name,
+    cells that parse (an empty mrs does not). Otherwise :func:`_parse_cohort_csv` rereads the file.
+    """
+    limit = csv.field_size_limit()
+
+    def plain() -> Iterator[str]:
+        while block := handle.readlines(1 << 16):
+            text = "".join(block)  # numpy reads "\x1c2" as 2 and "\u01fe2" as 4622, where int() fails
+            if not text.isascii() or any(ch in text for ch in '"\x1c\x1d\x1e\x1f') or max(map(len, block)) > limit:
+                raise ValueError("not a plain block")
+            yield from block
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy < 2 warns where it parses an int64 cell such as "7.0" as a float
+            lines = plain()
+            header = next(csv.reader(lines))
+            prob_columns = [col for col in header if col.startswith(CSV_MODULE_PREFIX)]
+            if len(set(header)) < len(header) or not prob_columns:
+                raise ValueError("not a plain header")
+            usecols = [header.index(col) for col in (*CSV_REQUIRED_COLUMNS, *prob_columns)]  # raises if one is missing
+            dtype = [("id", "O"), ("age", "f8"), ("nihss", "i8"), ("mrs", "i8"), ("probs", "f8", (len(prob_columns),))]
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+    except Exception:
+        handle.seek(0)
+        return _parse_cohort_csv(handle, path)
+    ids = np.array([pid.strip() for pid in table["id"].tolist()], dtype=object)
+    columns = (np.ascontiguousarray(table[name]) for name in ("probs", "age", "nihss", "mrs"))
+    return Cohort.of_columns(map(_module_name_from_column, prob_columns), ids, *columns)
 
 
 def _parse_cohort_csv(handle: TextIO, path: Path) -> Cohort:
@@ -452,7 +484,8 @@ def _csv_cells(column: np.ndarray) -> list[str]:
     values = column.tolist()
     if column.dtype.kind in "biuf":  # the text of a number never needs quotes
         return list(map(str, values))
-    return [_csv_quote("" if v is None else str(v)) for v in values]
+    cells = ["" if v is None else str(v) for v in values]
+    return list(map(_csv_quote, cells)) if _CSV_QUOTED.search("".join(cells)) else cells
 
 
 def _csv_quote(text: str) -> str:

@@ -21,10 +21,12 @@ from mrsfuse import (
     MetricReport,
     OutcomeLabel,
     PatientRecord,
+    SyntheticSpec,
     ValidationError,
     Violation,
     as_plain,
     binarize_mrs,
+    generate_cohort,
     normalize_clinical,
     read_cohort_csv,
     validate_cohort,
@@ -36,6 +38,7 @@ from mrsfuse.cohort import (
     DEFAULT_MODULE_NAMES,
     MRS_MAX,
     NIHSS_MAX,
+    _parse_cohort_csv,
     atomic_output,
     module_column,
     write_csv_columns,
@@ -349,7 +352,7 @@ class TestColumns:
         assert cohort.nihss.dtype == np.int64 and cohort.nihss.tolist() == [10, 3]
         assert cohort.mrs.dtype == object and cohort.mrs.tolist() == [2, None]  # None marks a missing mrs
         assert cohort.patients == patients
-        assert len(cohort) == 2 and not cohort.is_labeled()
+        assert len(cohort) == 2 and np.equal(cohort.mrs, None).any()
 
     def test_integers_beyond_int64_stay_exact(self):
         big = 2**63
@@ -576,6 +579,75 @@ class TestParserOracle:
         path = tmp_path / "cohort.csv"
         path.write_text(text, encoding="utf-8")
         assert _parse_outcome(read_cohort_csv, path) == _parse_outcome(_dictreader_parse, path)
+
+
+def _row_loop_parse(path):
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        return _parse_cohort_csv(handle, path)
+
+
+_ODD_NUMBERS = ["1_0", "\u0661", "\u0660.5", "1e3", "+7", " 42", "-0", "5 ", "\t3", "7.0", "9223372036854775807",
+                "9223372036854775808", "-9223372036854775809", "99999999999999999999", "0.5\u3000", "\x1c2",
+                "\u01fe2"]
+_PLAIN_POOLS = {
+    "patient_id": ["a", "b", "a#1", "#", " c ", "", "d\t", "e\u3000", "f\x00", "\ufeffg"],
+    "age": ["60", "71.5", " 0.25 ", "nan", "NaN", "-nan", "inf", "-Infinity", "INFINITY", "1e400", "-1e400", "1e-400",
+            ".5", "5.", "+.5", "-0.0", ""] + _ODD_NUMBERS,
+    "nihss": ["0", "5", "42", "43", "-1", ""] + _ODD_NUMBERS,
+    "mrs": ["0", "3", "6", "7", "", " "] + _ODD_NUMBERS,
+}
+_PLAIN_POOLS["p_"] = _PLAIN_POOLS["age"]
+
+
+@st.composite
+def _plain_csv_texts(draw):
+    """Texts in the quote-free shape synth writes, with the odd cells and lines a plain read must hand on."""
+    modules = draw(st.lists(st.sampled_from(["p_adc", "p_dwi", "p_Tmax", "p_x"]), min_size=1, max_size=3, unique=True))
+    extra = draw(st.lists(st.sampled_from(["note", "age", "p_adc", ""]), max_size=1 if draw(st.integers(0, 4)) else 0))
+    header = draw(st.permutations(list(CSV_REQUIRED_COLUMNS) + modules + extra))
+
+    odd_every = draw(st.sampled_from([3, 12, 60]))  # one cell or line in so many is odd
+
+    def cell(column):
+        if column == "patient_id":  # most odd ids are plain too
+            return draw(st.sampled_from(_PLAIN_POOLS[column] + [f"id{draw(st.integers(0, 9))}"] * 8))
+        pool = _PLAIN_POOLS.get(column, _PLAIN_POOLS["p_"] if column.startswith("p_") else ["x", "", "1"])
+        return draw(st.sampled_from(pool if draw(st.integers(0, odd_every)) == 0 else pool[:3]))
+
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        odd_width = draw(st.integers(0, odd_every)) == 0
+        width = draw(st.sampled_from([len(header) - 1, len(header) + 1])) if odd_width else len(header)
+        lines.append(",".join(cell(header[j] if j < len(header) else "") for j in range(width)))
+        if draw(st.integers(0, odd_every)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    if lines and draw(st.integers(0, 19)) == 0:  # one cell over the csv field limit
+        lines[0] = "x" * (csv.field_size_limit() + 1) + lines[0]
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + "".join(line + terminator for line in [",".join(header)] + lines)
+
+
+class TestPlainReadOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_plain_csv_texts())
+    def test_plain_texts_read_as_the_row_loop_reads_them(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cohort.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert _parse_outcome(read_cohort_csv, path) == _parse_outcome(_row_loop_parse, path)
+
+    def test_a_synth_cohort_takes_the_plain_read(self, tmp_path, monkeypatch):
+        cohort = generate_cohort(SyntheticSpec(n_patients=300, seed=16))
+        write_cohort_csv(cohort, tmp_path / "cohort.csv")
+
+        def row_loop(handle, path):
+            raise AssertionError("the row loop read a plain cohort")
+
+        monkeypatch.setattr("mrsfuse.cohort._parse_cohort_csv", row_loop)
+        loaded = read_cohort_csv(tmp_path / "cohort.csv")
+        assert loaded == cohort and loaded.probs.flags.c_contiguous
+        assert [column.dtype for column in loaded._columns()] == [column.dtype for column in cohort._columns()]
 
 
 _ROUND_TRIP_IDS = st.text(alphabet='ab ,"\'xy', max_size=6).filter(lambda text: text == text.strip())
