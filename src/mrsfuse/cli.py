@@ -43,10 +43,11 @@ from .crossval import (
     compare_summary_dicts,
     ensemble_name,
     evaluate_variants,
+    fuse_by_fold,
     resolve_fold_config,
 )
 from .errors import ConfigError, DegenerateDataError, ValidationError
-from .fusion import FUSION_VARIABLES, THRESHOLD_STRATEGIES, FusionConfig, fuse_rows
+from .fusion import FUSION_VARIABLES, THRESHOLD_STRATEGIES, FusionConfig, is_poor
 from .metrics import MEASURES
 from .synth import SyntheticSpec, generate_cohort
 
@@ -297,9 +298,12 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     cohort = _read_valid_cohort(settings.cohort_path())
-    resolved, _ = resolve_fold_config(cohort, settings.config)
-    _, weights, fused, poor = fuse_rows(cohort, resolved)
-    poor_unweighted = fuse_rows(cohort, replace(resolved, clinical_variable="none", normalizer=None))[3]
+    variable = settings.config.clinical_variable
+    _, resolution = resolve_fold_config(cohort, settings.config)  # one fold: its training rows are its test rows
+    fold_of = np.zeros(len(cohort), dtype=np.intp)
+    _, weights, fused = fuse_by_fold(cohort, slice(None), fold_of, variable, [resolution])
+    fused_unweighted = fuse_by_fold(cohort, slice(None), fold_of, "none", [resolution])[2]
+    poor, poor_unweighted = (is_poor(f, resolution.final_threshold) for f in (fused, fused_unweighted))
     label_names = np.array([str(label) for label in OutcomeLabel], dtype=object)  # indexed by "is poor"
 
     header = (
@@ -313,9 +317,9 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     if settings.get("format") == "json":
         document = {
             "config": {
-                "clinical_variable": resolved.clinical_variable,
-                "prelim_threshold": resolved.prelim_threshold,
-                "final_threshold": resolved.final_threshold,
+                "clinical_variable": variable,
+                "prelim_threshold": resolution.prelim_threshold,
+                "final_threshold": resolution.final_threshold,
             },
             "patients": [dict(zip(header, row)) for row in zip(*(column.tolist() for column in columns))],
         }

@@ -59,13 +59,6 @@ class OutcomeLabel(enum.IntEnum):
     def __str__(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def parse(cls, text: str) -> "OutcomeLabel":
-        try:
-            return cls[text.strip().upper()]
-        except KeyError:
-            raise ValidationError(f"unknown outcome label {text!r}") from None
-
 
 def as_plain(value: object) -> object:
     """A dataclass instance as JSON-ready data: fields become keys, tuples lists, labels names."""
@@ -140,11 +133,6 @@ class PatientRecord:
     nihss: int
     module_probs: tuple[float, ...]
     mrs: int | None = None
-
-    def outcome(self) -> OutcomeLabel:
-        if self.mrs is None:
-            raise ValidationError(f"patient {self.patient_id!r} has no recorded mrs")
-        return binarize_mrs(self.mrs, self.patient_id)
 
 
 def _int_column(values: list) -> np.ndarray:
@@ -244,19 +232,12 @@ class Cohort:
             binarize_mrs(int(mrs), pid)
         return (self.mrs > GOOD_MRS_MAX).astype(np.int8)
 
-    def truths(self) -> tuple[OutcomeLabel, ...]:
-        return tuple(OutcomeLabel(label) for label in self.outcomes().tolist())
-
     def covariate(self, variable: str) -> np.ndarray:
         if variable == "age":
             return self.age
         if variable == "nihss":
             return self.nihss.astype(float)
         raise ConfigError(f"unknown clinical variable {variable!r}")
-
-    def take(self, rows: np.ndarray) -> "Cohort":
-        """The rows at the given indices, in that order."""
-        return Cohort.of_columns(self.module_names, *(column[rows] for column in self._columns()))
 
     def single_module_view(self, name: str) -> "Cohort":
         """Project the cohort onto one module, keeping ids, covariates, and mrs."""

@@ -5,7 +5,8 @@ Each run reshuffles the fold assignment from a seed derived from
 variants share each run's folds, drawn once. Thresholds and normalizer
 bounds are resolved on the training folds only; module scores are sorted
 once per cohort, and equal searches run once. Each variant fuses a run's
-test rows in one call, every row under its own fold's resolution. Predictions
+test rows in one :func:`fuse_by_fold` call, every row under its own fold's
+resolution; ``cli fuse`` is the same call over one fold. Predictions
 are pooled over the test folds of a run, and per-run reports are
 aggregated into means and standard deviations across runs. Degenerate
 folds are recorded as run-level failures instead of aborting the
@@ -201,7 +202,8 @@ def resolve_folds(
                 value = search_modules(fold_index, config.strategy)
             else:
                 unfinished = [FoldResolution(fold_index, prelim, final, *bounds)]
-                fused = _fuse_by_fold(rows, train, np.zeros(len(train), dtype=np.intp), config, unfinished)
+                fused = fuse_by_fold(rows, train, np.zeros(len(train), dtype=np.intp), config.clinical_variable,
+                                     unfinished)[2]
                 value = search_threshold(fused, rows.outcomes()[train], config.strategy)
             final = _searched(value, "final threshold")
         resolutions.append(FoldResolution(fold_index, prelim, final, *bounds))
@@ -224,17 +226,18 @@ def resolve_fold_config(
     return resolved, replace(resolution, fold_index=fold_index)
 
 
-def _fuse_by_fold(
-    rows: Cohort, at: np.ndarray | slice, fold_of: np.ndarray, config: FusionConfig,
-    resolutions: Sequence[FoldResolution],
-) -> np.ndarray:
-    """Fused scores of the rows ``at``, the i-th fused as fold ``fold_of[i]`` resolved it (threshold and bounds)."""
+def fuse_by_fold(
+    rows: Cohort, at: np.ndarray | slice, fold_of: np.ndarray, variable: str, resolutions: Sequence[FoldResolution],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fuse_matrix` of the rows ``at`` weighted by ``variable`` (or ``none``), the i-th fused as fold
+    ``fold_of[i]`` resolved it (threshold and bounds)."""
     prelim = np.array([r.prelim_threshold for r in resolutions])[fold_of, None]
     covariate = None
-    if config.clinical_variable != "none":
-        lo, hi = (np.array(bounds)[fold_of] for bounds in zip(*((r.norm_min, r.norm_max) for r in resolutions)))
-        covariate = scale_clamped(rows.covariate(config.clinical_variable)[at], lo, hi)
-    return fuse_matrix(rows.probs[at], covariate, prelim)[2]
+    if variable != "none":  # float bounds: an int64 span such as 2**62 - -2**62 would wrap
+        bounds = zip(*((r.norm_min, r.norm_max) for r in resolutions))
+        lo, hi = (np.array(column, dtype=float)[fold_of] for column in bounds)
+        covariate = scale_clamped(rows.covariate(variable)[at], lo, hi)
+    return fuse_matrix(rows.probs[at], covariate, prelim)
 
 
 def ensemble_name(config: FusionConfig) -> str:
@@ -299,7 +302,7 @@ def evaluate_variants(
             view = views[module]
             try:
                 resolutions = resolve_folds(view, train_rows, config, functools.partial(search, view.module_names))
-                fused = _fuse_by_fold(view, slice(None), fold_of, config, resolutions)
+                fused = fuse_by_fold(view, slice(None), fold_of, config.clinical_variable, resolutions)[2]
                 predicted = is_poor(fused, np.array([r.final_threshold for r in resolutions])[fold_of])
                 run_report = report(predicted=predicted, fused_probs=fused, truth=truth)
                 runs[name].append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))

@@ -13,8 +13,8 @@ The pipeline for one patient:
 
 With the clinical variable set to ``none`` the weights are uniform and the
 pipeline reduces to the plain averaging ensemble. :func:`fuse_matrix` runs
-steps 1-4 for many patients at once and :func:`fuse_rows` adds step 5; the
-public scalar functions are one-row calls of the same pieces.
+steps 1-4 for many patients at once; ``crossval.fuse_by_fold`` calls it on
+cohorts, and the public scalar functions are one-row calls of the same pieces.
 """
 
 from __future__ import annotations
@@ -70,14 +70,6 @@ class FusionConfig:
         if self.strategy == "fixed" and (self.prelim_threshold is None or self.final_threshold is None):
             raise ConfigError(("strategy", "must not be 'fixed' without explicit 'prelim_threshold' and 'final_threshold'",
                                self.strategy))
-
-    def is_resolved(self) -> bool:
-        """True when thresholds are concrete and the normalizer is present if needed."""
-        return (
-            self.prelim_threshold is not None
-            and self.final_threshold is not None
-            and (self.clinical_variable == "none" or self.normalizer is not None)
-        )
 
 
 @dataclass(frozen=True)
@@ -197,21 +189,6 @@ def classify(fused_probability: float, threshold: float) -> OutcomeLabel:
     return OutcomeLabel(bool(is_poor(np.float64(fused_probability), threshold)))
 
 
-def normalized_covariate(rows: Cohort, config: FusionConfig) -> np.ndarray | None:
-    """The config's clinical covariate of every row scaled onto [0, 1]; None when unweighted."""
-    if config.clinical_variable == "none":
-        return None
-    return normalize_clinical(rows.covariate(config.clinical_variable), config.normalizer)
-
-
-def fuse_rows(rows: Cohort, config: FusionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fuse_matrix` over every row under a resolved config, plus each row's final poor decision."""
-    if not config.is_resolved():
-        raise ConfigError("fusion config is not resolved: thresholds or normalizer missing")
-    votes, weights, fused = fuse_matrix(rows.probs, normalized_covariate(rows, config), config.prelim_threshold)
-    return votes, weights, fused, is_poor(fused, config.final_threshold)
-
-
 def search_threshold(
     scores: Sequence[float],
     truths: Sequence[OutcomeLabel],
@@ -266,13 +243,17 @@ def search_sorted_threshold(scores: np.ndarray, poor: np.ndarray, strategy: str)
 
 def fuse_patient(record: PatientRecord, config: FusionConfig) -> FusionResult:
     """Run the full fusion pipeline for one patient under a resolved config."""
-    # as a one-row cohort; module names do not enter fusion
-    votes, weights, fused, poor = fuse_rows(Cohort(("",) * len(record.module_probs), (record,)), config)
+    row = Cohort(("",) * len(record.module_probs), (record,))  # module names do not enter fusion
+    weighted = config.clinical_variable != "none"
+    if config.prelim_threshold is None or config.final_threshold is None or (weighted and config.normalizer is None):
+        raise ConfigError("fusion config is not resolved: thresholds or normalizer missing")
+    covariate = normalize_clinical(row.covariate(config.clinical_variable), config.normalizer) if weighted else None
+    votes, weights, fused = fuse_matrix(row.probs, covariate, config.prelim_threshold)
     return FusionResult(
         preliminary_labels=tuple(map(OutcomeLabel, votes[0].tolist())),
         weights=tuple(weights[0].tolist()),
         fused_probability=float(fused[0]),
-        final_label=OutcomeLabel(bool(poor[0])),
+        final_label=classify(fused[0], config.final_threshold),
     )
 
 

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from mrsfuse.cohort import CSV_CHUNK_ROWS
+from mrsfuse.cohort import CSV_CHUNK_ROWS, Cohort, normalize_clinical
+from mrsfuse.fusion import fuse_matrix, is_poor
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -124,6 +125,22 @@ def csv_writer_bytes(rows) -> bytes:
     buffer = io.StringIO(newline="")
     csv.writer(buffer).writerows(rows)
     return buffer.getvalue().encode("utf-8")
+
+
+def fuse_rows(rows: Cohort, config) -> tuple:
+    """Every row fused under a resolved config, through ``normalize_clinical``, plus each row's final poor
+    decision: the cohort fusion that ``fuse`` ran before it became one fold of ``fuse_by_fold``, kept as its oracle."""
+    covariate = None
+    if config.clinical_variable != "none":
+        covariate = normalize_clinical(rows.covariate(config.clinical_variable), config.normalizer)
+    votes, weights, fused = fuse_matrix(rows.probs, covariate, config.prelim_threshold)
+    return votes, weights, fused, is_poor(fused, config.final_threshold)
+
+
+def take(cohort: Cohort, rows) -> Cohort:
+    """The cohort's rows at the indices ``rows``, in that order, as a cohort of indexed columns."""
+    columns = (cohort.ids, cohort.probs, cohort.age, cohort.nihss, cohort.mrs)
+    return Cohort.of_columns(cohort.module_names, *(column[rows] for column in columns))
 
 
 # cells csv quotes (a comma, a quote, a line break) beside ones it leaves bare (NUL, spaces, non-ASCII, empty)

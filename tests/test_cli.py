@@ -29,12 +29,21 @@ from conftest import (
     WRITER_MODULE_NAMES,
     csv_writer_bytes,
     cycled,
+    fuse_rows,
     panel_rows,
     run_cli,
 )
-from mrsfuse import ClinicalNormalizer, Cohort, FusionConfig, OutcomeLabel, read_cohort_csv, write_cohort_csv
+from mrsfuse import (
+    ClinicalNormalizer,
+    Cohort,
+    FusionConfig,
+    OutcomeLabel,
+    SyntheticSpec,
+    generate_cohort,
+    read_cohort_csv,
+    write_cohort_csv,
+)
 from mrsfuse.cohort import module_column
-from mrsfuse.fusion import fuse_rows
 from mrsfuse.metrics import MEASURES
 
 NIHSS_FLAGS = (
@@ -200,6 +209,19 @@ class TestFuseCsvOracle:
             expected = _csv_writer_fuse_bytes(cohort_path, config)
             assert stdout.getvalue().encode("utf-8") == expected
             assert out.read_bytes() == expected
+
+    def test_integer_bounds_of_an_overflowing_span_fuse_as_float_bounds(self, tmp_path):
+        # an int64 span 2**62 - -2**62 would wrap and scale every nihss to 0 instead of the neutral 0.5
+        cohort_path, config_path, out = tmp_path / "cohort.csv", tmp_path / "config.json", tmp_path / "fused.csv"
+        write_cohort_csv(generate_cohort(SyntheticSpec(n_patients=60, seed=1)), cohort_path)
+        tables = []
+        for bound in (2**62, 2.0**62):
+            config_path.write_text(json.dumps({"cohort": str(cohort_path), "variable": "nihss", "norm_min": -bound,
+                                               "norm_max": bound, "tau": 0.4, "tau_star": 0.4, "strategy": "fixed"}))
+            assert mrsfuse.cli.main(["fuse", "--config", str(config_path), "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        config = FusionConfig("nihss", ClinicalNormalizer("nihss", -2**62, 2**62), 0.4, 0.4, "fixed")
+        assert tables[0] == tables[1] == _csv_writer_fuse_bytes(cohort_path, config)
 
 
 class TestValidate:

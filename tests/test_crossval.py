@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrsfuse import (
+    ClinicalNormalizer,
     Cohort,
     ConfigError,
     CvPlan,
@@ -22,6 +23,7 @@ from mrsfuse import (
     RunSummary,
     SyntheticSpec,
     ValidationError,
+    binarize_mrs,
     compare_summary_dicts,
     evaluate_model,
     evaluate_per_module,
@@ -31,8 +33,9 @@ from mrsfuse import (
     resolve_fold_config,
 )
 import mrsfuse.crossval
-from mrsfuse.fusion import fuse_matrix, fuse_rows
+from mrsfuse.fusion import fuse_matrix
 from mrsfuse.metrics import report
+from conftest import fuse_rows, take
 
 UNWEIGHTED = FusionConfig(clinical_variable="none")
 
@@ -78,7 +81,7 @@ class TestMakeFolds:
             assert len(fold.train_ids) + len(fold.test_ids) == len(cohort119.patients)
 
     def test_stratified_class_balance(self, cohort119):
-        truth = {p.patient_id: p.outcome() for p in cohort119.patients}
+        truth = {p.patient_id: binarize_mrs(p.mrs) for p in cohort119.patients}
         n_poor = sum(1 for t in truth.values() if t == OutcomeLabel.POOR)
         folds = make_folds(cohort119, CvPlan(k=5, n_runs=1, base_seed=7), 0)
         per_fold_poor = [
@@ -224,7 +227,7 @@ def _seed_make_folds(cohort, plan, run_index):
     cursor = 0
     if plan.stratified:
         groups = [
-            [p.patient_id for p in cohort.patients if p.outcome() == label]
+            [p.patient_id for p in cohort.patients if binarize_mrs(p.mrs) == label]
             for label in (OutcomeLabel.GOOD, OutcomeLabel.POOR)
         ]
     else:
@@ -233,7 +236,7 @@ def _seed_make_folds(cohort, plan, run_index):
         for pos in rng.permutation(len(group)):
             assignments[cursor].append(group[int(pos)])
             cursor = (cursor + 1) % plan.k
-    truth_by_id = {p.patient_id: p.outcome() for p in cohort.patients}
+    truth_by_id = {p.patient_id: binarize_mrs(p.mrs) for p in cohort.patients}
     folds = []
     for test_ids in assignments:
         test_set = set(test_ids)
@@ -309,7 +312,7 @@ class TestEvaluateModel:
         fold0 = make_folds(cohort, plan, 0)[0]
         to_flip = set(fold0.test_ids[:2])
         flipped_patients = tuple(
-            replace(p, mrs=(5 if p.outcome() == OutcomeLabel.GOOD else 1))
+            replace(p, mrs=(5 if binarize_mrs(p.mrs) == OutcomeLabel.GOOD else 1))
             if p.patient_id in to_flip
             else p
             for p in cohort.patients
@@ -359,10 +362,10 @@ def _seed_evaluate_model(cohort, plan, config, model_name):
             fused = np.empty(len(cohort))
             predicted = np.empty(len(cohort), dtype=np.int8)
             for fold_index, fold in enumerate(make_folds(cohort, plan, run_index)):
-                resolved, resolution = resolve_fold_config(cohort.take(fold.train_rows), config, fold_index)
+                resolved, resolution = resolve_fold_config(take(cohort, fold.train_rows), config, fold_index)
                 resolutions.append(resolution)
                 test = fold.test_rows
-                fused[test] = fuse_rows(cohort.take(test), resolved)[2]
+                fused[test] = fuse_rows(take(cohort, test), resolved)[2]
                 predicted[test] = fused[test] > resolved.final_threshold
             run_report = report(predicted=predicted, fused_probs=fused, truth=truth)
             runs.append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))
@@ -454,7 +457,7 @@ class TestEvaluateVariants:
         plan = CvPlan(k=3, n_runs=1, base_seed=0)
         folds = make_folds(cohort, plan, 0)
         with pytest.raises(DegenerateDataError, match=r"^preliminary threshold search collapsed"):
-            resolve_fold_config(cohort.take(folds[1].train_rows), UNWEIGHTED)
+            resolve_fold_config(take(cohort, folds[1].train_rows), UNWEIGHTED)
         summary = evaluate_variants(cohort, plan, {"ensemble": (UNWEIGHTED, None)})["ensemble"]
         assert summary.failures == ("run 0: final threshold search collapsed to the boundary (0.0)",)
         assert summary.as_dict() == _seed_evaluate_model(cohort, plan, UNWEIGHTED, "ensemble").as_dict()
@@ -467,7 +470,16 @@ class TestEvaluateVariants:
         fuse = mrsfuse.crossval.fuse_matrix
         monkeypatch.setattr(mrsfuse.crossval, "fuse_matrix",
                             lambda probs, *args: sizes.append(len(probs)) or fuse(probs, *args))
-        monkeypatch.setattr(Cohort, "take", lambda *a: pytest.fail("a fold was copied"))
+        views, of_columns = [], Cohort.of_columns
+
+        def full_length(cls, module_names, ids, *columns):
+            # a fold copy is a cohort of fewer rows; the module views keep every row
+            if len(ids) < len(cohort119):
+                pytest.fail("a fold was copied")
+            views.append(module_names)
+            return of_columns(module_names, ids, *columns)
+
+        monkeypatch.setattr(Cohort, "of_columns", classmethod(full_length))
         plan = CvPlan(k=5, n_runs=3, base_seed=2)
         fixed_final = FusionConfig("nihss", prelim_threshold=0.4, final_threshold=0.45, strategy="fixed")
         configs = {name: (UNWEIGHTED, name) for name in cohort119.module_names}
@@ -475,6 +487,7 @@ class TestEvaluateVariants:
                         "fixed": (fixed_final, None)})
         summaries = evaluate_variants(cohort119, plan, configs)
         assert all(not summary.failures for summary in summaries.values())
+        assert views == [(name,) for name in cohort119.module_names]  # the guard saw every view built
         expected = []
         for run_index in range(plan.n_runs):
             train_sizes = [len(fold.train_rows) for fold in make_folds(cohort119, plan, run_index)]
@@ -482,6 +495,13 @@ class TestEvaluateVariants:
                 expected += train_sizes if name in ("ensemble", "weighted") else []
                 expected.append(len(cohort119))
         assert sizes == expected
+
+    def test_integer_bounds_of_an_overflowing_span_equal_float_bounds(self, cohort119):
+        # an int64 span 2**62 - -2**62 would wrap, so every covariate would scale to 0 instead of 0.5
+        plan = CvPlan(k=5, n_runs=3, base_seed=1)
+        summaries = [evaluate_model(cohort119, plan, FusionConfig("nihss", ClinicalNormalizer("nihss", -bound, bound)))
+                     for bound in (2**62, 2.0**62)]
+        assert summaries[0].runs and summaries[0].as_dict() == summaries[1].as_dict()
 
     def test_non_string_module_name_is_a_validation_error(self):
         cohort = Cohort(module_names=(3,), patients=[PatientRecord("a", 60.0, 5, (0.3,), 1)])
@@ -512,7 +532,7 @@ class TestEvaluatePerModule:
     def test_perfect_module(self):
         cohort = small_cohort(n=16, seed=2, module_names=("ADC",))
         patients = tuple(
-            replace(p, module_probs=(0.9 if p.outcome() == OutcomeLabel.POOR else 0.1,))
+            replace(p, module_probs=(0.9 if binarize_mrs(p.mrs) == OutcomeLabel.POOR else 0.1,))
             for p in cohort.patients
         )
         perfect = Cohort(module_names=("ADC",), patients=patients)

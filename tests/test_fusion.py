@@ -290,10 +290,17 @@ class TestFusionConfig:
         with pytest.raises(ConfigError):
             FusionConfig(prelim_threshold=value)
 
-    def test_unresolved_config_rejected_by_fuse_patient(self):
+    @pytest.mark.parametrize("config", [
+        FusionConfig(clinical_variable="none"),
+        FusionConfig(clinical_variable="none", final_threshold=0.4),
+        FusionConfig(clinical_variable="none", prelim_threshold=0.4),
+        # both thresholds, but a weighted config needs its normalizer too
+        FusionConfig(clinical_variable="nihss", prelim_threshold=0.4, final_threshold=0.4),
+    ], ids=["none", "prelim_missing", "final_missing", "normalizer_missing"])
+    def test_unresolved_config_rejected_by_fuse_patient(self, config):
         record = reference_patient(REFERENCE_ROWS[0])
-        with pytest.raises(ConfigError):
-            fuse_patient(record, FusionConfig(clinical_variable="none"))
+        with pytest.raises(ConfigError, match=r"^fusion config is not resolved: thresholds or normalizer missing$"):
+            fuse_patient(record, config)
 
 
 class TestFusePatient:

@@ -23,7 +23,7 @@ DEFAULT_TARGETS = (0.69, 0.64, 0.56, 0.71, 0.58)
 
 
 def module_auc(cohort, index: int) -> float:
-    return auc([p.module_probs[index] for p in cohort.patients], cohort.truths())
+    return auc(cohort.probs[:, index], cohort.outcomes())
 
 
 class TestDeterminism:
@@ -56,9 +56,9 @@ class TestValidity:
 
     def test_mrs_consistent_with_outcome(self):
         cohort = generate_cohort(SyntheticSpec(n_patients=300, seed=5))
-        for p in cohort.patients:
-            assert binarize_mrs(p.mrs) == p.outcome()
-            if p.outcome() == OutcomeLabel.POOR:
+        for p, outcome in zip(cohort.patients, cohort.outcomes()):
+            assert binarize_mrs(p.mrs) == outcome
+            if outcome == OutcomeLabel.POOR:
                 assert 3 <= p.mrs <= 6
             else:
                 assert 0 <= p.mrs <= 2
@@ -74,7 +74,7 @@ class TestPrevalence:
     def test_within_binomial_99_bounds(self, n):
         spec = SyntheticSpec(n_patients=n, prevalence_poor=0.34, seed=21)
         cohort = generate_cohort(spec)
-        poor = sum(t == OutcomeLabel.POOR for t in cohort.truths())
+        poor = int(np.count_nonzero(cohort.outcomes() == OutcomeLabel.POOR))
         margin = 2.576 * math.sqrt(0.34 * 0.66 / n)
         assert abs(poor / n - 0.34) <= margin
 
@@ -108,18 +108,18 @@ class TestAnalyticAuc:
 class TestCopula:
     def test_full_correlation_separates_classes(self):
         cohort = generate_cohort(SyntheticSpec(n_patients=500, rho_nihss=1.0, seed=5))
-        poor_scores = [p.nihss for p in cohort.patients if p.outcome() == OutcomeLabel.POOR]
-        good_scores = [p.nihss for p in cohort.patients if p.outcome() == OutcomeLabel.GOOD]
+        poor_scores = [p.nihss for p in cohort.patients if binarize_mrs(p.mrs) == OutcomeLabel.POOR]
+        good_scores = [p.nihss for p in cohort.patients if binarize_mrs(p.mrs) == OutcomeLabel.GOOD]
         assert min(poor_scores) >= max(good_scores)  # equality only through integer ties
 
     def test_zero_correlation_is_uninformative(self):
         cohort = generate_cohort(SyntheticSpec(n_patients=8000, rho_age=0.0, seed=61))
-        age_auc = auc([p.age for p in cohort.patients], cohort.truths())
+        age_auc = auc(cohort.age, cohort.outcomes())
         assert age_auc == pytest.approx(0.5, abs=0.03)
 
     def test_positive_correlation_is_informative(self):
         cohort = generate_cohort(SyntheticSpec(n_patients=2000, rho_nihss=0.6, seed=62))
-        nihss_auc = auc([p.nihss for p in cohort.patients], cohort.truths())
+        nihss_auc = auc(cohort.nihss, cohort.outcomes())
         assert nihss_auc > 0.65
 
 
