@@ -25,7 +25,6 @@ from .cohort import (
 )
 from .crossval import (
     CvPlan,
-    Fold,
     FoldResolution,
     RunResult,
     RunSummary,

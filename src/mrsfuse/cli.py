@@ -300,9 +300,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     cohort = _read_valid_cohort(settings.cohort_path())
     variable = settings.config.clinical_variable
     _, resolution = resolve_fold_config(cohort, settings.config)  # one fold: its training rows are its test rows
-    fold_of = np.zeros(len(cohort), dtype=np.intp)
-    _, weights, fused = fuse_by_fold(cohort, slice(None), fold_of, variable, [resolution])
-    fused_unweighted = fuse_by_fold(cohort, slice(None), fold_of, "none", [resolution])[2]
+    _, weights, fused = fuse_by_fold(cohort, slice(None), 0, variable, [resolution])
+    fused_unweighted = fuse_by_fold(cohort, slice(None), 0, "none", [resolution])[2]
     poor, poor_unweighted = (is_poor(f, resolution.final_threshold) for f in (fused, fused_unweighted))
     label_names = np.array([str(label) for label in OutcomeLabel], dtype=object)  # indexed by "is poor"
 

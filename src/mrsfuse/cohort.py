@@ -236,7 +236,7 @@ class Cohort:
         if variable == "age":
             return self.age
         if variable == "nihss":
-            return self.nihss.astype(float)
+            return np.clip(self.nihss, -sys.float_info.max, sys.float_info.max).astype(float)  # a huge int clamps
         raise ConfigError(f"unknown clinical variable {variable!r}")
 
     def single_module_view(self, name: str) -> "Cohort":

@@ -1,12 +1,14 @@
 """Patient-level cross-validation with repeated seeded runs.
 
 Each run reshuffles the fold assignment from a seed derived from
-(base_seed, run_index); fusion itself is deterministic. All model
-variants share each run's folds, drawn once. Thresholds and normalizer
-bounds are resolved on the training folds only; module scores are sorted
-once per cohort, and equal searches run once. Each variant fuses a run's
-test rows in one :func:`fuse_by_fold` call, every row under its own fold's
-resolution; ``cli fuse`` is the same call over one fold. Predictions
+(base_seed, run_index); fusion itself is deterministic. A run's folds are
+one array, ``fold_of``, each row's test fold, drawn once and shared by all
+model variants; training fold f is the rows where ``fold_of != f``.
+Thresholds and normalizer bounds are resolved on the training folds only;
+module scores are sorted once per cohort, and equal searches run once.
+Each variant fuses a run's test rows in one :func:`fuse_by_fold` call,
+every row under its own fold's resolution; ``cli fuse`` is the same call
+with the fold index 0 for every row. Predictions
 are pooled over the test folds of a run, and per-run reports are
 aggregated into means and standard deviations across runs. Degenerate
 folds are recorded as run-level failures instead of aborting the
@@ -18,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -55,16 +57,6 @@ class CvPlan:
         require_int("base_seed", self.base_seed, 0)
         if not isinstance(self.stratified, bool):  # a truthy string such as "no" would stratify
             raise ConfigError(("stratified", "must be a bool", self.stratified))
-
-
-@dataclass(frozen=True)
-class Fold:
-    """One fold's patient ids, and the cohort rows they sit at (in the same order)."""
-
-    train_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
-    train_rows: np.ndarray | None = field(default=None, compare=False, repr=False)
-    test_rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -127,13 +119,12 @@ class RunSummary:
         return {**as_plain(self), "seed_schedule": self.seed_schedule(), "measures": measures}
 
 
-def make_folds(cohort: Cohort, plan: CvPlan, run_index: int) -> list[Fold]:
-    """Partition patient ids into k test folds, deterministic in (base_seed, run_index).
+def make_folds(cohort: Cohort, plan: CvPlan, run_index: int) -> np.ndarray:
+    """Each cohort row's test fold in 0..k-1 (an intp array), deterministic in (base_seed, run_index).
 
     Stratified assignment deals each class round-robin with a shared fold
     cursor, so per-class counts and total fold sizes both differ by at most
     one across folds. Every training fold must contain both outcome classes.
-    Test ids are sorted; training ids keep the cohort order.
     """
     n = len(cohort)
     if n == 0:
@@ -151,19 +142,12 @@ def make_folds(cohort: Cohort, plan: CvPlan, run_index: int) -> list[Fold]:
     dealt = np.concatenate([group[rng.permutation(len(group))] for group in groups])
     fold_of = np.empty(n, dtype=np.intp)
     fold_of[dealt] = np.arange(n) % plan.k
-
-    ids = cohort.ids.tolist()
-    folds = []
-    for fold_index in range(plan.k):
-        in_test = fold_of == fold_index
-        train_poor = poor[~in_test]
-        if train_poor.all() or not train_poor.any():
-            hint = "" if plan.stratified else "; enable stratification"
-            raise DegenerateDataError(f"a training fold contains a single outcome class{hint}")
-        train = np.flatnonzero(~in_test)
-        test = np.array(sorted(np.flatnonzero(in_test).tolist(), key=ids.__getitem__), dtype=np.intp)
-        folds.append(Fold(tuple(cohort.ids[train].tolist()), tuple(cohort.ids[test].tolist()), train, test))
-    return folds
+    # each training fold's poor count against its size: all or none is a single class
+    train_poor = np.count_nonzero(poor) - np.bincount(fold_of[poor], minlength=plan.k)
+    if np.any((train_poor == 0) | (train_poor == n - np.bincount(fold_of, minlength=plan.k))):
+        hint = "" if plan.stratified else "; enable stratification"
+        raise DegenerateDataError(f"a training fold contains a single outcome class{hint}")
+    return fold_of
 
 
 def _searched(value: float, what: str) -> float:
@@ -173,7 +157,8 @@ def _searched(value: float, what: str) -> float:
 
 
 def resolve_folds(
-    rows: Cohort, train_rows: Sequence[np.ndarray], config: FusionConfig, search_modules: Callable[[int, str], float]
+    rows: Cohort, train_rows: Sequence[np.ndarray | slice], config: FusionConfig,
+    search_modules: Callable[[int, str], float],
 ) -> list[FoldResolution]:
     """Make thresholds and normalizer concrete per training fold, fold f being the rows ``train_rows[f]``.
 
@@ -202,35 +187,33 @@ def resolve_folds(
                 value = search_modules(fold_index, config.strategy)
             else:
                 unfinished = [FoldResolution(fold_index, prelim, final, *bounds)]
-                fused = fuse_by_fold(rows, train, np.zeros(len(train), dtype=np.intp), config.clinical_variable,
-                                     unfinished)[2]
+                fused = fuse_by_fold(rows, train, 0, config.clinical_variable, unfinished)[2]
                 value = search_threshold(fused, rows.outcomes()[train], config.strategy)
             final = _searched(value, "final threshold")
         resolutions.append(FoldResolution(fold_index, prelim, final, *bounds))
     return resolutions
 
 
-def resolve_fold_config(
-    train: Cohort, config: FusionConfig, fold_index: int = 0
-) -> tuple[FusionConfig, FoldResolution]:
-    """:func:`resolve_folds` of one training fold, every row of ``train``, as a resolved config."""
+def resolve_fold_config(train: Cohort, config: FusionConfig) -> tuple[FusionConfig, FoldResolution]:
+    """:func:`resolve_folds` of one training fold, every row of ``train``: the resolved config, fold 0's resolution."""
     # every module score of every patient, patient by patient
     search = functools.cache(lambda strategy: search_threshold(
         train.probs.ravel(), np.repeat(train.outcomes(), train.probs.shape[1]), strategy))
-    (resolution,) = resolve_folds(train, [np.arange(len(train))], config, lambda _, strategy: search(strategy))
+    (resolution,) = resolve_folds(train, [slice(None)], config, lambda _, strategy: search(strategy))
     norm = config.normalizer
     if norm is None and resolution.norm_min is not None:
         norm = ClinicalNormalizer(config.clinical_variable, resolution.norm_min, resolution.norm_max)
     resolved = replace(config, normalizer=norm, prelim_threshold=resolution.prelim_threshold,
                        final_threshold=resolution.final_threshold)
-    return resolved, replace(resolution, fold_index=fold_index)
+    return resolved, resolution
 
 
 def fuse_by_fold(
-    rows: Cohort, at: np.ndarray | slice, fold_of: np.ndarray, variable: str, resolutions: Sequence[FoldResolution],
+    rows: Cohort, at: np.ndarray | slice, fold_of: np.ndarray | int, variable: str,
+    resolutions: Sequence[FoldResolution],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`fuse_matrix` of the rows ``at`` weighted by ``variable`` (or ``none``), the i-th fused as fold
-    ``fold_of[i]`` resolved it (threshold and bounds)."""
+    ``fold_of[i]`` resolved it (threshold and bounds); an int ``fold_of`` is every row's fold."""
     prelim = np.array([r.prelim_threshold for r in resolutions])[fold_of, None]
     covariate = None
     if variable != "none":  # float bounds: an int64 span such as 2**62 - -2**62 would wrap
@@ -281,15 +264,12 @@ def evaluate_variants(
     failures: dict[str, list[str]] = {name: [] for name in configs}
     for run_index in range(plan.n_runs):
         try:
-            folds = make_folds(cohort, plan, run_index)
+            fold_of = make_folds(cohort, plan, run_index)
         except DegenerateDataError as exc:
             for name in configs:
                 failures[name].append(f"run {run_index}: {exc}")
             continue
-        train_rows = [fold.train_rows for fold in folds]
-        fold_of = np.empty(len(cohort), dtype=np.intp)  # each row's test fold
-        for fold_index, fold in enumerate(folds):
-            fold_of[fold.test_rows] = fold_index
+        train_rows = [np.flatnonzero(fold_of != fold_index) for fold_index in range(plan.k)]
 
         @functools.cache
         def search(modules: tuple[str, ...], fold_index: int, strategy: str) -> float:

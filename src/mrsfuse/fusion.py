@@ -135,7 +135,7 @@ def fuse_matrix(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Poor votes (n, m), weights (n, m) and fused probabilities (n,) of n patients by m modules.
 
-    ``prelim_threshold`` is one cut for every patient, or an (n, 1) column of each patient's own.
+    ``prelim_threshold`` is one cut for every patient (a float or a (1,) array), or an (n, 1) column of cuts.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2:

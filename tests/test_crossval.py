@@ -14,7 +14,7 @@ from mrsfuse import (
     ConfigError,
     CvPlan,
     DegenerateDataError,
-    Fold,
+    FoldResolution,
     FusionConfig,
     MetricReport,
     OutcomeLabel,
@@ -67,41 +67,34 @@ def small_cohort(n=12, seed=3, module_names=("ADC", "CBF")):
 
 class TestMakeFolds:
     def test_partition_sizes_119(self, cohort119):
-        folds = make_folds(cohort119, CvPlan(k=5, n_runs=1, base_seed=0), 0)
-        sizes = sorted(len(f.test_ids) for f in folds)
-        assert sizes == [23, 24, 24, 24, 24]
+        fold_of = make_folds(cohort119, CvPlan(k=5, n_runs=1, base_seed=0), 0)
+        assert sorted(np.bincount(fold_of).tolist()) == [23, 24, 24, 24, 24]
 
     def test_partition_is_exact(self, cohort119):
-        plan = CvPlan(k=5, n_runs=1, base_seed=0)
-        folds = make_folds(cohort119, plan, 0)
-        all_ids = [pid for f in folds for pid in f.test_ids]
-        assert len(all_ids) == len(set(all_ids)) == len(cohort119.patients)
-        for fold in folds:
-            assert set(fold.train_ids).isdisjoint(fold.test_ids)
-            assert len(fold.train_ids) + len(fold.test_ids) == len(cohort119.patients)
+        # one test fold per patient, every fold in 0..k-1 used
+        fold_of = make_folds(cohort119, CvPlan(k=5, n_runs=1, base_seed=0), 0)
+        assert fold_of.dtype == np.intp and fold_of.shape == (len(cohort119),)
+        assert set(fold_of.tolist()) == set(range(5))
 
     def test_stratified_class_balance(self, cohort119):
-        truth = {p.patient_id: binarize_mrs(p.mrs) for p in cohort119.patients}
-        n_poor = sum(1 for t in truth.values() if t == OutcomeLabel.POOR)
-        folds = make_folds(cohort119, CvPlan(k=5, n_runs=1, base_seed=7), 0)
-        per_fold_poor = [
-            sum(1 for pid in f.test_ids if truth[pid] == OutcomeLabel.POOR) for f in folds
-        ]
+        poor = np.array([binarize_mrs(p.mrs) == OutcomeLabel.POOR for p in cohort119.patients])
+        fold_of = make_folds(cohort119, CvPlan(k=5, n_runs=1, base_seed=7), 0)
+        per_fold_poor = np.bincount(fold_of[poor], minlength=5)
         assert max(per_fold_poor) - min(per_fold_poor) <= 1
-        assert sum(per_fold_poor) == n_poor
+        assert sum(per_fold_poor) == poor.sum()
 
     def test_deterministic(self, cohort119):
         plan = CvPlan(k=5, n_runs=3, base_seed=11)
-        assert make_folds(cohort119, plan, 2) == make_folds(cohort119, plan, 2)
+        assert np.array_equal(make_folds(cohort119, plan, 2), make_folds(cohort119, plan, 2))
 
     def test_runs_reshuffle(self, cohort119):
         plan = CvPlan(k=5, n_runs=3, base_seed=11)
-        assert make_folds(cohort119, plan, 0) != make_folds(cohort119, plan, 1)
+        assert not np.array_equal(make_folds(cohort119, plan, 0), make_folds(cohort119, plan, 1))
 
     def test_leave_one_out_when_k_equals_n(self):
         cohort = small_cohort(n=6)
-        folds = make_folds(cohort, CvPlan(k=6, n_runs=1, base_seed=0), 0)
-        assert all(len(f.test_ids) == 1 for f in folds)
+        fold_of = make_folds(cohort, CvPlan(k=6, n_runs=1, base_seed=0), 0)
+        assert sorted(fold_of.tolist()) == list(range(6))
 
     def test_k_larger_than_n(self):
         with pytest.raises(ValidationError):
@@ -159,7 +152,8 @@ class TestMakeFolds:
             with pytest.raises(type(exc), match=str(exc)):
                 make_folds(cohort, plan, run_index)
         else:
-            assert make_folds(cohort, plan, run_index) == expected
+            got = make_folds(cohort, plan, run_index)
+            assert got.dtype == np.intp and np.array_equal(got, expected)
 
     def test_unstratified_error_advises_stratification(self):
         cohort = small_cohort(n=6)
@@ -190,33 +184,28 @@ class TestMakeFolds:
                 make_folds(cohort, plan, run_index)
             return
         try:
-            folds = make_folds(cohort, plan, run_index)
+            fold_of = make_folds(cohort, plan, run_index)
         except DegenerateDataError as exc:
             hint = "" if stratified else "; enable stratification"
             assert str(exc) == f"a training fold contains a single outcome class{hint}"
             if stratified:  # round-robin dealing isolates a class only when it has one patient
                 assert min(poor.sum(), (~poor).sum()) <= 1
             return
-        assert len(folds) == k
-        test_rows = np.concatenate([fold.test_rows for fold in folds])
-        assert sorted(test_rows.tolist()) == list(range(len(mrs)))
-        for fold in folds:
-            assert np.array_equal(np.sort(np.concatenate([fold.train_rows, fold.test_rows])), np.arange(len(mrs)))
-            assert fold.train_ids == tuple(cohort.ids[fold.train_rows].tolist())
-            assert fold.test_ids == tuple(cohort.ids[fold.test_rows].tolist())
-            assert list(fold.test_ids) == sorted(fold.test_ids)
-            assert list(fold.train_rows) == sorted(fold.train_rows)
-            assert poor[fold.train_rows].any() and not poor[fold.train_rows].all()
-        sizes = [len(fold.test_rows) for fold in folds]
-        assert max(sizes) - min(sizes) <= 1
+        assert fold_of.dtype == np.intp and fold_of.shape == (len(mrs),)
+        assert fold_of.min() >= 0 and fold_of.max() < k
+        for fold_index in range(k):
+            train = fold_of != fold_index
+            assert poor[train].any() and not poor[train].all()
+        sizes = np.bincount(fold_of, minlength=k)
+        assert sizes.min() >= 1 and max(sizes) - min(sizes) <= 1
         if stratified:
             for label in (poor, ~poor):
-                counts = [int(label[fold.test_rows].sum()) for fold in folds]
+                counts = np.bincount(fold_of[label], minlength=k)
                 assert max(counts) - min(counts) <= 1
 
 
 def _seed_make_folds(cohort, plan, run_index):
-    """The original per-id dealing loop, kept as the oracle for make_folds."""
+    """The original per-id dealing loop, kept as the oracle for make_folds: each row's test fold."""
     if not cohort.patients:
         raise ValidationError("cannot fold an empty cohort")
     n = len(cohort.patients)
@@ -237,15 +226,16 @@ def _seed_make_folds(cohort, plan, run_index):
             assignments[cursor].append(group[int(pos)])
             cursor = (cursor + 1) % plan.k
     truth_by_id = {p.patient_id: binarize_mrs(p.mrs) for p in cohort.patients}
-    folds = []
-    for test_ids in assignments:
+    row_of = {p.patient_id: row for row, p in enumerate(cohort.patients)}
+    fold_of = np.empty(n, dtype=np.intp)
+    for fold_index, test_ids in enumerate(assignments):
         test_set = set(test_ids)
         train_ids = tuple(p.patient_id for p in cohort.patients if p.patient_id not in test_set)
         if len({truth_by_id[pid] for pid in train_ids}) < 2:
             hint = "" if plan.stratified else "; enable stratification"
             raise DegenerateDataError(f"a training fold contains a single outcome class{hint}")
-        folds.append(Fold(train_ids=train_ids, test_ids=tuple(sorted(test_set))))
-    return folds
+        fold_of[[row_of[pid] for pid in test_ids]] = fold_index
+    return fold_of
 
 
 class TestCvPlanValidation:
@@ -309,8 +299,7 @@ class TestEvaluateModel:
         # flipping test-fold mrs values in fold 0 must not move fold 0's thresholds
         cohort = small_cohort(n=20, seed=8)
         plan = CvPlan(k=2, n_runs=1, base_seed=13, stratified=False)
-        fold0 = make_folds(cohort, plan, 0)[0]
-        to_flip = set(fold0.test_ids[:2])
+        to_flip = set(cohort.ids[make_folds(cohort, plan, 0) == 0][:2].tolist())
         flipped_patients = tuple(
             replace(p, mrs=(5 if binarize_mrs(p.mrs) == OutcomeLabel.GOOD else 1))
             if p.patient_id in to_flip
@@ -361,10 +350,11 @@ def _seed_evaluate_model(cohort, plan, config, model_name):
             resolutions = []
             fused = np.empty(len(cohort))
             predicted = np.empty(len(cohort), dtype=np.int8)
-            for fold_index, fold in enumerate(make_folds(cohort, plan, run_index)):
-                resolved, resolution = resolve_fold_config(take(cohort, fold.train_rows), config, fold_index)
-                resolutions.append(resolution)
-                test = fold.test_rows
+            fold_of = make_folds(cohort, plan, run_index)
+            for fold_index in range(plan.k):
+                resolved, resolution = resolve_fold_config(take(cohort, np.flatnonzero(fold_of != fold_index)), config)
+                resolutions.append(replace(resolution, fold_index=fold_index))
+                test = np.flatnonzero(fold_of == fold_index)
                 fused[test] = fuse_rows(take(cohort, test), resolved)[2]
                 predicted[test] = fused[test] > resolved.final_threshold
             run_report = report(predicted=predicted, fused_probs=fused, truth=truth)
@@ -396,6 +386,32 @@ class TestResolveFoldConfig:
         train = small_cohort(n=30, seed=4, module_names=module_names)
         resolve_fold_config(train, FusionConfig(variable))
         assert len(calls) == searches
+
+
+class TestFuseByFold:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), variable=st.sampled_from(["none", "nihss", "age"]),
+           int_bounds=st.booleans(), as_rows=st.booleans())
+    def test_a_fold_index_equals_a_fold_array_of_it(self, seed, variable, int_bounds, as_rows):
+        # fold 0 for every row, given as the index alone or as an array of zeros, fuses to the same bits
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+        probs = np.where(rng.random((n, m)) < 0.3, rng.choice([0.0, 0.5, 1.0], (n, m)), rng.random((n, m)))
+        ids = np.array([f"p{i}" for i in range(n)], dtype=object)
+        cohort = Cohort.of_columns(tuple(f"M{j}" for j in range(m)), ids, probs, rng.uniform(20.0, 95.0, n),
+                                   rng.integers(0, 43, n), rng.integers(0, 7, n))
+        at = rng.permutation(n)[:int(rng.integers(1, n + 1))] if as_rows else slice(None)
+        lo = int(rng.integers(0, 40))
+        hi = lo + int(rng.integers(1, 60))
+        bounds = (lo, hi) if int_bounds else (lo + float(rng.random()), hi + float(rng.random()))
+        if variable == "none":
+            bounds = (None, None)
+        resolutions = [FoldResolution(0, float(rng.choice([0.5, rng.random()])), 0.5, *bounds)]
+        size = len(cohort.ids[at])
+        one = mrsfuse.crossval.fuse_by_fold(cohort, at, 0, variable, resolutions)
+        many = mrsfuse.crossval.fuse_by_fold(cohort, at, np.zeros(size, dtype=np.intp), variable, resolutions)
+        for a, b in zip(one, many):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestEvaluateVariants:
@@ -455,9 +471,9 @@ class TestEvaluateVariants:
         patients = [PatientRecord(f"p{i}", 60.0, 5, p, grade) for i, (p, grade) in enumerate(zip(probs, mrs))]
         cohort = Cohort(module_names=("A", "B"), patients=patients)
         plan = CvPlan(k=3, n_runs=1, base_seed=0)
-        folds = make_folds(cohort, plan, 0)
+        fold_of = make_folds(cohort, plan, 0)
         with pytest.raises(DegenerateDataError, match=r"^preliminary threshold search collapsed"):
-            resolve_fold_config(take(cohort, folds[1].train_rows), UNWEIGHTED)
+            resolve_fold_config(take(cohort, np.flatnonzero(fold_of != 1)), UNWEIGHTED)
         summary = evaluate_variants(cohort, plan, {"ensemble": (UNWEIGHTED, None)})["ensemble"]
         assert summary.failures == ("run 0: final threshold search collapsed to the boundary (0.0)",)
         assert summary.as_dict() == _seed_evaluate_model(cohort, plan, UNWEIGHTED, "ensemble").as_dict()
@@ -490,7 +506,7 @@ class TestEvaluateVariants:
         assert views == [(name,) for name in cohort119.module_names]  # the guard saw every view built
         expected = []
         for run_index in range(plan.n_runs):
-            train_sizes = [len(fold.train_rows) for fold in make_folds(cohort119, plan, run_index)]
+            train_sizes = (len(cohort119) - np.bincount(make_folds(cohort119, plan, run_index))).tolist()
             for name in configs:
                 expected += train_sizes if name in ("ensemble", "weighted") else []
                 expected.append(len(cohort119))

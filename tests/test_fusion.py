@@ -358,6 +358,15 @@ class TestFusePatient:
             assert weighted.weights == unweighted.weights
             assert weighted.fused_probability == unweighted.fused_probability
 
+    @pytest.mark.parametrize("nihss, clamps_like, fused", [(10**400, 43, 0.6), (-10**400, -1, 0.3)],
+                             ids=["above", "below"])
+    def test_nihss_beyond_float_range_clamps(self, nihss, clamps_like, fused):
+        # an int too large for a float clamps like any grade outside the bounds instead of overflowing
+        config = FusionConfig("nihss", ClinicalNormalizer("nihss", 0, 42), 0.4, 0.4, "fixed")
+        got, expected = (fuse_patient(PatientRecord("a", 50.0, grade, (0.3, 0.6), 2), config)
+                         for grade in (nihss, clamps_like))
+        assert got == expected and got.fused_probability == fused
+
     def test_uniform_average_of_constant_probs(self):
         record = PatientRecord("x", age=50.0, nihss=5, module_probs=(0.5,) * 5, mrs=None)
         config = FusionConfig(
