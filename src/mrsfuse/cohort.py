@@ -37,7 +37,7 @@ GOOD_MRS_MAX = 2  # disability grades 0-2 count as good outcome, 3-6 as poor
 
 CSV_REQUIRED_COLUMNS = ("patient_id", "age", "nihss", "mrs")
 CSV_MODULE_PREFIX = "p_"
-CSV_CHUNK_ROWS = 4096  # rows that write_csv_columns formats and writes at a time
+CSV_CHUNK_ROWS = 1024  # rows that write_csv_columns formats and writes at a time
 
 _CSV_QUOTED = re.compile('[,"\r\n]')  # a cell holding one of these is quoted, as csv.QUOTE_MINIMAL does
 
@@ -260,18 +260,31 @@ class Violation:
         return f"{who}: {self.field}: {self.reason}"
 
 
+def _fits(value: object, kind: type) -> bool:
+    """True for a number of ``kind``, not a bool, that its column holds: a real one must convert to a float."""
+    if not is_number(value, kind):
+        return False
+    if kind is numbers.Integral:  # an int beyond int64 goes to an object column
+        return True
+    try:
+        float(value)
+    except OverflowError:  # an int beyond float range
+        return False
+    return True
+
+
 def _record_fault(p: PatientRecord, module_names: tuple[str, ...]) -> Violation | None:
     """Why the cohort columns cannot hold this record, or None."""
     pid = p.patient_id
     for field, value, kind in (("age", p.age, numbers.Real), ("nihss", p.nihss, numbers.Integral),
                                ("mrs", 0 if p.mrs is None else p.mrs, numbers.Integral)):
-        if not is_number(value, kind):
+        if not _fits(value, kind):
             return Violation(pid, field, _REASONS[field].format(value))
     if len(p.module_probs) != len(module_names):
         reason = f"expected {len(module_names)} probabilities, got {len(p.module_probs)}"
         return Violation(pid, "module_probs", reason)
     for name, prob in zip(module_names, p.module_probs):
-        if not is_number(prob):
+        if not _fits(prob, numbers.Real):
             return Violation(pid, module_column(str(name)), _REASONS["probability"].format(prob))
     return None
 

@@ -19,6 +19,7 @@ cohorts, and the public scalar functions are one-row calls of the same pieces.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +29,8 @@ from .cohort import ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, nor
 from .errors import ConfigError, DegenerateDataError, ValidationError, is_number
 
 WEIGHT_SUM_TOL = 1e-9
+_HALF_MAX = sys.float_info.max / 2
+FUSE_BLOCK_ROWS = 4096  # rows whose weighted probabilities _weighted_sums holds at a time
 
 THRESHOLD_STRATEGIES = ("youden", "max_accuracy", "fixed")
 FUSION_VARIABLES = ("age", "nihss", "none")
@@ -113,21 +116,28 @@ def _vote_weights(poor: np.ndarray, covariate: np.ndarray | None) -> np.ndarray:
         raise ValidationError(f"length mismatch: {n} patients vs covariate shape {c.shape}")
     _check_unit(c, "covariate")
     c = c[:, None]
-    raw = np.where(poor, c, 1.0 - c)
-    total = _row_sums(raw)
+    weights = np.where(poor, c, 1.0 - c)
+    total = _row_sums(weights)
     uniform = total == 0.0
-    weights = raw / np.where(uniform, 1.0, total)[:, None]
+    weights /= np.where(uniform, 1.0, total)[:, None]  # in place: no second (n, m) array
     weights[uniform] = 1.0 / m
     return weights
 
 
 def _weighted_sums(weights: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Row sums of ``weights * probs``, after checking that every weight row sums to one."""
+    """Row sums of ``weights * probs``, after checking that every weight row sums to one.
+
+    The products are made ``FUSE_BLOCK_ROWS`` rows at a time, so a large cohort's are never held whole.
+    """
     sums = _row_sums(weights)
     off = ~(np.abs(sums - 1.0) <= WEIGHT_SUM_TOL)  # a NaN sum is off too
     if off.any():
         raise ValidationError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {float(sums[off][0])!r}")
-    return _row_sums(weights * probs)
+    total = np.empty(len(weights))
+    for start in range(0, len(weights), FUSE_BLOCK_ROWS):
+        rows = slice(start, start + FUSE_BLOCK_ROWS)
+        total[rows] = _row_sums(weights[rows] * probs[rows])
+    return total
 
 
 def fuse_matrix(
@@ -207,7 +217,13 @@ def search_threshold(
         raise ValidationError("scores and truths must be non-empty and equal length")
     s = np.asarray(scores, dtype=float)
     order = np.argsort(s, kind="stable")
-    return search_sorted_threshold(s[order], (np.asarray(truths) == OutcomeLabel.POOR)[order], strategy)
+    s, poor = s[order], (np.asarray(truths) == OutcomeLabel.POOR)[order]
+    # a midpoint of scores past half the float range is inf (1e308 + 1.7e308) or NaN (-inf + inf), quietly as
+    # with Python floats; the errstate context costs a few µs, so only such scores (or a NaN, sorted last) pay it
+    if -_HALF_MAX < s[0] and s[-1] < _HALF_MAX:
+        return search_sorted_threshold(s, poor, strategy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return search_sorted_threshold(s, poor, strategy)
 
 
 def search_sorted_threshold(scores: np.ndarray, poor: np.ndarray, strategy: str) -> float:

@@ -75,10 +75,14 @@ def generate_cohort(spec: SyntheticSpec) -> Cohort:
     z_outcome = rng.standard_normal(n)
     poor = z_outcome > ndtri(1.0 - spec.prevalence_poor)
 
-    # Binormal module scores, squashed onto (0, 1) rank-preservingly.
+    # Binormal module scores, squashed onto (0, 1) rank-preservingly by 1 / (1 + exp(-z)) in place.
     deltas = sqrt(2.0) * np.array([ndtri(target) for target in spec.module_aucs])
-    z_modules = rng.standard_normal((n, n_modules)) + np.where(poor[:, None], deltas[None, :], 0.0)
-    probs = 1.0 / (1.0 + np.exp(-z_modules))
+    probs = rng.standard_normal((n, n_modules))
+    np.add(probs, deltas, out=probs, where=poor[:, None])
+    np.negative(probs, out=probs)
+    np.exp(probs, out=probs)
+    probs += 1.0
+    np.divide(1.0, probs, out=probs)
 
     def copula_uniform(rho: float) -> np.ndarray:
         noise = rng.standard_normal(n)
@@ -94,5 +98,5 @@ def generate_cohort(spec: SyntheticSpec) -> Cohort:
     mrs = np.where(poor, mrs_poor, mrs_good)
 
     width = max(4, len(str(n)))
-    ids = np.array([f"S{i:0{width}d}" for i in range(n)], dtype=object)
+    ids = np.fromiter(map(f"S%0{width}d".__mod__, range(n)), dtype=object, count=n)
     return Cohort.of_columns(spec.module_names, ids, probs, age, nihss, mrs)

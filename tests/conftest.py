@@ -1,4 +1,4 @@
-"""Shared fixtures: the published worked-example rows, a CLI runner and the CSV writer's oracle."""
+"""Shared fixtures: the published worked-example rows, a CLI runner, the CSV writer's oracle and a peak-memory probe."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,6 +119,18 @@ def run_cli(
         cwd=cwd,
         env=env,
     )
+
+
+def transient_peak(call) -> tuple:
+    """``call()`` and the bytes its peak held beyond what is still held on return (its result), as tracemalloc
+    counts them. numpy reports its buffers to tracemalloc, so the count does not depend on the host."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
 
 
 def csv_writer_bytes(rows) -> bytes:

@@ -32,7 +32,9 @@ from mrsfuse import (
     validate_cohort,
     write_cohort_csv,
 )
-from conftest import CHUNK_EDGE_ROWS, WRITER_IDS, WRITER_MODULE_NAMES, csv_writer_bytes, cycled, take
+from conftest import (
+    CHUNK_EDGE_ROWS, WRITER_IDS, WRITER_MODULE_NAMES, csv_writer_bytes, cycled, take, transient_peak,
+)
 from mrsfuse.cohort import (
     CSV_REQUIRED_COLUMNS,
     DEFAULT_MODULE_NAMES,
@@ -43,6 +45,7 @@ from mrsfuse.cohort import (
     module_column,
     write_csv_columns,
 )
+from mrsfuse.fusion import fuse_matrix
 
 
 def make_patient(pid="p1", age=60.0, nihss=10, probs=(0.1, 0.2, 0.3, 0.4, 0.5), mrs=2):
@@ -470,6 +473,20 @@ class TestValidationOracle:
         flagged = [str(v) for v in _record_violations(DEFAULT_MODULE_NAMES, (bad,))]
         assert flagged == ([] if line.endswith("got True") else [f"p2: {line}"])
 
+    @pytest.mark.parametrize(("field", "value"), [("age", 10**400), ("age", -10**400),
+                                                  ("p_cbf", 10**400), ("p_tmax", -10**400)],
+                             ids=["age_above", "age_below", "prob_above", "prob_below"])
+    def test_ints_beyond_float_range_are_rejected(self, field, value):
+        # float() overflows on them, so the float columns cannot hold them
+        if field == "age":
+            bad, reason = make_patient(pid="p2", age=value), "age must be a finite value >= 0"
+        else:
+            probs = tuple(value if module_column(name) == field else 0.5 for name in DEFAULT_MODULE_NAMES)
+            bad, reason = make_patient(pid="p2", probs=probs), "probability must be in [0, 1]"
+        with pytest.raises(ValidationError) as caught:
+            Cohort(patients=(make_patient(), bad))
+        assert str(caught.value) == f"p2: {field}: {reason}, got {value!r}"
+
 
 def _module_name(column):
     suffix = column[2:]
@@ -719,3 +736,15 @@ class TestCsvWriterOracle:
         buffer = io.StringIO(newline="")
         write_csv_columns(buffer, header, columns)
         assert buffer.getvalue().encode("utf-8") == csv_writer_bytes([header, *zip(*(c.tolist() for c in columns))])
+
+    def test_a_fuse_table_is_written_in_bounded_memory(self):
+        # the 14 columns of a fuse table of 50 000 patients: only a chunk's cells are alive at a time
+        cohort = generate_cohort(SyntheticSpec(n_patients=50_000))
+        covariate = normalize_clinical(cohort.age, ClinicalNormalizer("age", 20, 95))
+        _, weights, fused = fuse_matrix(cohort.probs, covariate, 0.5)
+        labels = [np.array(["good", "poor"], dtype=object)[(fused > cut).astype(np.intp)] for cut in (0.4, 0.5)]
+        columns = [cohort.ids, *cohort.probs.T, *weights.T, fused, *labels]
+        header = [f"c{j}" for j in range(len(columns))]
+        with open(os.devnull, "w", newline="", encoding="utf-8") as handle:
+            _, peak = transient_peak(lambda: write_csv_columns(handle, header, columns))
+        assert peak < 3_000_000

@@ -26,13 +26,14 @@ from mrsfuse import (
     uniform_weights,
 )
 from mrsfuse.crossval import _presort
-from mrsfuse.fusion import WEIGHT_SUM_TOL, fuse_matrix, search_sorted_threshold
+from mrsfuse.fusion import FUSE_BLOCK_ROWS, WEIGHT_SUM_TOL, fuse_matrix, search_sorted_threshold
 from conftest import (
     REFERENCE_PRELIM_THRESHOLD,
     TABLE_CONSISTENT_FINAL_THRESHOLD,
     ReferenceRow,
     REFERENCE_ROWS,
     panel_bounds,
+    transient_peak,
 )
 
 GOOD = OutcomeLabel.GOOD
@@ -245,6 +246,11 @@ class TestSearchThreshold:
         with pytest.raises(ConfigError):
             search_threshold([0.1, 0.9], labels("gp"), "fixed")
 
+    def test_midpoints_beyond_float_range_do_not_warn(self):
+        # the sum of two neighbours overflows to inf, or is NaN for -inf and inf; the warnings are errors here
+        assert search_threshold([1e308, 1.7e308], [POOR, GOOD]) == 0.0
+        assert math.isnan(search_threshold([-math.inf, math.inf], [POOR, GOOD]))
+
 
 def _oracle_search(scores, truths, strategy):
     distinct = sorted(set(scores))
@@ -366,6 +372,13 @@ class TestFusePatient:
         got, expected = (fuse_patient(PatientRecord("a", 50.0, grade, (0.3, 0.6), 2), config)
                          for grade in (nihss, clamps_like))
         assert got == expected and got.fused_probability == fused
+
+    @pytest.mark.parametrize("age", [10**400, -10**400], ids=["above", "below"])
+    def test_age_beyond_float_range_is_rejected(self, age):
+        config = FusionConfig("age", ClinicalNormalizer("age", 0, 100), 0.4, 0.4, "fixed")
+        with pytest.raises(ValidationError) as caught:
+            fuse_patient(PatientRecord("a", age, 5, (0.3, 0.6), 2), config)
+        assert str(caught.value) == f"a: age: age must be a finite value >= 0, got {age!r}"
 
     def test_uniform_average_of_constant_probs(self):
         record = PatientRecord("x", age=50.0, nihss=5, module_probs=(0.5,) * 5, mrs=None)
@@ -600,6 +613,22 @@ class TestFuseMatrix:
         if weighted:
             assert weights[:10].tolist() == [list(uniform_weights(m))] * 10
             assert weights[30:40].tolist() == [list(uniform_weights(m))] * 10
+
+    @pytest.mark.parametrize("n", [FUSE_BLOCK_ROWS - 1, FUSE_BLOCK_ROWS, FUSE_BLOCK_ROWS + 1, 2 * FUSE_BLOCK_ROWS + 3])
+    def test_fused_rows_match_the_scalar_sum_across_product_blocks(self, n):
+        # each side of a block boundary: every fused value is the scalar sum, from 0, of its row's products
+        rng = np.random.default_rng(n)
+        probs = rng.random((n, 5))
+        _, weights, fused = fuse_matrix(probs, rng.random(n), 0.5)
+        assert fused.tolist() == [sum(w * p for w, p in zip(*row)) for row in zip(weights.tolist(), probs.tolist())]
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_peak_is_under_one_matrix_above_the_result(self, weighted):
+        # weights are normalized and products summed in place: no (n, m) array beyond the weights returned
+        rng = np.random.default_rng(5)
+        probs, covariate = rng.random((50_000, 5)), rng.random(50_000)
+        _, peak = transient_peak(lambda: fuse_matrix(probs, covariate if weighted else None, 0.5))
+        assert peak < probs.nbytes
 
     def test_rejects_probability_outside_unit_interval(self):
         with pytest.raises(ValidationError, match="module probability"):

@@ -19,6 +19,8 @@ from mrsfuse import (
     write_cohort_csv,
 )
 
+from conftest import transient_peak
+
 DEFAULT_TARGETS = (0.69, 0.64, 0.56, 0.71, 0.58)
 
 
@@ -67,6 +69,13 @@ class TestValidity:
         cohort = generate_cohort(SyntheticSpec(n_patients=500, seed=6))
         ids = [p.patient_id for p in cohort.patients]
         assert len(set(ids)) == len(ids)
+
+
+class TestMemory:
+    def test_peak_is_under_one_matrix_above_the_cohort(self):
+        # the (n, m) scores are squashed in place, so no second (n, m) array outlives the squash
+        cohort, peak = transient_peak(lambda: generate_cohort(SyntheticSpec(n_patients=50_000)))
+        assert peak < cohort.probs.nbytes
 
 
 class TestPrevalence:
