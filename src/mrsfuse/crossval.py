@@ -31,7 +31,6 @@ from .fusion import (
     FusionConfig,
     fuse_matrix,
     is_poor,
-    normalizer_from_patients,
     search_sorted_threshold,
     search_threshold,
 )
@@ -176,7 +175,15 @@ def resolve_folds(
     for fold_index, train in enumerate(train_rows):
         norm = config.normalizer
         if config.clinical_variable != "none" and norm is None:
-            norm = normalizer_from_patients(rows, config.clinical_variable, train)
+            values = rows.covariate(config.clinical_variable)[train]
+            if len(values) == 0:
+                raise ValidationError("cannot derive normalizer bounds from an empty patient list")
+            lo, hi = float(values.min()), float(values.max())
+            if not hi > lo:
+                raise DegenerateDataError(
+                    f"cannot derive normalizer bounds: {config.clinical_variable} is constant at {lo}"
+                )
+            norm = ClinicalNormalizer(variable=config.clinical_variable, min=lo, max=hi)
         prelim = config.prelim_threshold
         if prelim is None:
             prelim = _searched(search_modules(fold_index, config.strategy), "preliminary threshold")

@@ -271,18 +271,3 @@ def fuse_patient(record: PatientRecord, config: FusionConfig) -> FusionResult:
         fused_probability=float(fused[0]),
         final_label=classify(fused[0], config.final_threshold),
     )
-
-
-def normalizer_from_patients(
-    cohort: Cohort, variable: str, rows: np.ndarray | slice = slice(None)
-) -> ClinicalNormalizer:
-    """Min-max normalizer with bounds taken from the cohort's patients (those at ``rows``)."""
-    values = cohort.covariate(variable)[rows]
-    if len(values) == 0:
-        raise ValidationError("cannot derive normalizer bounds from an empty patient list")
-    lo, hi = float(values.min()), float(values.max())
-    if not hi > lo:
-        raise DegenerateDataError(
-            f"cannot derive normalizer bounds: {variable} is constant at {lo}"
-        )
-    return ClinicalNormalizer(variable=variable, min=lo, max=hi)

@@ -5,12 +5,13 @@ absolute error of the fused probability against the 0/1 outcome, and AUC.
 The positive class is the poor outcome throughout. AUC is a rank statistic,
 the Mann-Whitney U of the poor scores over n_poor * n_good, computed from
 :func:`significance.average_ranks`, the rank rule of the signed-rank test.
+:func:`report` counts the confusion matrix; AUC needs both classes, so no ratio divides by zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +27,8 @@ POSITIVE_CLASS = OutcomeLabel.POOR
 
 @dataclass(frozen=True)
 class MetricReport:
-    """The six measures for one prediction set."""
+    """The six measures for one prediction set; ``degenerate`` is always empty
+    from :func:`report` and stays because every ``cv`` summary carries it."""
 
     accuracy: float
     sensitivity: float
@@ -44,52 +46,11 @@ class MetricReport:
         return float(getattr(self, measure))
 
 
-class ConfusionMetrics(NamedTuple):
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    f1: float
-    degenerate: tuple[str, ...] = ()
-
-
 def _check_paired(a: Sequence, b: Sequence) -> None:
     if len(a) != len(b):
         raise ValidationError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) == 0:
         raise ValidationError("empty input")
-
-
-def confusion_counts(
-    predicted: Sequence[OutcomeLabel], truth: Sequence[OutcomeLabel]
-) -> tuple[int, int, int, int]:
-    """(tp, fp, tn, fn) with poor as the positive class."""
-    _check_paired(predicted, truth)
-    pred = np.asarray(predicted) == POSITIVE_CLASS
-    true = np.asarray(truth) == POSITIVE_CLASS
-    tp = int(np.sum(pred & true))
-    fn = int(np.sum(~pred & true))
-    fp = int(np.sum(pred & ~true))
-    return tp, fp, len(pred) - tp - fn - fp, fn
-
-
-def confusion_metrics(
-    predicted: Sequence[OutcomeLabel], truth: Sequence[OutcomeLabel]
-) -> ConfusionMetrics:
-    """Accuracy, sensitivity, specificity, F1; zero denominators yield 0 and a flag."""
-    tp, fp, tn, fn = confusion_counts(predicted, truth)
-    degenerate: list[str] = []
-
-    def ratio(num: int, den: int, name: str) -> float:
-        if den == 0:
-            degenerate.append(name)
-            return 0.0
-        return num / den
-
-    accuracy = (tp + tn) / (tp + fp + tn + fn)
-    sensitivity = ratio(tp, tp + fn, "sensitivity")
-    specificity = ratio(tn, tn + fp, "specificity")
-    f1 = ratio(2 * tp, 2 * tp + fp + fn, "f1")
-    return ConfusionMetrics(accuracy, sensitivity, specificity, f1, tuple(degenerate))
 
 
 def mean_absolute_error(
@@ -134,15 +95,20 @@ def report(
     fused_probs: Sequence[float],
     truth: Sequence[OutcomeLabel],
 ) -> MetricReport:
-    """Assemble all six measures for one prediction set."""
-    conf = confusion_metrics(predicted, truth)
+    """Assemble all six measures for one prediction set; single-class truths fail in :func:`auc`."""
+    _check_paired(predicted, truth)
+    pred = np.asarray(predicted) == POSITIVE_CLASS
+    true = np.asarray(truth) == POSITIVE_CLASS
+    tp = int(np.sum(pred & true))
+    fn = int(np.sum(~pred & true))
+    fp = int(np.sum(pred & ~true))
+    tn = len(pred) - tp - fn - fp
     return MetricReport(
-        accuracy=conf.accuracy,
-        sensitivity=conf.sensitivity,
-        specificity=conf.specificity,
-        f1=conf.f1,
         mae=mean_absolute_error(fused_probs, truth),
-        auc=auc(fused_probs, truth),
+        auc=auc(fused_probs, truth),  # raises on single-class truths, before a ratio below divides by 0
+        accuracy=(tp + tn) / (tp + fp + tn + fn),
+        sensitivity=tp / (tp + fn),
+        specificity=tn / (tn + fp),
+        f1=2 * tp / (2 * tp + fp + fn),
         n_patients=len(truth),
-        degenerate=conf.degenerate,
     )

@@ -16,12 +16,14 @@ is capped at 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from numbers import Rational
 
 import numpy as np
 
 from ._normal import ndtr
-from .errors import ValidationError
+from .errors import ValidationError, is_number
 
 EXACT_MAX_N = 25
 
@@ -34,8 +36,12 @@ class PairedSample:
     b: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(float(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(float(x) for x in self.b))
+        for side in ("a", "b"):
+            values = tuple(getattr(self, side))  # a bare string's characters are not numbers
+            # an int or a fraction beyond the largest float has no float; NaN and inf fail the check below
+            if not all(is_number(x) and not (isinstance(x, Rational) and abs(x) > sys.float_info.max) for x in values):
+                raise ValidationError(f"paired sample {side} must hold real numbers within float range")
+            object.__setattr__(self, side, tuple(float(x) for x in values))
         if len(self.a) != len(self.b):
             raise ValidationError(f"paired sample length mismatch: {len(self.a)} vs {len(self.b)}")
         if not self.a:

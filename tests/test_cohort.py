@@ -18,16 +18,12 @@ from mrsfuse import (
     Cohort,
     ConfigError,
     FusionConfig,
-    MetricReport,
     OutcomeLabel,
     PatientRecord,
     SyntheticSpec,
     ValidationError,
-    Violation,
     as_plain,
-    binarize_mrs,
     generate_cohort,
-    normalize_clinical,
     read_cohort_csv,
     validate_cohort,
     write_cohort_csv,
@@ -40,12 +36,16 @@ from mrsfuse.cohort import (
     DEFAULT_MODULE_NAMES,
     MRS_MAX,
     NIHSS_MAX,
+    Violation,
     _parse_cohort_csv,
     atomic_output,
+    binarize_mrs,
     module_column,
+    normalize_clinical,
     write_csv_columns,
 )
 from mrsfuse.fusion import fuse_matrix
+from mrsfuse.metrics import MetricReport
 
 
 def make_patient(pid="p1", age=60.0, nihss=10, probs=(0.1, 0.2, 0.3, 0.4, 0.5), mrs=2):

@@ -14,27 +14,24 @@ from mrsfuse import (
     ConfigError,
     CvPlan,
     DegenerateDataError,
-    FoldResolution,
     FusionConfig,
-    MetricReport,
     OutcomeLabel,
     PatientRecord,
-    RunResult,
     RunSummary,
     SyntheticSpec,
     ValidationError,
-    binarize_mrs,
     compare_summary_dicts,
     evaluate_model,
     evaluate_per_module,
     evaluate_variants,
     generate_cohort,
-    make_folds,
     resolve_fold_config,
 )
 import mrsfuse.crossval
+from mrsfuse.cohort import binarize_mrs
+from mrsfuse.crossval import FoldResolution, RunResult, make_folds
 from mrsfuse.fusion import fuse_matrix
-from mrsfuse.metrics import report
+from mrsfuse.metrics import MetricReport, report
 from conftest import fuse_rows, take
 
 UNWEIGHTED = FusionConfig(clinical_variable="none")
@@ -387,6 +384,15 @@ class TestResolveFoldConfig:
         resolve_fold_config(train, FusionConfig(variable))
         assert len(calls) == searches
 
+    def test_normalizer_bounds_need_training_covariates_that_vary(self):
+        train = small_cohort(n=12, seed=4)
+        constant = Cohort.of_columns(train.module_names, train.ids, train.probs, train.age, np.full(12, 7), train.mrs)
+        with pytest.raises(DegenerateDataError, match="^cannot derive normalizer bounds: nihss is constant at 7.0$"):
+            resolve_fold_config(constant, FusionConfig("nihss"))
+        fixed = FusionConfig("age", prelim_threshold=0.5, final_threshold=0.5, strategy="fixed")
+        with pytest.raises(ValidationError, match="^cannot derive normalizer bounds from an empty patient list$"):
+            mrsfuse.crossval.resolve_folds(train, [np.array([], dtype=np.int64)], fixed, None)
+
 
 class TestFuseByFold:
     @settings(max_examples=80, deadline=None)
@@ -439,7 +445,9 @@ class TestEvaluateVariants:
             plan = CvPlan(k=int(rng.integers(2, 6)), n_runs=4, base_seed=case, stratified=stratified)
             configs = {name: (UNWEIGHTED, name) for name in cohort.module_names}
             configs.update({"ensemble": (unweighted, None), "weighted": (weighted, None)})
-            got = {name: summary.as_dict() for name, summary in evaluate_variants(cohort, plan, configs).items()}
+            summaries = evaluate_variants(cohort, plan, configs)
+            assert all(run.metrics.degenerate == () for summary in summaries.values() for run in summary.runs)
+            got = {name: summary.as_dict() for name, summary in summaries.items()}
             expected = {
                 name: _seed_evaluate_model(cohort.single_module_view(name), plan, UNWEIGHTED, name).as_dict()
                 for name in cohort.module_names

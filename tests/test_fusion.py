@@ -12,7 +12,6 @@ from mrsfuse import (
     ConfigError,
     DegenerateDataError,
     FusionConfig,
-    FusionResult,
     OutcomeLabel,
     PatientRecord,
     ValidationError,
@@ -21,12 +20,13 @@ from mrsfuse import (
     derive_labels,
     fuse,
     fuse_patient,
-    normalize_clinical,
-    search_threshold,
     uniform_weights,
 )
+from mrsfuse.cohort import normalize_clinical
 from mrsfuse.crossval import _presort
-from mrsfuse.fusion import FUSE_BLOCK_ROWS, WEIGHT_SUM_TOL, fuse_matrix, search_sorted_threshold
+from mrsfuse.fusion import (
+    FUSE_BLOCK_ROWS, WEIGHT_SUM_TOL, FusionResult, fuse_matrix, search_sorted_threshold, search_threshold,
+)
 from conftest import (
     REFERENCE_PRELIM_THRESHOLD,
     TABLE_CONSISTENT_FINAL_THRESHOLD,

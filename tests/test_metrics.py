@@ -1,4 +1,4 @@
-"""Evaluation measures: confusion metrics, probability MAE, Mann-Whitney AUC."""
+"""Evaluation measures: report's confusion measures, probability MAE, Mann-Whitney AUC."""
 
 from __future__ import annotations
 
@@ -8,16 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mrsfuse import (
-    DegenerateDataError,
-    OutcomeLabel,
-    ValidationError,
-    auc,
-    confusion_counts,
-    confusion_metrics,
-    mean_absolute_error,
-    report,
-)
+from mrsfuse import DegenerateDataError, OutcomeLabel, ValidationError, auc
+from mrsfuse.metrics import mean_absolute_error, report
 
 GOOD = OutcomeLabel.GOOD
 POOR = OutcomeLabel.POOR
@@ -54,64 +46,64 @@ def _oracle_auc(scores, truth) -> float:
     return area / (int(y.sum()) * int((~y).sum()))
 
 
-class TestConfusionMetrics:
+def confusion_measures(predicted, truth) -> tuple[float, float, float, float]:
+    """Accuracy, sensitivity, specificity and F1 from :func:`report`, every fused probability 0.5."""
+    rep = report(predicted, [0.5] * len(truth), truth)
+    return rep.accuracy, rep.sensitivity, rep.specificity, rep.f1
+
+
+class TestReportConfusionMeasures:
     def test_perfect_prediction(self):
         truth = labels("ppgg")
-        assert confusion_metrics(truth, truth)[:4] == (1.0, 1.0, 1.0, 1.0)
+        assert confusion_measures(truth, truth) == (1.0, 1.0, 1.0, 1.0)
 
     def test_total_error(self):
         truth = labels("ppgg")
         flipped = labels("ggpp")
-        assert confusion_metrics(flipped, truth)[:4] == (0.0, 0.0, 0.0, 0.0)
+        assert confusion_measures(flipped, truth) == (0.0, 0.0, 0.0, 0.0)
 
     def test_hand_counted_matrix(self):
         # tp=2, fn=1, tn=3, fp=0
         truth = labels("pppggg")
         predicted = labels("ppgggg")
-        assert confusion_counts(predicted, truth) == (2, 0, 3, 1)
-        acc, sens, spec, f1, flags = confusion_metrics(predicted, truth)
-        assert acc == pytest.approx(5 / 6)
-        assert sens == pytest.approx(2 / 3)
-        assert spec == 1.0
-        assert f1 == pytest.approx(0.8)
-        assert flags == ()
+        assert confusion_measures(predicted, truth) == (5 / 6, 2 / 3, 1.0, 4 / 5)
+        assert report(predicted, [0.5] * 6, truth).degenerate == ()
 
-    def test_zero_denominator_flags(self):
-        truth = labels("gg")
-        predicted = labels("gg")
-        acc, sens, spec, f1, flags = confusion_metrics(predicted, truth)
-        assert (acc, sens, spec, f1) == (1.0, 0.0, 1.0, 0.0)
-        assert set(flags) == {"sensitivity", "f1"}
+    @pytest.mark.parametrize("truth", ["pppp", "gggg"])
+    def test_single_class_truths_raise(self, truth):
+        with pytest.raises(DegenerateDataError, match="single-class"):
+            report(labels("pgpg"), [0.9, 0.1, 0.8, 0.2], labels(truth))
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            confusion_metrics(labels("pg"), labels("p"))
+    def test_checks_run_in_order(self):
+        # the pairing of predicted and truth first, then the probabilities, then both classes
+        with pytest.raises(ValidationError, match="^length mismatch: 2 vs 1$"):
+            report(labels("pg"), [1.5], labels("p"))
+        with pytest.raises(ValidationError, match="must be in"):
+            report(labels("pg"), [1.5, 0.5], labels("pp"))
 
     def test_empty(self):
-        with pytest.raises(ValidationError):
-            confusion_metrics([], [])
+        with pytest.raises(ValidationError, match="empty"):
+            report([], [], [])
 
     def test_sensitivity_specificity_swap_under_class_flip(self):
         rng = np.random.default_rng(7)
+        flip = {POOR: GOOD, GOOD: POOR}
         for _ in range(100):
             n = int(rng.integers(4, 30))
-            truth = [POOR if rng.random() < 0.4 else GOOD for _ in range(n)]
+            truth = [POOR, GOOD] + [POOR if rng.random() < 0.4 else GOOD for _ in range(n - 2)]
             predicted = [POOR if rng.random() < 0.5 else GOOD for _ in range(n)]
-            base = confusion_metrics(predicted, truth)
-            flip = {POOR: GOOD, GOOD: POOR}
-            flipped = confusion_metrics([flip[x] for x in predicted], [flip[x] for x in truth])
-            assert flipped.sensitivity == pytest.approx(base.specificity)
-            assert flipped.specificity == pytest.approx(base.sensitivity)
+            _, sensitivity, specificity, _ = confusion_measures(predicted, truth)
+            flipped = confusion_measures([flip[x] for x in predicted], [flip[x] for x in truth])
+            assert flipped[1:3] == (specificity, sensitivity)
 
     def test_accuracy_equals_one_minus_binarized_mae(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             n = int(rng.integers(2, 40))
-            truth = [POOR if rng.random() < 0.4 else GOOD for _ in range(n)]
+            truth = [POOR, GOOD] + [POOR if rng.random() < 0.4 else GOOD for _ in range(n - 2)]
             predicted = [POOR if rng.random() < 0.5 else GOOD for _ in range(n)]
-            acc = confusion_metrics(predicted, truth).accuracy
-            hard_probs = [float(int(x)) for x in predicted]
-            assert acc == pytest.approx(1.0 - mean_absolute_error(hard_probs, truth), abs=1e-12)
+            rep = report(predicted, [float(int(x)) for x in predicted], truth)
+            assert rep.accuracy == pytest.approx(1.0 - rep.mae, abs=1e-12)
 
 
 class TestMeanAbsoluteError:
@@ -266,12 +258,12 @@ class TestArrayInputs:
         truth_arr = np.array(truth, dtype=np.int8)
         predicted_arr = np.array(predicted, dtype=np.int8)
         scores_arr = np.array(scores)
-        assert confusion_counts(predicted_arr, truth_arr) == confusion_counts(predicted, truth)
+        assert report(predicted_arr, scores_arr, truth_arr) == report(predicted, scores, truth)
         assert mean_absolute_error(scores_arr, truth_arr) == mean_absolute_error(scores, truth)
         assert auc(scores_arr, truth_arr) == auc(scores, truth)
 
     def test_empty_numpy_inputs_rejected(self):
         empty = np.array([])
-        for measure in (confusion_counts, mean_absolute_error, auc):
+        for measure in (mean_absolute_error, auc, lambda s, t: report(t, s, t)):
             with pytest.raises(ValidationError, match="empty"):
                 measure(empty, empty)

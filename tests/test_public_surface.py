@@ -1,0 +1,63 @@
+"""The top-level names of ``mrsfuse``: exactly those its callers outside the package use.
+
+The callers are ``tests/test_acceptance.py`` and perfbench (``from mrsfuse import ...``) and the
+README's *Library* section (``mf.<name>``, or a bare name in backticks that the package defines).
+The three error types are exported too, because public functions raise them. Both sets are read
+from the files, so an export that no caller uses, or a caller's name the package does not export,
+fails here.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import pkgutil
+import re
+import types
+from pathlib import Path
+
+import mrsfuse
+
+ROOT = Path(__file__).resolve().parents[1]
+README_LIBRARY = re.search(r"^## Library\n(.*?)(?=^## |\Z)", (ROOT / "README.md").read_text(), re.M | re.S).group(1)
+ERROR_TYPES = {"ConfigError", "DegenerateDataError", "ValidationError"}
+
+
+def exported() -> set[str]:
+    return {name for name, value in vars(mrsfuse).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+
+
+def imported_from_package(path: Path) -> set[str]:
+    """The names that ``from mrsfuse import ...`` statements take in one Python file."""
+    return {alias.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module == "mrsfuse" for alias in node.names}
+
+
+def package_names() -> set[str]:
+    """Public names that some submodule binds to an object of the package: its functions, classes, constants."""
+    modules = [importlib.import_module(f"mrsfuse.{info.name}") for info in pkgutil.iter_modules(mrsfuse.__path__)]
+    return {name for module in modules for name, value in vars(module).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+            and getattr(value, "__module__", module.__name__).startswith("mrsfuse")}
+
+
+def library_names() -> set[str]:
+    """``mf.<name>`` in the Library section, and each bare backticked name the package defines.
+
+    A dotted path such as ``mrsfuse.metrics.report`` names a submodule's function, not an export.
+    """
+    bare = set(re.findall(r"`([A-Za-z_]\w*)[`(.]", README_LIBRARY)) & package_names()
+    return set(re.findall(r"\bmf\.(\w+)", README_LIBRARY)) | bare
+
+
+def test_exports_are_the_names_callers_use():
+    callers = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").rglob("*.py"))]
+    used = set().union(*map(imported_from_package, callers)) | library_names()
+    assert exported() == used | ERROR_TYPES
+
+
+def test_readme_library_example_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README_LIBRARY, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "poor"

@@ -237,6 +237,21 @@ class TestPairedSampleValidation:
         with pytest.raises(ValidationError):
             PairedSample(a=(), b=())
 
-    def test_non_finite(self):
-        with pytest.raises(ValidationError):
-            PairedSample(a=(float("inf"),), b=(0.0,))
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float32("inf")])
+    def test_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="^paired sample values must be finite$"):
+            PairedSample(a=(0.0, bad), b=(0.0, 1.0))
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("bad", ["12", [True], ["x"], [None], [10**400], [-(10**400)], [Fraction(10**400, 3)]])
+    def test_values_must_be_real_numbers_within_float_range(self, side, bad):
+        # a string is a sequence of characters, a bool is not a measurement, and float() cannot take the rest
+        good = [1.0] * len(bad)
+        sides = {"a": bad, "b": good} if side == "a" else {"a": good, "b": bad}
+        with pytest.raises(ValidationError, match=f"^paired sample {side} must hold real numbers within float range$"):
+            PairedSample(**sides)
+
+    def test_numbers_of_any_real_type_convert_to_floats(self):
+        sample = PairedSample(a=np.array([1, 2]), b=(Fraction(1, 4), np.float32(0.5)))
+        assert sample == PairedSample(a=(1.0, 2.0), b=(0.25, 0.5))
+        assert all(type(x) is float for x in sample.a + sample.b)

@@ -13,11 +13,11 @@ from mrsfuse import (
     SyntheticSpec,
     as_plain,
     auc,
-    binarize_mrs,
     generate_cohort,
     validate_cohort,
     write_cohort_csv,
 )
+from mrsfuse.cohort import binarize_mrs
 
 from conftest import transient_peak
 
