@@ -310,8 +310,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         + [f"w_{name.lower()}" for name in cohort.module_names]
         + ["fused_prob", "label_unweighted", "label_weighted"]
     )
-    columns = [cohort.ids, *cohort.probs.T, *weights.T, fused,
-               label_names[poor_unweighted.astype(np.intp)], label_names[poor.astype(np.intp)]]
+    head = [cohort.ids, *cohort.probs.T]
+    tail = [fused, label_names[poor_unweighted.astype(np.intp)], label_names[poor.astype(np.intp)]]
 
     if settings.get("format") == "json":
         document = {
@@ -320,12 +320,13 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
                 "prelim_threshold": resolution.prelim_threshold,
                 "final_threshold": resolution.final_threshold,
             },
-            "patients": [dict(zip(header, row)) for row in zip(*(column.tolist() for column in columns))],
+            "patients": [dict(zip(header, row)) for row in zip(*(c.tolist() for c in (*head, *weights.T, *tail)))],
         }
         _emit(_json_dumps(document), settings.get("out"))
     else:
         with _output(settings.get("out")) as handle:
-            write_csv_columns(handle, header, columns)
+            # one block: a row's weights hold at most two distinct values, which the writer formats once a chunk
+            write_csv_columns(handle, header, [*head, weights, *tail])
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import numbers
 import os
 import re
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, is_number
+from .errors import ConfigError, ValidationError, as_float, is_number
 
 DEFAULT_MODULE_NAMES = ("ADC", "CBF", "CBV", "DWI", "Tmax")
 
@@ -91,13 +92,14 @@ class ClinicalNormalizer:
         if self.variable not in CLINICAL_VARIABLES:
             raise ConfigError(("variable", f"must be one of {', '.join(CLINICAL_VARIABLES)}", self.variable))
         # order and span imply this rule, but it names the bound at fault; an int too large for a float fails it
-        for name, bound in (("min", self.min), ("max", self.max)):
-            if not (is_number(bound) and abs(bound) <= sys.float_info.max):
+        lo, hi = as_float(self.min), as_float(self.max)
+        for name, bound, value in (("min", self.min, lo), ("max", self.max, hi)):
+            if value is None or not math.isfinite(value):
                 raise ConfigError((name, "must be a finite number", bound))
-        if not self.max > self.min:
+        if not hi > lo:
             raise ConfigError(("max", f"must be greater than 'min' ({self.min!r})", self.max),
                               ("min", f"must be less than 'max' ({self.max!r})", self.min))
-        if not abs(self.max - self.min) <= sys.float_info.max:
+        if not math.isfinite(hi - lo):
             raise ConfigError(("max", f"must lie within a finite span of 'min' ({self.min!r})", self.max),
                               ("min", f"must lie within a finite span of 'max' ({self.max!r})", self.min))
 
@@ -262,15 +264,9 @@ class Violation:
 
 def _fits(value: object, kind: type) -> bool:
     """True for a number of ``kind``, not a bool, that its column holds: a real one must convert to a float."""
-    if not is_number(value, kind):
-        return False
     if kind is numbers.Integral:  # an int beyond int64 goes to an object column
-        return True
-    try:
-        float(value)
-    except OverflowError:  # an int beyond float range
-        return False
-    return True
+        return is_number(value, kind)
+    return as_float(value) is not None
 
 
 def _record_fault(p: PatientRecord, module_names: tuple[str, ...]) -> Violation | None:
@@ -465,13 +461,25 @@ def write_csv_columns(handle: TextIO, header: list[str], columns: list[np.ndarra
 
     A column of numbers (float, integer or bool) is formatted by ``str`` in one pass; any other
     column cell by cell: None empty, anything else by ``str``, quoted when it holds a comma, a
-    quote or a line break. Rows end in ``\\r\\n`` and go out ``CSV_CHUNK_ROWS`` at a time, so the
-    text of a large table is never held whole.
+    quote or a line break. A 2-D float64 block stands for its columns in order, and they count
+    towards the two or more. Per chunk it formats each distinct value once, keyed on its bits so
+    that -0.0 and 0.0 stay apart, which pays where values repeat. Rows end in ``\\r\\n`` and go out
+    ``CSV_CHUNK_ROWS`` at a time, so the text of a large table is never held whole.
     """
     handle.write(",".join(map(_csv_quote, header)) + "\r\n")
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        cells = [_csv_cells(column[start:start + CSV_CHUNK_ROWS]) for column in columns]
+        cells = []
+        for column in columns:
+            part = column[start:start + CSV_CHUNK_ROWS]
+            cells += _csv_block_cells(part) if part.ndim == 2 else [_csv_cells(part)]
         handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _csv_block_cells(part: np.ndarray) -> list[list[str]]:
+    """The cells of a float64 block's columns, each distinct value formatted once."""
+    bits, inverse = np.unique(part.view(np.int64), return_inverse=True)
+    text = np.array(list(map(str, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse.reshape(part.shape)].T.tolist()  # the inverse's shape differs across numpy versions
 
 
 def _csv_cells(column: np.ndarray) -> list[str]:

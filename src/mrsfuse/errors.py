@@ -36,6 +36,15 @@ def is_number(value: object, kind: type = numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def as_float(value: object) -> float | None:
+    """A real number other than a bool as a float (NaN and infinities too), else None, as for an int beyond float
+    range. Range checks compare these floats, never a narrower numpy type with a cast-down ``sys.float_info.max``."""
+    try:
+        return float(value) if is_number(value) else None
+    except OverflowError:
+        return None
+
+
 def require_int(name: str, value: object, minimum: int, wording: str = "") -> None:
     """Raise ``<name> must be <wording>, got <value>`` unless ``value`` is an int >= ``minimum``."""
     if not is_number(value, int) or value < minimum:

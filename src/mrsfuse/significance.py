@@ -16,14 +16,12 @@ is capped at 1.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from numbers import Rational
 
 import numpy as np
 
 from ._normal import ndtr
-from .errors import ValidationError, is_number
+from .errors import ValidationError, as_float
 
 EXACT_MAX_N = 25
 
@@ -37,11 +35,10 @@ class PairedSample:
 
     def __post_init__(self) -> None:
         for side in ("a", "b"):
-            values = tuple(getattr(self, side))  # a bare string's characters are not numbers
-            # an int or a fraction beyond the largest float has no float; NaN and inf fail the check below
-            if not all(is_number(x) and not (isinstance(x, Rational) and abs(x) > sys.float_info.max) for x in values):
+            values = tuple(map(as_float, getattr(self, side)))  # a bare string's characters are not numbers
+            if any(x is None for x in values):  # NaN and inf fail the check below
                 raise ValidationError(f"paired sample {side} must hold real numbers within float range")
-            object.__setattr__(self, side, tuple(float(x) for x in values))
+            object.__setattr__(self, side, values)
         if len(self.a) != len(self.b):
             raise ValidationError(f"paired sample length mismatch: {len(self.a)} vs {len(self.b)}")
         if not self.a:

@@ -210,6 +210,28 @@ class TestFuseCsvOracle:
             assert stdout.getvalue().encode("utf-8") == expected
             assert out.read_bytes() == expected
 
+    @pytest.mark.parametrize("source", ["nihss_panel", "synth_1030"])
+    def test_json_patients_equal_the_csv_rows(self, source, nihss_panel_csv, tmp_path, monkeypatch):
+        # the CSV writes the weights as one block and the JSON as columns: the same keys, the JSON's sorted,
+        # and read in header order the same cells, each float's repr equal to its CSV cell
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        if source == "nihss_panel":
+            cohort_path, flags = nihss_panel_csv, NIHSS_FLAGS
+        else:  # a chunk and a few rows more, the thresholds searched
+            cohort_path, flags = tmp_path / "synth.csv", ("--variable", "age")
+            write_cohort_csv(generate_cohort(SyntheticSpec(n_patients=1030, seed=2)), cohort_path)
+        tables = {}
+        for fmt in ("csv", "json"):
+            tables[fmt] = tmp_path / f"fused.{fmt}"
+            argv = ["fuse", "--cohort", str(cohort_path), *flags, "--format", fmt, "--out", str(tables[fmt])]
+            assert mrsfuse.cli.main(argv) == 0
+        header, *rows = csv.reader(io.StringIO(tables["csv"].read_text(encoding="utf-8"), newline=""))
+        patients = json.loads(tables["json"].read_text(encoding="utf-8"))["patients"]
+        assert len(patients) == len(rows) == (5 if source == "nihss_panel" else 1030)
+        for patient, row in zip(patients, rows):
+            assert list(patient) == sorted(header)
+            assert [repr(v) if isinstance(v, float) else v for v in map(patient.get, header)] == row
+
     def test_integer_bounds_of_an_overflowing_span_fuse_as_float_bounds(self, tmp_path):
         # an int64 span 2**62 - -2**62 would wrap and scale every nihss to 0 instead of the neutral 0.5
         cohort_path, config_path, out = tmp_path / "cohort.csv", tmp_path / "config.json", tmp_path / "fused.csv"

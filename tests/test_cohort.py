@@ -32,6 +32,7 @@ from conftest import (
     CHUNK_EDGE_ROWS, WRITER_IDS, WRITER_MODULE_NAMES, csv_writer_bytes, cycled, take, transient_peak,
 )
 from mrsfuse.cohort import (
+    CSV_CHUNK_ROWS,
     CSV_REQUIRED_COLUMNS,
     DEFAULT_MODULE_NAMES,
     MRS_MAX,
@@ -131,6 +132,14 @@ class TestNormalizeClinical:
             ClinicalNormalizer(variable="age", min=lo, max=hi)
         assert str(excinfo.value) == message
         assert len(excinfo.value.blame) == 1
+
+    def test_float32_bounds_build(self):
+        # a float32 bound is range-checked as a float, not against a float64 bound cast down to float32
+        norm = ClinicalNormalizer(variable="age", min=np.float32(1), max=np.float32(2))
+        assert normalize_clinical(np.array([0.5, 1.5, 3.0]), norm).tolist() == [0.0, 0.5, 1.0]
+        with pytest.raises(ConfigError) as excinfo:
+            ClinicalNormalizer(variable="age", min=np.float32(1), max=np.float32("inf"))
+        assert excinfo.value.blame == [("max", "must be a finite number", np.float32("inf"))]
 
     @pytest.mark.parametrize(
         "lo, hi, problems",
@@ -714,6 +723,25 @@ def _writer_cohorts(draw):
                              np.array(cycled(draw, st.floats(), n), dtype=float), nihss, mrs)
 
 
+# specials a block must format apart: signed zeros and subnormals, infinities, and NaNs of either sign
+_BLOCK_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan, -math.nan])
+
+
+@st.composite
+def _writer_blocks(draw):
+    """Text, int and float columns around a float block whose cells take a few drawn values in turn."""
+    n = draw(st.sampled_from([0, *CHUNK_EDGE_ROWS, 2 * CSV_CHUNK_ROWS + 1]))
+    width = draw(st.integers(1, 5))
+    pool = draw(st.lists(_BLOCK_VALUES | st.floats(), min_size=1, max_size=4))
+    picks = cycled(draw, st.tuples(*[st.integers(0, len(pool) - 1)] * width), n)
+    block = np.array(pool)[np.array(picks, dtype=np.intp).reshape(n, width)]
+    if draw(st.booleans()):  # column-major, as a transposed array is
+        block = np.asfortranarray(block)
+    ids = np.array(cycled(draw, WRITER_IDS, n), dtype=object)
+    ints = _int_array(cycled(draw, st.integers(-2**70, 2**70), n), draw(st.booleans()))
+    return [ids, block, ints, block[:, 0].copy()]
+
+
 class TestCsvWriterOracle:
     @settings(max_examples=80, deadline=None)
     @given(_writer_cohorts())
@@ -737,6 +765,26 @@ class TestCsvWriterOracle:
         write_csv_columns(buffer, header, columns)
         assert buffer.getvalue().encode("utf-8") == csv_writer_bytes([header, *zip(*(c.tolist() for c in columns))])
 
+    @settings(max_examples=60, deadline=None)
+    @given(_writer_blocks())
+    def test_block_bytes_match_the_csv_writer(self, columns):
+        # a 2-D block stands for its columns: the oracle gets them one by one
+        flat = [c for column in columns for c in (column.T if column.ndim == 2 else [column])]
+        header = [f"c{j}" for j in range(len(flat))]
+        buffer = io.StringIO(newline="")
+        write_csv_columns(buffer, header, columns)
+        assert buffer.getvalue().encode("utf-8") == csv_writer_bytes([header, *zip(*(c.tolist() for c in flat))])
+
+    def test_a_block_keeps_signed_zeros_nans_and_subnormals_apart(self):
+        # equal under np.unique's float compare, or printed alike, but keyed on their bits
+        values = [0.0, -0.0, 5e-324, -5e-324, math.nan, -math.nan, 0.0, -0.0]
+        block = np.array([values, values[::-1]])
+        buffer = io.StringIO(newline="")
+        write_csv_columns(buffer, [f"c{j}" for j in range(len(values))], [block])
+        assert buffer.getvalue().splitlines()[1:] == [
+            "0.0,-0.0,5e-324,-5e-324,nan,nan,0.0,-0.0", "-0.0,0.0,nan,nan,-5e-324,5e-324,-0.0,0.0",
+        ]
+
     def test_a_fuse_table_is_written_in_bounded_memory(self):
         # the 14 columns of a fuse table of 50 000 patients: only a chunk's cells are alive at a time
         cohort = generate_cohort(SyntheticSpec(n_patients=50_000))
@@ -745,6 +793,18 @@ class TestCsvWriterOracle:
         labels = [np.array(["good", "poor"], dtype=object)[(fused > cut).astype(np.intp)] for cut in (0.4, 0.5)]
         columns = [cohort.ids, *cohort.probs.T, *weights.T, fused, *labels]
         header = [f"c{j}" for j in range(len(columns))]
+        with open(os.devnull, "w", newline="", encoding="utf-8") as handle:
+            _, peak = transient_peak(lambda: write_csv_columns(handle, header, columns))
+        assert peak < 3_000_000
+
+    def test_a_fuse_table_with_a_weight_block_is_written_in_bounded_memory(self):
+        # the same table with its weights as one block: each chunk's distinct values are alive for that chunk only
+        cohort = generate_cohort(SyntheticSpec(n_patients=50_000))
+        covariate = normalize_clinical(cohort.age, ClinicalNormalizer("age", 20, 95))
+        _, weights, fused = fuse_matrix(cohort.probs, covariate, 0.5)
+        labels = [np.array(["good", "poor"], dtype=object)[(fused > cut).astype(np.intp)] for cut in (0.4, 0.5)]
+        columns = [cohort.ids, *cohort.probs.T, weights, fused, *labels]
+        header = [f"c{j}" for j in range(len(columns) + weights.shape[1] - 1)]
         with open(os.devnull, "w", newline="", encoding="utf-8") as handle:
             _, peak = transient_peak(lambda: write_csv_columns(handle, header, columns))
         assert peak < 3_000_000
