@@ -272,6 +272,8 @@ def _fits(value: object, kind: type) -> bool:
 def _record_fault(p: PatientRecord, module_names: tuple[str, ...]) -> Violation | None:
     """Why the cohort columns cannot hold this record, or None."""
     pid = p.patient_id
+    if not isinstance(pid, str):
+        return Violation(repr(pid), "patient_id", f"patient id must be a string, got {type(pid).__name__}")
     for field, value, kind in (("age", p.age, numbers.Real), ("nihss", p.nihss, numbers.Integral),
                                ("mrs", 0 if p.mrs is None else p.mrs, numbers.Integral)):
         if not _fits(value, kind):
@@ -367,11 +369,28 @@ def not_utf8_reason(exc: UnicodeDecodeError) -> str:
 
 
 def _read_cohort(handle: TextIO, path: Path) -> Cohort:
-    """Read a plain CSV, as ``synth`` writes, in one streamed ``np.loadtxt`` pass, else by the row loop.
+    """Parse the header, where a repeated name reads its last column, then read the body in one streamed
+    ``np.loadtxt`` pass if it is plain, as ``synth`` writes it, else by :func:`_read_rows` from its start.
 
-    Plain: ASCII without quotes or \\x1c-\\x1f, no line over the csv field limit, no repeated header name,
-    cells that parse (an empty mrs does not). Otherwise :func:`_parse_cohort_csv` rereads the file.
+    Plain: ASCII without quotes or \\x1c-\\x1f, no line over the csv field limit, cells that parse (an empty
+    mrs does not).
     """
+    try:  # a readline iterator, unlike the handle's own, leaves handle.tell() working
+        header = next(csv.reader(iter(handle.readline, "")), None)
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:1: unparseable row: {exc}") from exc
+    if header is None:
+        raise ValidationError(f"{path}: missing header row")
+    missing = [col for col in CSV_REQUIRED_COLUMNS if col not in header]
+    if missing:
+        raise ValidationError(f"{path}: missing required columns: {', '.join(missing)}")
+    module_columns = [col for col in header if col.startswith(CSV_MODULE_PREFIX)]
+    if not module_columns:
+        raise ValidationError(f"{path}: no module probability columns (prefix {CSV_MODULE_PREFIX!r})")
+    module_names = tuple(map(_module_name_from_column, module_columns))
+    column_of = {name: i for i, name in enumerate(header)}
+    cols = [column_of[col] for col in (*CSV_REQUIRED_COLUMNS, *module_columns)]
+    body = handle.tell() if handle.seekable() else None  # a pipe reads a plain body; seek raises on any other
     limit = csv.field_size_limit()
 
     def plain() -> Iterator[str]:
@@ -384,49 +403,28 @@ def _read_cohort(handle: TextIO, path: Path) -> Cohort:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy < 2 warns where it parses an int64 cell such as "7.0" as a float
-            lines = plain()
-            header = next(csv.reader(lines))
-            prob_columns = [col for col in header if col.startswith(CSV_MODULE_PREFIX)]
-            if len(set(header)) < len(header) or not prob_columns:
-                raise ValueError("not a plain header")
-            usecols = [header.index(col) for col in (*CSV_REQUIRED_COLUMNS, *prob_columns)]  # raises if one is missing
-            dtype = [("id", "O"), ("age", "f8"), ("nihss", "i8"), ("mrs", "i8"), ("probs", "f8", (len(prob_columns),))]
-            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+            dtype = [("id", "O"), ("age", "f8"), ("nihss", "i8"), ("mrs", "i8"), ("probs", "f8", (len(module_names),))]
+            table = np.loadtxt(plain(), dtype=dtype, delimiter=",", comments=None, usecols=cols, ndmin=1)
     except Exception:
-        handle.seek(0)
-        return _parse_cohort_csv(handle, path)
+        handle.seek(body)
+        return _read_rows(handle, path, len(header), cols, module_names)
     ids = np.array([pid.strip() for pid in table["id"].tolist()], dtype=object)
     columns = (np.ascontiguousarray(table[name]) for name in ("probs", "age", "nihss", "mrs"))
-    return Cohort.of_columns(map(_module_name_from_column, prob_columns), ids, *columns)
+    return Cohort.of_columns(module_names, ids, *columns)
 
 
-def _parse_cohort_csv(handle: TextIO, path: Path) -> Cohort:
-    """Parse into columns, reading rows as ``csv.DictReader`` does: blank lines are
-    skipped and not numbered, short rows are padded with None, and a repeated
-    header name reads its last column.
+def _read_rows(handle: TextIO, path: Path, width: int, cols: list[int], module_names: tuple[str, ...]) -> Cohort:
+    """Parse the body into columns, reading rows as ``csv.DictReader`` does: blank lines are skipped and not
+    numbered (the first row is 2), short rows are padded with None to ``width``. ``cols`` gives the column of each
+    required column, then of each module.
     """
-    reader = csv.reader(handle)
-    line_no = 0  # the last row read whole; the header is row 1
+    id_col, age_col, nihss_col, mrs_col, *module_cols = cols
+    line_no = 1  # the last row read whole; the header is row 1
+    ids, age, nihss, mrs, probs = [], [], [], [], []  # probs row-major, flat
     try:
-        header = next(reader, None)
-        line_no = 1
-        if header is None:
-            raise ValidationError(f"{path}: missing header row")
-        missing = [col for col in CSV_REQUIRED_COLUMNS if col not in header]
-        if missing:
-            raise ValidationError(f"{path}: missing required columns: {', '.join(missing)}")
-        module_columns = [col for col in header if col.startswith(CSV_MODULE_PREFIX)]
-        if not module_columns:
-            raise ValidationError(f"{path}: no module probability columns (prefix {CSV_MODULE_PREFIX!r})")
-        module_names = tuple(_module_name_from_column(col) for col in module_columns)
-
-        column_of = {name: i for i, name in enumerate(header)}
-        id_col, age_col, nihss_col, mrs_col = (column_of[col] for col in CSV_REQUIRED_COLUMNS)
-        module_cols = [column_of[col] for col in module_columns]
-        ids, age, nihss, mrs, probs = [], [], [], [], []  # probs row-major, flat
-        for line_no, row in enumerate(filter(None, reader), start=2):
-            if len(row) < len(header):
-                row += [None] * (len(header) - len(row))
+        for line_no, row in enumerate(filter(None, csv.reader(handle)), start=2):
+            if len(row) < width:
+                row += [None] * (width - len(row))
             try:
                 ids.append((row[id_col] or "").strip())
                 age.append(float(row[age_col]))
@@ -445,8 +443,7 @@ def _parse_cohort_csv(handle: TextIO, path: Path) -> Cohort:
 
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     """Write a cohort in the standard CSV schema (atomically: temp file + rename)."""
-    unnamed = _non_string_module_name(cohort.module_names)
-    if unnamed:
+    if unnamed := _non_string_module_name(cohort.module_names):
         raise ValidationError(f"{path}: {unnamed}")
     header = list(CSV_REQUIRED_COLUMNS) + [module_column(name) for name in cohort.module_names]
     repeated = [column for i, column in enumerate(header) if column in header[:i]]

@@ -19,6 +19,7 @@ cohorts, and the public scalar functions are one-row calls of the same pieces.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -174,6 +175,8 @@ def compute_weights(labels: Sequence[OutcomeLabel], covariate: float) -> tuple[f
 
 
 def uniform_weights(n: int) -> tuple[float, ...]:
+    if not is_number(n, numbers.Integral):
+        raise ValidationError(f"module count must be an integer, got {n!r}")
     if n <= 0:
         raise ValidationError("cannot weight an empty module list")
     return tuple(_vote_weights(np.zeros((1, n), dtype=bool), None)[0].tolist())

@@ -17,7 +17,7 @@ from math import sqrt
 import numpy as np
 
 from ._normal import ndtr, ndtri
-from .cohort import DEFAULT_MODULE_NAMES, NIHSS_MAX, Cohort
+from .cohort import DEFAULT_MODULE_NAMES, NIHSS_MAX, Cohort, _non_string_module_name
 from .errors import ConfigError, is_number, require_int
 
 # Default per-module discrimination targets for the five standard modules.
@@ -52,9 +52,8 @@ class SyntheticSpec:
             )
         if not self.module_names:
             raise ConfigError("module list must not be empty")
-        for name in self.module_names:
-            if not isinstance(name, str):
-                raise ConfigError(f"module names must be strings, got {name!r}")
+        if unnamed := _non_string_module_name(self.module_names):
+            raise ConfigError(unnamed)
         for target in self.module_aucs:
             if not (is_number(target) and 0.5 < target < 1.0):
                 raise ConfigError(f"module AUC targets must lie in (0.5, 1), got {target!r}")

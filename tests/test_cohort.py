@@ -8,6 +8,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from mrsfuse.cohort import (
     MRS_MAX,
     NIHSS_MAX,
     Violation,
-    _parse_cohort_csv,
     atomic_output,
     binarize_mrs,
     module_column,
@@ -305,6 +305,22 @@ class TestCohortCsv:
         with pytest.raises(ValidationError, match=":2"):
             read_cohort_csv(path)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="opens a pipe by its /dev/fd path")
+    def test_a_pipe_reads_only_a_plain_body(self):
+        def read_piped(text):
+            read, write = os.pipe()
+            os.write(write, text.encode())
+            os.close(write)
+            try:
+                return read_cohort_csv(f"/dev/fd/{read}")
+            finally:
+                os.close(read)
+
+        header = "patient_id,age,nihss,mrs,p_adc\n"
+        assert read_piped(header + "a,60,5,1,0.3\n").ids.tolist() == ["a"]
+        with pytest.raises(OSError, match="not seekable"):  # the row loop seeks back to the body
+            read_piped(header + '"a",60,5,1,0.3\n')
+
 
 class TestAtomicOutput:
     def test_replaces_target_with_default_mode(self, tmp_path: Path):
@@ -482,6 +498,16 @@ class TestValidationOracle:
         flagged = [str(v) for v in _record_violations(DEFAULT_MODULE_NAMES, (bad,))]
         assert flagged == ([] if line.endswith("got True") else [f"p2: {line}"])
 
+    @pytest.mark.parametrize(("pid", "line"), [
+        (["a"], "['a']: patient_id: patient id must be a string, got list"),
+        (0, "0: patient_id: patient id must be a string, got int"),
+        (None, "None: patient_id: patient id must be a string, got NoneType"),
+    ], ids=["list", "zero", "none"])
+    def test_a_patient_id_that_is_not_a_string_is_rejected(self, pid, line):
+        with pytest.raises(ValidationError) as caught:
+            Cohort(patients=(make_patient(), make_patient(pid=pid)))
+        assert str(caught.value) == line
+
     @pytest.mark.parametrize(("field", "value"), [("age", 10**400), ("age", -10**400),
                                                   ("p_cbf", 10**400), ("p_tmax", -10**400)],
                              ids=["age_above", "age_below", "prob_above", "prob_below"])
@@ -602,8 +628,13 @@ class TestParserOracle:
 
 
 def _row_loop_parse(path):
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        return _parse_cohort_csv(handle, path)
+    """read_cohort_csv with the plain read failing, so the row loop reads every body."""
+    with mock.patch("mrsfuse.cohort.np.loadtxt", side_effect=ValueError):
+        return read_cohort_csv(path)
+
+
+def _no_row_loop(*args):
+    raise AssertionError("the row loop read a plain body")
 
 
 _ODD_NUMBERS = ["1_0", "\u0661", "\u0660.5", "1e3", "+7", " 42", "-0", "5 ", "\t3", "7.0", "9223372036854775807",
@@ -660,14 +691,33 @@ class TestPlainReadOracle:
     def test_a_synth_cohort_takes_the_plain_read(self, tmp_path, monkeypatch):
         cohort = generate_cohort(SyntheticSpec(n_patients=300, seed=16))
         write_cohort_csv(cohort, tmp_path / "cohort.csv")
-
-        def row_loop(handle, path):
-            raise AssertionError("the row loop read a plain cohort")
-
-        monkeypatch.setattr("mrsfuse.cohort._parse_cohort_csv", row_loop)
+        monkeypatch.setattr("mrsfuse.cohort._read_rows", _no_row_loop)
         loaded = read_cohort_csv(tmp_path / "cohort.csv")
         assert loaded == cohort and loaded.probs.flags.c_contiguous
         assert [column.dtype for column in loaded._columns()] == [column.dtype for column in cohort._columns()]
+
+    def test_a_repeated_header_name_takes_the_plain_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "cohort.csv"
+        path.write_text("patient_id,age,nihss,mrs,p_adc,age\na,60,5,1,0.3,71.5\nb,61,4,2,0.4,72\n", encoding="utf-8")
+        monkeypatch.setattr("mrsfuse.cohort._read_rows", _no_row_loop)
+        assert read_cohort_csv(path).age.tolist() == [71.5, 72.0]
+
+    def test_the_row_loop_resumes_after_whole_plain_blocks(self, tmp_path):
+        # about 250 kB, four 64 kB blocks: the plain read meets the quote or the bad cell in its third or fourth
+        path = tmp_path / "cohort.csv"
+        write_cohort_csv(generate_cohort(SyntheticSpec(n_patients=2000, seed=22)), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 2001 and path.stat().st_size > 3 * (1 << 16)
+        quoted = lines[:1500] + [lines[1500].replace("S1499,", '"S,1499",')] + lines[1501:]
+        path.write_text("".join(quoted), encoding="utf-8")
+        loaded = read_cohort_csv(path)
+        assert loaded.ids[1499] == "S,1499" and len(loaded) == 2000
+        assert _parse_outcome(read_cohort_csv, path) == _parse_outcome(_row_loop_parse, path)
+
+        last = lines[-1].split(",")  # numpy fails on this cell after it has read every block
+        path.write_text("".join(lines[:-1] + [",".join(last[:2] + ["x"] + last[3:])]), encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"^.*cohort\.csv:2001: unparseable row: invalid literal for int"):
+            read_cohort_csv(path)
 
 
 _ROUND_TRIP_IDS = st.text(alphabet='ab ,"\'xy', max_size=6).filter(lambda text: text == text.strip())

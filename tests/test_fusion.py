@@ -109,6 +109,12 @@ class TestComputeWeights:
         with pytest.raises(ValidationError):
             compute_weights(labels("pg"), 1.5)
 
+    @pytest.mark.parametrize(("n", "shown"), [(True, "True"), (2.0, "2.0"), ("3", "'3'")])
+    def test_uniform_weights_needs_an_integer_count(self, n, shown):
+        with pytest.raises(ValidationError) as caught:
+            uniform_weights(n)
+        assert str(caught.value) == f"module count must be an integer, got {shown}"
+
 
 class TestFuse:
     def test_uniform_average(self):
