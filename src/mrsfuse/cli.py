@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -59,34 +59,37 @@ EXIT_IO = 3
 
 OUTPUT_FORMATS = ("csv", "json")
 
-# Recognized keys of each JSON input and the JSON type each value must have
-# (``float`` also admits integers). Null is not type-checked: in a config it
-# leaves the key unset, and SyntheticSpec rejects it in a spec.
+# The recognized keys of each JSON input. Each key has the JSON type its value must have (``float`` also admits
+# integers), the help of its flag ``_flag(key)`` (None: no flag) and, in a config, the field of FusionConfig,
+# ClinicalNormalizer or CvPlan that it sets (None: the CLI reads it itself). Null is not type-checked: in a
+# config it leaves the key unset, and SyntheticSpec rejects it in a spec.
 CONFIG_FILE_KEYS = {
-    "cohort": str,
-    "variable": str,
-    "norm_min": float,
-    "norm_max": float,
-    "tau": float,
-    "tau_star": float,
-    "strategy": str,
-    "k": int,
-    "runs": int,
-    "seed": int,
-    "stratified": bool,
-    "out": str,
-    "format": str,
+    "cohort": (str, "cohort CSV path", None),
+    "variable": (str, "clinical weighting variable", "clinical_variable"),
+    "norm_min": (float, "covariate normalization lower bound", "min"),
+    "norm_max": (float, "covariate normalization upper bound", "max"),
+    "tau": (float, "preliminary (module-label) threshold", "prelim_threshold"),
+    "tau_star": (float, "final decision threshold", "final_threshold"),
+    "strategy": (str, "threshold selection strategy", "strategy"),
+    "k": (int, "number of cross-validation folds", "k"),
+    "runs": (int, "number of repeated runs", "n_runs"),
+    "seed": (int, "base random seed", "base_seed"),
+    "stratified": (bool, None, "stratified"),
+    "out": (str, "output path (default: stdout)", None),
+    "format": (str, "output format", None),
 }
 
 SYNTH_SPEC_KEYS = {
-    "n_patients": int,
-    "prevalence_poor": float,
-    "module_aucs": list,
-    "module_names": list,
-    "rho_age": float,
-    "rho_nihss": float,
-    "seed": int,
+    "n_patients": (int, "cohort size"),
+    "prevalence_poor": (float, "poor-outcome prevalence in (0, 1)"),
+    "module_aucs": (list, "comma-separated per-module AUC targets"),
+    "module_names": (list, "comma-separated module names"),
+    "rho_age": (float, "age-outcome copula correlation"),
+    "rho_nihss": (float, "nihss-outcome copula correlation"),
+    "seed": (int, "generator seed"),
 }
+
+_CHOICES = {"variable": FUSION_VARIABLES, "strategy": THRESHOLD_STRATEGIES, "format": OUTPUT_FORMATS}
 
 _JSON_TYPE_NAMES = {
     str: "a string", float: "a number", int: "an integer", bool: "true or false", list: "a list",
@@ -114,36 +117,30 @@ def _has_json_type(value: object, expected: type) -> bool:
     return isinstance(value, expected)
 
 
-def _load_json(path: Path, key_types: dict[str, type], what: str) -> dict:
+def _load_json(path: Path, table: dict[str, tuple], what: str) -> dict:
     document = _read_json(path)
     if not isinstance(document, dict):
         raise ConfigError(f"{path}: {what} must be a JSON object")
-    unknown = sorted(set(document) - set(key_types))
+    unknown = sorted(set(document) - set(table))
     if unknown:
         raise ConfigError(f"{path}: unknown {what} keys: {', '.join(unknown)}")
     for key, value in document.items():
-        if value is not None and not _has_json_type(value, key_types[key]):
-            raise ConfigError(
-                f"{path}: {what} key {key!r} must be {_JSON_TYPE_NAMES[key_types[key]]}, got {value!r}"
-            )
+        if value is not None and not _has_json_type(value, table[key][0]):
+            raise ConfigError(f"{path}: {what} key {key!r} must be {_JSON_TYPE_NAMES[table[key][0]]}, got {value!r}")
     return document
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser, output: bool) -> None:
-    parser.add_argument("--cohort", help="cohort CSV path")
-    parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--variable", choices=FUSION_VARIABLES, help="clinical weighting variable")
-    parser.add_argument("--norm-min", type=float, help="covariate normalization lower bound")
-    parser.add_argument("--norm-max", type=float, help="covariate normalization upper bound")
-    parser.add_argument("--tau", type=float, help="preliminary (module-label) threshold")
-    parser.add_argument("--tau-star", type=float, help="final decision threshold")
-    parser.add_argument("--strategy", choices=THRESHOLD_STRATEGIES, help="threshold selection strategy")
-    parser.add_argument("--k", type=int, help="number of cross-validation folds")
-    parser.add_argument("--runs", type=int, help="number of repeated runs")
-    parser.add_argument("--seed", type=int, help="base random seed")
-    if output:
-        parser.add_argument("--out", help="output path (default: stdout)")
-        parser.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _add_flags(parser: argparse.ArgumentParser, table: dict[str, tuple], skip: tuple[str, ...] = ()) -> None:
+    """A flag for each key of ``table`` that has a help and is not skipped, stored under the key; a number is
+    parsed as its JSON type, and the text of a key in ``_CHOICES`` must be one of them."""
+    for key, (json_type, help_text, *_) in table.items():
+        if help_text is not None and key not in skip:
+            parser.add_argument(_flag(key), type=json_type if json_type in (int, float) else None,
+                                choices=_CHOICES.get(key), help=help_text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", "check a cohort CSV against the schema invariants", False),
     ):
         sub = commands.add_parser(name, help=description)
-        _add_shared_flags(sub, output)
+        _add_flags(sub, CONFIG_FILE_KEYS, skip=() if output else ("out", "format"))
+        sub.add_argument("--config", help="JSON config file (flags override it)")
 
     compare = commands.add_parser("compare", help="signed-rank comparison of two cv summaries")
     compare.add_argument("summary_a", help="first summary JSON")
@@ -178,28 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = commands.add_parser("synth", help="generate a synthetic cohort CSV")
     synth.add_argument("--spec", help="synthetic spec JSON (flags override it)")
-    synth.add_argument("--n-patients", type=int, help="cohort size")
-    synth.add_argument(
-        "--prevalence", type=float, dest="prevalence_poor", metavar="PREVALENCE",
-        help="poor-outcome prevalence in (0, 1)",
-    )
-    synth.add_argument("--module-aucs", help="comma-separated per-module AUC targets")
-    synth.add_argument("--module-names", help="comma-separated module names")
-    synth.add_argument("--rho-age", type=float, help="age-outcome copula correlation")
-    synth.add_argument("--rho-nihss", type=float, help="nihss-outcome copula correlation")
-    synth.add_argument("--seed", type=int, help="generator seed")
+    _add_flags(synth, SYNTH_SPEC_KEYS, skip=("prevalence_poor",))
+    synth.add_argument("--prevalence", type=float, dest="prevalence_poor", metavar="PREVALENCE",
+                       help=SYNTH_SPEC_KEYS["prevalence_poor"][1])
     synth.add_argument("--out", required=True, help="cohort CSV output path")
 
     return parser
-
-
-def _given(**values) -> dict:
-    """The keyword arguments that were set, so that unset ones take the library's defaults."""
-    return {key: value for key, value in values.items() if value is not None}
-
-
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
 
 
 class _Settings:
@@ -207,9 +189,7 @@ class _Settings:
     state every rule; a value they blame is reported by where it was set: the config file's key
     when no flag overrides it, else the flag."""
 
-    # the config key of each dataclass field named otherwise; a key's flag is ``_flag(key)``
-    KEYS = {"clinical_variable": "variable", "min": "norm_min", "max": "norm_max", "prelim_threshold": "tau",
-            "final_threshold": "tau_star", "n_runs": "runs", "base_seed": "seed"}
+    KEYS = {field: key for key, (*_, field) in CONFIG_FILE_KEYS.items() if field}  # the config key of each field
 
     def __init__(self, args: argparse.Namespace):
         config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
@@ -221,8 +201,7 @@ class _Settings:
             if self.get("format") not in (None, *OUTPUT_FORMATS):  # the one choice the CLI states itself
                 raise ConfigError(("format", f"must be one of {', '.join(OUTPUT_FORMATS)}", self.get("format")))
             self.config = self._fusion_config()
-            self.plan = CvPlan(**_given(k=self.get("k"), n_runs=self.get("runs"), base_seed=self.get("seed"),
-                                        stratified=self.get("stratified")))
+            self.plan = CvPlan(**self._given(CvPlan))
         except ConfigError as exc:
             lines: dict[str, str] = {}  # the first blamed value set in the file, and the first set by a flag
             for field, problem, value in exc.blame:
@@ -246,11 +225,13 @@ class _Settings:
         flag_value = getattr(self.args, key, None)
         return flag_value if flag_value is not None else self.file_values.get(key)
 
+    def _given(self, cls: type) -> dict:
+        """The fields of ``cls`` whose keys were set, so that unset ones take the library's defaults."""
+        return {field.name: value for field in fields(cls)
+                if field.name in self.KEYS and (value := self.get(self.KEYS[field.name])) is not None}
+
     def _fusion_config(self) -> FusionConfig:
-        config = FusionConfig(**_given(
-            clinical_variable=self.get("variable"), strategy=self.get("strategy"),
-            prelim_threshold=self.get("tau"), final_threshold=self.get("tau_star"),
-        ))
+        config = FusionConfig(**self._given(FusionConfig))
         low, high = self.get("norm_min"), self.get("norm_max")
         if (low is None) != (high is None):
             key, value, other = ("norm_min", low, "norm_max") if high is None else ("norm_max", high, "norm_min")

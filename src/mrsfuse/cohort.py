@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 import numbers
 import os
@@ -390,7 +391,9 @@ def _read_cohort(handle: TextIO, path: Path) -> Cohort:
     module_names = tuple(map(_module_name_from_column, module_columns))
     column_of = {name: i for i, name in enumerate(header)}
     cols = [column_of[col] for col in (*CSV_REQUIRED_COLUMNS, *module_columns)]
-    body = handle.tell() if handle.seekable() else None  # a pipe reads a plain body; seek raises on any other
+    if not handle.seekable():  # a pipe: hold its body, so that the row loop can go back to the start
+        handle = io.StringIO(handle.read(), newline="")  # newline="" as the file is opened: a bare \r ends a row
+    body = handle.tell()
     limit = csv.field_size_limit()
 
     def plain() -> Iterator[str]:

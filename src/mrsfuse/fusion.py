@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .cohort import ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, normalize_clinical
-from .errors import ConfigError, DegenerateDataError, ValidationError, is_number
+from .errors import ConfigError, DegenerateDataError, ValidationError, as_float, is_number
 
 WEIGHT_SUM_TOL = 1e-9
 _HALF_MAX = sys.float_info.max / 2
@@ -91,6 +91,18 @@ def _check_unit(values: np.ndarray, what: str) -> None:
     outside = ~((values >= 0.0) & (values <= 1.0))
     if outside.any():
         raise ValidationError(f"{what} must be in [0, 1], got {float(values[outside][0])!r}")
+
+
+def _real(name: str, value: object) -> float:
+    """A one-row argument as a float, unless it is no real number: text, a bool or an int beyond float range."""
+    if (number := as_float(value)) is None:
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return number
+
+
+def _row(name: str, values: Sequence) -> np.ndarray:
+    """One row of real numbers as a (1, m) float array; element i is named ``name[i]``."""
+    return np.array([[_real(f"{name}[{i}]", value) for i, value in enumerate(values)]])
 
 
 def is_poor(scores: np.ndarray, threshold: float | np.ndarray) -> np.ndarray:
@@ -161,9 +173,9 @@ def fuse_matrix(
 
 def derive_labels(probs: Sequence[float], threshold: float) -> tuple[OutcomeLabel, ...]:
     """Preliminary per-module labels: probability <= threshold means good."""
-    p = np.array([probs], dtype=float)
+    p = _row("probs", probs)
     _check_unit(p, "module probability")
-    return tuple(map(OutcomeLabel, is_poor(p[0], threshold).tolist()))
+    return tuple(map(OutcomeLabel, is_poor(p[0], _real("threshold", threshold)).tolist()))
 
 
 def compute_weights(labels: Sequence[OutcomeLabel], covariate: float) -> tuple[float, ...]:
@@ -171,7 +183,7 @@ def compute_weights(labels: Sequence[OutcomeLabel], covariate: float) -> tuple[f
     if len(labels) == 0:
         raise ValidationError("cannot weight an empty label list")
     poor = np.array([[label == OutcomeLabel.POOR for label in labels]])
-    return tuple(_vote_weights(poor, np.array([covariate], dtype=float))[0].tolist())
+    return tuple(_vote_weights(poor, np.array([_real("covariate", covariate)]))[0].tolist())
 
 
 def uniform_weights(n: int) -> tuple[float, ...]:
@@ -191,15 +203,16 @@ def fuse(probs: Sequence[float], weights: Sequence[float]) -> float:
         raise ValidationError(f"length mismatch: {len(probs)} probabilities vs {len(weights)} weights")
     if len(probs) == 0:
         raise ValidationError("cannot fuse an empty probability list")
-    w = np.array([weights], dtype=float)
-    fused = _weighted_sums(w, np.array([probs], dtype=float))  # checks the sum first
+    w = _row("weights", weights)
+    fused = _weighted_sums(w, _row("probs", probs))  # checks the sum first
     _check_unit(w, "weight")
     return float(fused[0])
 
 
 def classify(fused_probability: float, threshold: float) -> OutcomeLabel:
     """Final decision; a fused probability at or below the threshold is good."""
-    return OutcomeLabel(bool(is_poor(np.float64(fused_probability), threshold)))
+    fused, cut = _real("fused_probability", fused_probability), _real("threshold", threshold)
+    return OutcomeLabel(bool(is_poor(np.float64(fused), cut)))
 
 
 def search_threshold(

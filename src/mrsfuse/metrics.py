@@ -78,7 +78,10 @@ def auc(scores: Sequence[float], truth: Sequence[OutcomeLabel]) -> float:
     reals; only their ordering matters.
     """
     _check_paired(scores, truth)
-    s = np.asarray(scores, dtype=float)
+    s = np.asarray(scores)
+    if s.dtype.kind not in "iuf":  # text and bools are no scores; one check of the dtype, none per element
+        raise ValidationError(f"scores must be real numbers, got {s.dtype.name} values")
+    s = s.astype(float, copy=False)
     if not np.all(np.isfinite(s)):
         raise ValidationError("scores must be finite")
     y = np.asarray(truth) == POSITIVE_CLASS

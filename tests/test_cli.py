@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -776,6 +777,82 @@ class TestConfigFile:
         result = run_cli("cv", "--out", str(out), env_config=str(config))
         assert result.returncode == 0, result.stderr
         assert json.loads(out.read_text())["plan"]["k"] == 2
+
+
+# each config key with a flag and a library field: an accepted value, where a cv summary shows it, and the flags
+# that the value needs beside it in both runs
+TABLE_CASES = {
+    "variable": ("age", ("config", "clinical_variable"), ()),
+    "norm_min": (1.0, ("config", "normalizer", "min"), ("--norm-max", "30")),
+    "norm_max": (30.0, ("config", "normalizer", "max"), ("--norm-min", "1")),
+    "tau": (0.45, ("config", "prelim_threshold"), ()),
+    "tau_star": (0.55, ("config", "final_threshold"), ()),
+    "strategy": ("max_accuracy", ("config", "strategy"), ()),
+    "k": (3, ("plan", "k"), ()),
+    "runs": (2, ("plan", "n_runs"), ()),
+    "seed": (7, ("plan", "base_seed"), ()),
+}
+
+
+def _help_flags(command: str, capsys) -> list[str]:
+    with pytest.raises(SystemExit):
+        mrsfuse.cli.main([command, "--help"])
+    # an option's line starts with two spaces, a usage line's flags sit in brackets
+    return [flag for flag in re.findall(r"^ {2}(?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M) if flag != "--help"]
+
+
+class TestSettingsTable:
+    def test_the_cases_cover_every_key_with_a_flag_and_a_field(self):
+        assert list(TABLE_CASES) == [key for key, (_, help_text, field) in mrsfuse.cli.CONFIG_FILE_KEYS.items()
+                                     if help_text and field]
+
+    @pytest.mark.parametrize("key", list(TABLE_CASES))
+    def test_a_key_set_by_flag_or_by_file_gives_the_same_summary(self, key, cohort_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        value, shown_at, beside = TABLE_CASES[key]
+        base = [flag for name, flag in (("k", ["--k", "2"]), ("runs", ["--runs", "1"])) if name != key]
+        argv = ["cv", "--cohort", str(cohort_csv), *sum(base, []), *beside]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        blocks = []
+        for extra in (["--" + key.replace("_", "-"), str(value)], ["--config", str(config)]):
+            assert mrsfuse.cli.main([*argv, *extra]) == 0
+            document = json.loads(capsys.readouterr().out)
+            blocks.append((document["plan"], document["variants"][document["primary"]]["config"]))
+            shown = {"plan": document["plan"], "config": blocks[-1][1]}
+            for step in shown_at:
+                shown = shown[step]
+            assert shown == value
+        assert blocks[0] == blocks[1]
+
+    @pytest.mark.parametrize("command", ["fuse", "cv", "validate", "synth"])
+    def test_help_lists_the_table_flags_and_the_explicit_ones(self, command, capsys):
+        flag = mrsfuse.cli._flag
+        if command == "synth":
+            rows = [flag(key) for key in mrsfuse.cli.SYNTH_SPEC_KEYS if key != "prevalence_poor"]
+            explicit = ["--spec", "--prevalence", "--out"]
+        else:
+            skip = ("out", "format") if command == "validate" else ()
+            rows = [flag(key) for key, (_, help_text, _) in mrsfuse.cli.CONFIG_FILE_KEYS.items()
+                    if help_text and key not in skip]
+            explicit = ["--config"]
+        listed = _help_flags(command, capsys)
+        assert sorted(listed) == sorted(rows + explicit)
+        assert len(listed) == {"fuse": 13, "cv": 13, "validate": 11, "synth": 9}[command]
+
+    def test_flags_parse_as_their_json_type_or_choices(self):
+        parser = mrsfuse.cli.build_parser()
+        args = parser.parse_args(["cv", "--norm-min", "1", "--seed", "3", "--strategy", "fixed", "--format", "csv"])
+        assert [(type(value), value) for value in (args.norm_min, args.seed, args.strategy, args.format)] == [
+            (float, 1.0), (int, 3), (str, "fixed"), (str, "csv")]
+        for flag in ("--variable", "--strategy", "--format"):
+            with pytest.raises(mrsfuse.cli.ConfigError, match=f"^argument {flag}: invalid choice: 'x'"):
+                parser.parse_args(["cv", flag, "x"])
+
+    def test_readme_lists_the_config_keys_in_table_order(self):
+        readme = (SRC_DIR.parent / "README.md").read_text(encoding="utf-8")
+        sentence = re.search(r"Recognized\s+keys:(.*?)\.\s", readme, re.S).group(1)
+        assert re.findall(r"`(\w+)`", sentence) == list(mrsfuse.cli.CONFIG_FILE_KEYS)
 
 
 class TestCompare:

@@ -306,20 +306,24 @@ class TestCohortCsv:
             read_cohort_csv(path)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="opens a pipe by its /dev/fd path")
-    def test_a_pipe_reads_only_a_plain_body(self):
-        def read_piped(text):
-            read, write = os.pipe()
-            os.write(write, text.encode())
-            os.close(write)
-            try:
-                return read_cohort_csv(f"/dev/fd/{read}")
-            finally:
-                os.close(read)
-
-        header = "patient_id,age,nihss,mrs,p_adc\n"
-        assert read_piped(header + "a,60,5,1,0.3\n").ids.tolist() == ["a"]
-        with pytest.raises(OSError, match="not seekable"):  # the row loop seeks back to the body
-            read_piped(header + '"a",60,5,1,0.3\n')
+    @pytest.mark.parametrize("body", [
+        "a,60,5,1,0.3\nb,70,9,4,0.8\n",  # plain: the np.loadtxt pass
+        '"a",60,5,1,0.3\nb,70,9,4,0.8\n',  # a quoted id: the row loop, from the body's start
+        "a,60,5,1,0.3\rb,70,9,4,0.8\r",  # bare \r row ends
+        '"a,1",60,5,1,0.3\nb,70,9,4,0.8\n',  # a quoted comma
+    ])
+    def test_a_pipe_reads_like_a_file(self, tmp_path: Path, body: str):
+        text = "patient_id,age,nihss,mrs,p_adc\n" + body
+        read, write = os.pipe()
+        os.write(write, text.encode())
+        os.close(write)
+        try:
+            piped = read_cohort_csv(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode())
+        assert piped == read_cohort_csv(path) and len(piped) == 2
 
 
 class TestAtomicOutput:

@@ -161,6 +161,31 @@ class TestClassify:
     def test_below_is_good(self):
         assert classify(0.3823, 0.40) == GOOD
 
+    def test_numpy_scalars_are_numbers(self):
+        assert classify(np.float32(0.5), np.float64(0.4)) == POOR
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: classify(0.5, "x"), "threshold must be a real number, got 'x'"),
+    (lambda: classify("x", 0.5), "fused_probability must be a real number, got 'x'"),
+    (lambda: classify(0.5, 10**400), f"threshold must be a real number, got {10**400!r}"),
+    (lambda: derive_labels([0.5], "x"), "threshold must be a real number, got 'x'"),
+    (lambda: derive_labels(["0.5"], 0.4), "probs[0] must be a real number, got '0.5'"),
+    (lambda: derive_labels([0.5, True], 0.4), "probs[1] must be a real number, got True"),
+    (lambda: compute_weights([GOOD], "x"), "covariate must be a real number, got 'x'"),
+    (lambda: compute_weights([GOOD, POOR], True), "covariate must be a real number, got True"),
+    (lambda: fuse(["0.5"], [1.0]), "probs[0] must be a real number, got '0.5'"),
+    (lambda: fuse([0.5], [True]), "weights[0] must be a real number, got True"),
+    (lambda: fuse([None], [1.0]), "probs[0] must be a real number, got None"),
+], ids=["classify_text_threshold", "classify_text_probability", "classify_huge_int", "labels_text_threshold",
+        "labels_text_prob", "labels_bool_prob", "weights_text_covariate", "weights_bool_covariate", "fuse_text_prob",
+        "fuse_bool_weight", "fuse_none_prob"])
+def test_one_row_functions_name_an_argument_that_is_no_number(call, message):
+    # text, bools, None and ints beyond float range were read as numbers, or escaped as numpy or Python errors
+    with pytest.raises(ValidationError) as raised:
+        call()
+    assert str(raised.value) == message
+
 
 class TestSearchThreshold:
     def test_perfect_separation(self):

@@ -129,6 +129,15 @@ class TestAuc:
     def test_perfect_ranking(self):
         assert auc([0.9, 0.8, 0.2, 0.1], labels("ppgg")) == 1.0
 
+    @pytest.mark.parametrize(("scores", "kind"), [
+        (["a", "b"], r"str\d+"), (["0.1", "0.2"], r"str\d+"), ([True, False], "bool"), ([10**400, 1], "object"),
+    ])
+    def test_scores_that_are_no_numbers_are_named(self, scores, kind):
+        # the text "0.1" and "0.2" used to give 0.0, bools 1.0; numbers of any real dtype still rank
+        with pytest.raises(ValidationError, match=f"^scores must be real numbers, got {kind} values$"):
+            auc(scores, labels("pg"))
+        assert auc(np.array([1, 2], dtype=np.int8), labels("gp")) == auc(np.float32([0.1, 0.2]), labels("gp")) == 1.0
+
     def test_all_ties(self):
         assert auc([0.5, 0.5], labels("pg")) == 0.5
 
