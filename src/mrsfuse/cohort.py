@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, as_float, is_number
+from .errors import ConfigError, ValidationError, as_float, is_number, real_array
 
 DEFAULT_MODULE_NAMES = ("ADC", "CBF", "CBV", "DWI", "Tmax")
 
@@ -103,6 +103,7 @@ class ClinicalNormalizer:
         if not math.isfinite(hi - lo):
             raise ConfigError(("max", f"must lie within a finite span of 'min' ({self.min!r})", self.max),
                               ("min", f"must lie within a finite span of 'max' ({self.max!r})", self.min))
+        self.__dict__.update(min=lo, max=hi)  # floats, as a flag gives them; the rules above show the bounds as given
 
 
 def normalize_clinical(value: float | np.ndarray, normalizer: ClinicalNormalizer) -> float | np.ndarray:
@@ -116,8 +117,8 @@ def normalize_clinical(value: float | np.ndarray, normalizer: ClinicalNormalizer
 
 def scale_clamped(value: float | np.ndarray, lo: float | np.ndarray, hi: float | np.ndarray) -> float | np.ndarray:
     """:func:`normalize_clinical` between bounds ``lo`` < ``hi``, which may be arrays aligned with ``value``."""
-    clipped = np.clip(value, lo, hi)
-    scaled = np.asarray((clipped - lo) / (hi - lo), dtype=float)
+    clipped = np.clip(real_array(value, "value"), lo, hi)
+    scaled = (clipped - lo) / (hi - lo)
     clamped = np.where(scaled > 0.0, np.minimum(scaled, 1.0), 0.0)
     return clamped if clamped.ndim else float(clamped)
 
@@ -297,7 +298,7 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
     violations: list[Violation] = []
     if not cohort.module_names:
         violations.append(Violation(None, "module_names", "empty module list"))
-    unnamed = _non_string_module_name(cohort.module_names)
+    unnamed = non_string_module_name(cohort.module_names)
     if unnamed:
         violations.append(Violation(None, "module_names", unnamed))
     elif len(set(cohort.module_names)) != len(cohort.module_names):
@@ -336,7 +337,7 @@ def _module_name_from_column(column: str) -> str:
     return _CANONICAL_MODULES.get(suffix.lower(), suffix.upper())
 
 
-def _non_string_module_name(module_names: tuple[str, ...]) -> str | None:
+def non_string_module_name(module_names: tuple[str, ...]) -> str | None:
     """Why the first module name that is not a string cannot name a column, or None."""
     for name in module_names:
         if not isinstance(name, str):
@@ -446,7 +447,7 @@ def _read_rows(handle: TextIO, path: Path, width: int, cols: list[int], module_n
 
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     """Write a cohort in the standard CSV schema (atomically: temp file + rename)."""
-    if unnamed := _non_string_module_name(cohort.module_names):
+    if unnamed := non_string_module_name(cohort.module_names):
         raise ValidationError(f"{path}: {unnamed}")
     header = list(CSV_REQUIRED_COLUMNS) + [module_column(name) for name in cohort.module_names]
     repeated = [column for i, column in enumerate(header) if column in header[:i]]

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the checks on setting values."""
+"""Exception types shared across the package, and the checks on setting values and on numeric array arguments."""
 
 import numbers
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -49,3 +51,15 @@ def require_int(name: str, value: object, minimum: int, wording: str = "") -> No
     """Raise ``<name> must be <wording>, got <value>`` unless ``value`` is an int >= ``minimum``."""
     if not is_number(value, int) or value < minimum:
         raise ConfigError((name, f"must be {wording or f'an integer >= {minimum}'}", value))
+
+
+def real_array(values: object, what: str, unit: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, copied only from another real dtype. One check of the dtype rejects text, bools,
+    None, complex numbers and ints beyond int64; with ``unit``, the first value outside [0, 1], NaN too, is named."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be real numbers, got {array.dtype.name} values")
+    array = array.astype(float, copy=False)
+    if unit and (outside := ~((array >= 0.0) & (array <= 1.0))).any():
+        raise ValidationError(f"{what} must be in [0, 1], got {float(array[outside][0])!r}")
+    return array

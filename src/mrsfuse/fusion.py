@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .cohort import ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, normalize_clinical
-from .errors import ConfigError, DegenerateDataError, ValidationError, as_float, is_number
+from .errors import ConfigError, DegenerateDataError, ValidationError, as_float, is_number, real_array
 
 WEIGHT_SUM_TOL = 1e-9
 _HALF_MAX = sys.float_info.max / 2
@@ -86,13 +86,6 @@ class FusionResult:
     final_label: OutcomeLabel
 
 
-def _check_unit(values: np.ndarray, what: str) -> None:
-    """Raise unless every value is a finite number in [0, 1], naming the first (row-major) that is not."""
-    outside = ~((values >= 0.0) & (values <= 1.0))
-    if outside.any():
-        raise ValidationError(f"{what} must be in [0, 1], got {float(values[outside][0])!r}")
-
-
 def _real(name: str, value: object) -> float:
     """A one-row argument as a float, unless it is no real number: text, a bool or an int beyond float range."""
     if (number := as_float(value)) is None:
@@ -124,10 +117,9 @@ def _vote_weights(poor: np.ndarray, covariate: np.ndarray | None) -> np.ndarray:
     n, m = poor.shape
     if covariate is None:
         return np.full((n, m), 1.0 / m)
-    c = np.asarray(covariate, dtype=float)
+    c = real_array(covariate, "covariate", unit=True)
     if c.shape != (n,):
         raise ValidationError(f"length mismatch: {n} patients vs covariate shape {c.shape}")
-    _check_unit(c, "covariate")
     c = c[:, None]
     weights = np.where(poor, c, 1.0 - c)
     total = _row_sums(weights)
@@ -160,12 +152,11 @@ def fuse_matrix(
 
     ``prelim_threshold`` is one cut for every patient (a float or a (1,) array), or an (n, 1) column of cuts.
     """
-    p = np.asarray(probs, dtype=float)
+    p = real_array(probs, "module probability", unit=True)
     if p.ndim != 2:
         raise ValidationError(f"probabilities must form an (n, m) matrix, got shape {p.shape}")
     if p.shape[1] == 0:
         raise ValidationError("cannot fuse an empty probability list")
-    _check_unit(p, "module probability")
     votes = is_poor(p, prelim_threshold)
     weights = _vote_weights(votes, covariate)
     return votes, weights, _weighted_sums(weights, p)
@@ -173,8 +164,7 @@ def fuse_matrix(
 
 def derive_labels(probs: Sequence[float], threshold: float) -> tuple[OutcomeLabel, ...]:
     """Preliminary per-module labels: probability <= threshold means good."""
-    p = _row("probs", probs)
-    _check_unit(p, "module probability")
+    p = real_array(_row("probs", probs), "module probability", unit=True)
     return tuple(map(OutcomeLabel, is_poor(p[0], _real("threshold", threshold)).tolist()))
 
 
@@ -205,7 +195,7 @@ def fuse(probs: Sequence[float], weights: Sequence[float]) -> float:
         raise ValidationError("cannot fuse an empty probability list")
     w = _row("weights", weights)
     fused = _weighted_sums(w, _row("probs", probs))  # checks the sum first
-    _check_unit(w, "weight")
+    real_array(w, "weight", unit=True)
     return float(fused[0])
 
 
@@ -231,7 +221,7 @@ def search_threshold(
         raise ConfigError(f"not a searchable strategy: {strategy!r}")
     if len(scores) != len(truths) or len(scores) == 0:
         raise ValidationError("scores and truths must be non-empty and equal length")
-    s = np.asarray(scores, dtype=float)
+    s = real_array(scores, "scores")
     order = np.argsort(s, kind="stable")
     s, poor = s[order], (np.asarray(truths) == OutcomeLabel.POOR)[order]
     # a midpoint of scores past half the float range is inf (1e308 + 1.7e308) or NaN (-inf + inf), quietly as

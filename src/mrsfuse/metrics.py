@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .cohort import OutcomeLabel
-from .errors import DegenerateDataError, ValidationError
-from .fusion import _check_unit
+from .errors import DegenerateDataError, ValidationError, real_array
 from .significance import average_ranks
 
 MEASURES = ("accuracy", "sensitivity", "specificity", "f1", "mae", "auc")
@@ -58,9 +57,8 @@ def mean_absolute_error(
 ) -> float:
     """Mean |fused probability - outcome| with good=0, poor=1."""
     _check_paired(fused_probs, truth)
-    p = np.asarray(fused_probs, dtype=float)
-    _check_unit(p, "fused probability")
-    errors = np.abs(p - np.asarray(truth, dtype=float))
+    p = real_array(fused_probs, "fused probability", unit=True)
+    errors = np.abs(p - (np.asarray(truth) == POSITIVE_CLASS))
     # summed left to right, not pairwise as np.sum would, to keep the last bits
     return sum(errors.tolist()) / len(errors)
 
@@ -78,10 +76,7 @@ def auc(scores: Sequence[float], truth: Sequence[OutcomeLabel]) -> float:
     reals; only their ordering matters.
     """
     _check_paired(scores, truth)
-    s = np.asarray(scores)
-    if s.dtype.kind not in "iuf":  # text and bools are no scores; one check of the dtype, none per element
-        raise ValidationError(f"scores must be real numbers, got {s.dtype.name} values")
-    s = s.astype(float, copy=False)
+    s = real_array(scores, "scores")
     if not np.all(np.isfinite(s)):
         raise ValidationError("scores must be finite")
     y = np.asarray(truth) == POSITIVE_CLASS

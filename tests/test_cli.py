@@ -825,6 +825,18 @@ class TestSettingsTable:
             assert shown == value
         assert blocks[0] == blocks[1]
 
+    def test_integer_bounds_from_a_file_write_the_bytes_of_the_flags(self, cohort_csv, tmp_path, monkeypatch):
+        # a bound stored as the float a flag gives: the summary bytes do not depend on where the bound came from
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"norm_min": 1, "norm_max": 30}), encoding="utf-8")
+        outs = [tmp_path / "flags.json", tmp_path / "file.json"]
+        for out, extra in zip(outs, (["--norm-min", "1", "--norm-max", "30"], ["--config", str(config)])):
+            argv = ["cv", "--cohort", str(cohort_csv), "--variable", "age", "--k", "2", "--runs", "1", *extra]
+            assert mrsfuse.cli.main([*argv, "--out", str(out)]) == 0
+        assert '"norm_min": 1.0' in outs[0].read_text(encoding="utf-8")
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
     @pytest.mark.parametrize("command", ["fuse", "cv", "validate", "synth"])
     def test_help_lists_the_table_flags_and_the_explicit_ones(self, command, capsys):
         flag = mrsfuse.cli._flag

@@ -45,6 +45,7 @@ from mrsfuse.cohort import (
     normalize_clinical,
     write_csv_columns,
 )
+from mrsfuse.crossval import CvPlan, make_folds
 from mrsfuse.fusion import fuse_matrix
 from mrsfuse.metrics import MetricReport
 
@@ -390,6 +391,20 @@ class TestColumns:
             f"p1: nihss: nihss must be an integer in 0..{NIHSS_MAX}, got {big}",
             f"p1: mrs: mrs must be an integer in 0..{MRS_MAX} or absent, got {-big - 1}",
         ]
+
+    def test_a_cohort_equals_no_other_type(self):
+        cohort = Cohort(patients=(make_patient(),))
+        assert cohort.__eq__("x") is NotImplemented
+        assert (cohort == "x") is False and cohort != "x"
+
+    def test_folding_an_unvalidated_cohort_names_an_out_of_range_mrs(self):
+        cohort = Cohort(patients=(make_patient(pid="p0", mrs=0), make_patient(pid="a", mrs=7)))
+        with pytest.raises(ValidationError, match=r"^mrs must be an integer in 0\.\.6 for patient 'a', got 7$"):
+            make_folds(cohort, CvPlan(k=2, n_runs=1), 0)
+
+    def test_covariate_of_an_unknown_variable(self):
+        with pytest.raises(ConfigError, match=r"^unknown clinical variable 'height'$"):
+            Cohort(patients=(make_patient(),)).covariate("height")
 
     def test_view_slices_the_columns(self):
         cohort = Cohort(patients=tuple(make_patient(pid=f"p{i}", nihss=i) for i in range(4)))

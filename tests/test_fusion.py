@@ -674,3 +674,24 @@ class TestFuseMatrix:
     def test_rejects_empty_module_list(self):
         with pytest.raises(ValidationError):
             fuse_matrix(np.empty((3, 0)), None, 0.5)
+
+    @pytest.mark.parametrize(("call", "message"), [
+        (lambda: fuse_matrix([[0.2, 0.3]], [0.5, 0.5], 0.5), "length mismatch: 1 patients vs covariate shape (2,)"),
+        (lambda: fuse_matrix([[0.2, 0.3]], [1.5, 0.5], 0.5), "covariate must be in [0, 1], got 1.5"),
+        (lambda: fuse_matrix([0.2, 0.3], None, 0.5), "probabilities must form an (n, m) matrix, got shape (2,)"),
+        (lambda: fuse_matrix(0.5, None, 0.5), "probabilities must form an (n, m) matrix, got shape ()"),
+        (lambda: fuse_matrix([["0.2"]], None, 0.5), "module probability must be real numbers, got str96 values"),
+        (lambda: fuse_matrix([[0.2]], [None], 0.5), "covariate must be real numbers, got object values"),
+    ], ids=["covariate_length", "covariate_range_before_length", "one_dimensional", "scalar", "text", "none"])
+    def test_rejected_shapes_and_values_are_named(self, call, message):
+        # the range is checked with the type, before the shape: a long out-of-range covariate reports the range
+        with pytest.raises(ValidationError) as raised:
+            call()
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(("scores", "truths"), [([], []), ([0.1], labels("gp")), ([0.1, 0.9], labels("g"))],
+                         ids=["empty", "fewer_scores", "fewer_truths"])
+def test_search_threshold_rejects_empty_or_unequal_inputs(scores, truths):
+    with pytest.raises(ValidationError, match=r"^scores and truths must be non-empty and equal length$"):
+        search_threshold(scores, truths)

@@ -61,3 +61,12 @@ def test_readme_library_example_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", README_LIBRARY, re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[-1] == "poor"
+
+
+def test_modules_take_no_private_name_from_each_other():
+    # a rule that two modules share is public where it is stated, so that no module leans on another's helper
+    taken = [f"{path.name}: from .{node.module or ''} import {alias.name}"
+             for path in sorted((ROOT / "src" / "mrsfuse").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names if alias.name.startswith("_")]
+    assert taken == []
