@@ -62,6 +62,16 @@ class OutcomeLabel(enum.IntEnum):
         return self.name.lower()
 
 
+def poor_mask(labels: object, what: str) -> np.ndarray:
+    """``labels`` as a bool array, True where poor: each value must be a bool, int or float equal to 0 or 1."""
+    array = np.asarray(labels)
+    if array.dtype.kind in "biuf" and ((poor := array == 1) | (array == 0)).all():  # ints: an IntEnum is 5x slower
+        return poor
+    got = next((repr(v) for v in np.asarray(labels, dtype=object).flat  # each value as given, before numpy casts it
+                if np.asarray(v).dtype.kind not in "biuf" or v not in (0, 1)), f"{array.dtype.name} values")
+    raise ValidationError(f"{what} must be outcome labels, 0 (good) or 1 (poor), got {got}")
+
+
 def as_plain(value: object) -> object:
     """A dataclass instance as JSON-ready data: fields become keys, tuples lists, labels names."""
     if is_dataclass(value):

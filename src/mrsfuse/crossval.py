@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cohort import ClinicalNormalizer, Cohort, OutcomeLabel, as_plain, scale_clamped, validate_cohort
+from .cohort import ClinicalNormalizer, Cohort, as_plain, poor_mask, scale_clamped, validate_cohort
 from .errors import ConfigError, DegenerateDataError, ValidationError, is_number, require_int
 from .fusion import (
     FusionConfig,
@@ -132,7 +132,7 @@ def make_folds(cohort: Cohort, plan: CvPlan, run_index: int) -> np.ndarray:
         raise ValidationError(f"k={plan.k} exceeds cohort size {n}")
 
     rng = np.random.default_rng([plan.base_seed, run_index])
-    poor = cohort.outcomes() == OutcomeLabel.POOR
+    poor = poor_mask(cohort.outcomes(), "outcomes")
     if plan.stratified:
         groups = [np.flatnonzero(~poor), np.flatnonzero(poor)]
     else:

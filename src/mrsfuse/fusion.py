@@ -20,17 +20,15 @@ cohorts, and the public scalar functions are one-row calls of the same pieces.
 from __future__ import annotations
 
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cohort import ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, normalize_clinical
+from .cohort import ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, normalize_clinical, poor_mask
 from .errors import ConfigError, DegenerateDataError, ValidationError, as_float, is_number, real_array
 
 WEIGHT_SUM_TOL = 1e-9
-_HALF_MAX = sys.float_info.max / 2
 FUSE_BLOCK_ROWS = 4096  # rows whose weighted probabilities _weighted_sums holds at a time
 
 THRESHOLD_STRATEGIES = ("youden", "max_accuracy", "fixed")
@@ -172,7 +170,7 @@ def compute_weights(labels: Sequence[OutcomeLabel], covariate: float) -> tuple[f
     """Normalized module weights of one patient's preliminary labels and covariate."""
     if len(labels) == 0:
         raise ValidationError("cannot weight an empty label list")
-    poor = np.array([[label == OutcomeLabel.POOR for label in labels]])
+    poor = poor_mask(labels, "labels")[None]
     return tuple(_vote_weights(poor, np.array([_real("covariate", covariate)]))[0].tolist())
 
 
@@ -187,7 +185,7 @@ def uniform_weights(n: int) -> tuple[float, ...]:
 def fuse(probs: Sequence[float], weights: Sequence[float]) -> float:
     """Weighted average of module probabilities; bounded by their min and max.
 
-    The weights must sum to one and each lie in [0, 1].
+    The weights must sum to one and each lie in [0, 1]; the probabilities may be any reals, unchecked.
     """
     if len(probs) != len(weights):
         raise ValidationError(f"length mismatch: {len(probs)} probabilities vs {len(weights)} weights")
@@ -223,11 +221,8 @@ def search_threshold(
         raise ValidationError("scores and truths must be non-empty and equal length")
     s = real_array(scores, "scores")
     order = np.argsort(s, kind="stable")
-    s, poor = s[order], (np.asarray(truths) == OutcomeLabel.POOR)[order]
-    # a midpoint of scores past half the float range is inf (1e308 + 1.7e308) or NaN (-inf + inf), quietly as
-    # with Python floats; the errstate context costs a few µs, so only such scores (or a NaN, sorted last) pay it
-    if -_HALF_MAX < s[0] and s[-1] < _HALF_MAX:
-        return search_sorted_threshold(s, poor, strategy)
+    s, poor = s[order], poor_mask(truths, "truths")[order]
+    # a midpoint of scores past half the float range is inf (1e308 + 1.7e308) or NaN (-inf + inf), quietly
     with np.errstate(over="ignore", invalid="ignore"):
         return search_sorted_threshold(s, poor, strategy)
 

@@ -15,13 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohort import OutcomeLabel
+from .cohort import OutcomeLabel, poor_mask
 from .errors import DegenerateDataError, ValidationError, real_array
 from .significance import average_ranks
 
 MEASURES = ("accuracy", "sensitivity", "specificity", "f1", "mae", "auc")
-
-POSITIVE_CLASS = OutcomeLabel.POOR
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,7 @@ class MetricReport:
     mae: float
     auc: float
     n_patients: int
-    positive_class: OutcomeLabel = POSITIVE_CLASS
+    positive_class: OutcomeLabel = OutcomeLabel.POOR
     degenerate: tuple[str, ...] = ()
 
     def value(self, measure: str) -> float:
@@ -58,7 +56,7 @@ def mean_absolute_error(
     """Mean |fused probability - outcome| with good=0, poor=1."""
     _check_paired(fused_probs, truth)
     p = real_array(fused_probs, "fused probability", unit=True)
-    errors = np.abs(p - (np.asarray(truth) == POSITIVE_CLASS))
+    errors = np.abs(p - poor_mask(truth, "truth"))
     # summed left to right, not pairwise as np.sum would, to keep the last bits
     return sum(errors.tolist()) / len(errors)
 
@@ -79,7 +77,7 @@ def auc(scores: Sequence[float], truth: Sequence[OutcomeLabel]) -> float:
     s = real_array(scores, "scores")
     if not np.all(np.isfinite(s)):
         raise ValidationError("scores must be finite")
-    y = np.asarray(truth) == POSITIVE_CLASS
+    y = poor_mask(truth, "truth")
     n_poor = int(y.sum())
     n_good = int((~y).sum())
     if n_poor == 0 or n_good == 0:
@@ -95,15 +93,15 @@ def report(
 ) -> MetricReport:
     """Assemble all six measures for one prediction set; single-class truths fail in :func:`auc`."""
     _check_paired(predicted, truth)
-    pred = np.asarray(predicted) == POSITIVE_CLASS
-    true = np.asarray(truth) == POSITIVE_CLASS
+    pred = poor_mask(predicted, "predicted")
+    true = poor_mask(truth, "truth")
     tp = int(np.sum(pred & true))
     fn = int(np.sum(~pred & true))
     fp = int(np.sum(pred & ~true))
     tn = len(pred) - tp - fn - fp
     return MetricReport(
-        mae=mean_absolute_error(fused_probs, truth),
-        auc=auc(fused_probs, truth),  # raises on single-class truths, before a ratio below divides by 0
+        mae=mean_absolute_error(fused_probs, true),
+        auc=auc(fused_probs, true),  # raises on single-class truths, before a ratio below divides by 0
         accuracy=(tp + tn) / (tp + fp + tn + fn),
         sensitivity=tp / (tp + fn),
         specificity=tn / (tn + fp),

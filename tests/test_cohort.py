@@ -43,6 +43,7 @@ from mrsfuse.cohort import (
     binarize_mrs,
     module_column,
     normalize_clinical,
+    poor_mask,
     write_csv_columns,
 )
 from mrsfuse.crossval import CvPlan, make_folds
@@ -76,6 +77,30 @@ class TestBinarizeMrs:
     def test_labels_order(self):
         assert OutcomeLabel.GOOD < OutcomeLabel.POOR
         assert str(OutcomeLabel.GOOD) == "good"
+
+
+class TestPoorMask:
+    @pytest.mark.parametrize("labels", [
+        [OutcomeLabel.POOR, OutcomeLabel.GOOD], np.array([1, 0], dtype=np.int8), [True, False], [1.0, 0.0],
+        [np.int8(1), 0], np.array([1, 0], dtype=np.uint64), np.array([1.0, -0.0], dtype=np.float32),
+    ])
+    def test_every_real_zero_or_one_is_a_label(self, labels):
+        mask = poor_mask(labels, "truth")
+        assert mask.dtype == bool and mask.tolist() == [True, False]
+
+    @pytest.mark.parametrize(("labels", "got"), [
+        (["good", "poor"], "'good'"),
+        ([1, "good"], "'good'"),  # the value as given, not numpy's '1'
+        (np.array([0, 1, 2], dtype=np.int8), "2"),
+        ([OutcomeLabel.GOOD, math.nan], "nan"),
+        ([0, 1 + 0j], "(1+0j)"),
+        ([None, 1], "None"),
+        (np.array([0, 1], dtype=object), "object values"),  # no value at fault: the dtype is
+    ])
+    def test_any_other_value_is_named(self, labels, got):
+        with pytest.raises(ValidationError) as raised:
+            poor_mask(labels, "truth")
+        assert str(raised.value) == f"truth must be outcome labels, 0 (good) or 1 (poor), got {got}"
 
 
 class TestNormalizeClinical:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mrsfuse import DegenerateDataError, OutcomeLabel, ValidationError, auc
+from mrsfuse.fusion import compute_weights, search_threshold
 from mrsfuse.metrics import mean_absolute_error, report
 
 GOOD = OutcomeLabel.GOOD
@@ -276,3 +277,22 @@ class TestArrayInputs:
         for measure in (mean_absolute_error, auc, lambda s, t: report(t, s, t)):
             with pytest.raises(ValidationError, match="empty"):
                 measure(empty, empty)
+
+
+class TestOutcomeLabelArguments:
+    @pytest.mark.parametrize(("call", "name", "got"), [
+        (lambda: mean_absolute_error([0.1, 0.9], ["good", "poor"]), "truth", "'good'"),
+        (lambda: auc([0.1, 0.9], ["good", "poor"]), "truth", "'good'"),  # once a DegenerateDataError
+        (lambda: search_threshold([0.1, 0.9], [None, 1]), "truths", "None"),
+        (lambda: report(["poor", "good"], [0.1, 0.9], [GOOD, POOR]), "predicted", "'poor'"),
+        (lambda: compute_weights(["poor", "good"], 0.9), "labels", "'poor'"),
+    ])
+    def test_labels_that_are_no_outcomes_are_named(self, call, name, got):
+        with pytest.raises(ValidationError) as raised:
+            call()
+        assert str(raised.value) == f"{name} must be outcome labels, 0 (good) or 1 (poor), got {got}"
+
+    def test_float_truths_measure_as_labels_do(self):
+        scores = [0.2, 0.9, 0.6]
+        assert auc(scores, [0.0, 1.0, 1.0]) == auc(scores, labels("gpp"))
+        assert mean_absolute_error(scores, [0.0, 1.0, 1.0]) == mean_absolute_error(scores, labels("gpp"))

@@ -70,3 +70,13 @@ def test_modules_take_no_private_name_from_each_other():
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ImportFrom) and node.level
              for alias in node.names if alias.name.startswith("_")]
     assert taken == []
+
+
+def test_no_module_compares_with_an_outcome_label_member():
+    # which value is poor is stated once, in cohort.poor_mask; a comparison with a member states it again
+    members = {"OutcomeLabel.POOR", "OutcomeLabel.GOOD"}
+    compared = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                for path in sorted((ROOT / "src" / "mrsfuse").glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Compare)
+                if members & {ast.unparse(operand) for operand in (node.left, *node.comparators)}]
+    assert compared == []
