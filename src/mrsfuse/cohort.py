@@ -63,12 +63,21 @@ class OutcomeLabel(enum.IntEnum):
 
 
 def poor_mask(labels: object, what: str) -> np.ndarray:
-    """``labels`` as a bool array, True where poor: each value must be a bool, int or float equal to 0 or 1."""
-    array = np.asarray(labels)
-    if array.dtype.kind in "biuf" and ((poor := array == 1) | (array == 0)).all():  # ints: an IntEnum is 5x slower
+    """``labels`` as a one-dimensional bool array, True where poor: each value must be a bool, int or float equal
+    to 0 or 1. A bool array is returned as it is."""
+    try:
+        array = np.asarray(labels)
+    except ValueError:  # a ragged nesting: its containers are the values at fault
+        array = np.asarray(labels, dtype=object)
+    if array.ndim != 1:
+        raise ValidationError(f"{what} must be a one-dimensional sequence of outcome labels, got shape {array.shape}")
+    if array.dtype == bool:
+        return array
+    if array.dtype.kind in "iuf" and ((poor := array == 1) | (array == 0)).all():  # ints: an IntEnum is 5x slower
         return poor
     got = next((repr(v) for v in np.asarray(labels, dtype=object).flat  # each value as given, before numpy casts it
-                if np.asarray(v).dtype.kind not in "biuf" or v not in (0, 1)), f"{array.dtype.name} values")
+                if np.ndim(v) or np.asarray(v).dtype.kind not in "biuf" or v not in (0, 1)),
+               f"{array.dtype.name} values")
     raise ValidationError(f"{what} must be outcome labels, 0 (good) or 1 (poor), got {got}")
 
 
@@ -320,8 +329,8 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
     ids = cohort.ids.tolist()
     n = len(ids)
     empty = np.array([not pid for pid in ids], dtype=bool)
-    first_row = dict(zip(reversed(ids), range(n - 1, -1, -1)))  # built backwards: each id keeps its first row
-    repeated = np.fromiter(map(first_row.__getitem__, ids), dtype=np.intp, count=n) != np.arange(n)
+    seen: set = set()
+    repeated = np.fromiter((pid in seen or seen.add(pid) for pid in ids), dtype=bool, count=n)  # add: None, False
     # (field, rows at fault, the values shown in the reason or None, reason)
     checks = [
         ("patient_id", empty, None, "empty patient id"),

@@ -111,10 +111,11 @@ def _row_sums(matrix: np.ndarray) -> np.ndarray:
 
 
 def _vote_weights(poor: np.ndarray, covariate: np.ndarray | None) -> np.ndarray:
-    """Steps 2-3 for (n, m) poor votes and n covariates; uniform weights when ``covariate`` is None."""
+    """Steps 2-3 for (n, m) poor votes and n covariates; uniform weights, a read-only view of one 1/m, when
+    ``covariate`` is None."""
     n, m = poor.shape
     if covariate is None:
-        return np.full((n, m), 1.0 / m)
+        return np.broadcast_to(1.0 / m, (n, m))
     c = real_array(covariate, "covariate", unit=True)
     if c.shape != (n,):
         raise ValidationError(f"length mismatch: {n} patients vs covariate shape {c.shape}")
@@ -149,6 +150,7 @@ def fuse_matrix(
     """Poor votes (n, m), weights (n, m) and fused probabilities (n,) of n patients by m modules.
 
     ``prelim_threshold`` is one cut for every patient (a float or a (1,) array), or an (n, 1) column of cuts.
+    Uniform weights (``covariate`` None) come back as a read-only view of 1/m.
     """
     p = real_array(probs, "module probability", unit=True)
     if p.ndim != 2:

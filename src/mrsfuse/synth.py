@@ -92,9 +92,7 @@ def generate_cohort(spec: SyntheticSpec) -> Cohort:
         np.floor(copula_uniform(spec.rho_nihss) * (NIHSS_MAX + 1)).astype(int), 0, NIHSS_MAX
     )
 
-    mrs_poor = rng.integers(3, 7, size=n)
-    mrs_good = rng.integers(0, 3, size=n)
-    mrs = np.where(poor, mrs_poor, mrs_good)
+    mrs = np.where(poor, rng.integers(3, 7, size=n), rng.integers(0, 3, size=n))  # poor grades drawn first
 
     width = max(4, len(str(n)))
     ids = np.fromiter(map(f"S%0{width}d".__mod__, range(n)), dtype=object, count=n)

@@ -122,15 +122,16 @@ def run_cli(
 
 
 def transient_peak(call) -> tuple:
-    """``call()`` and the bytes its peak held beyond what is still held on return (its result), as tracemalloc
-    counts them. numpy reports its buffers to tracemalloc, so the count does not depend on the host."""
+    """``call()``, the bytes its peak held beyond what is still held on return, and those held bytes (its result),
+    as tracemalloc counts them; their sum is the call's whole peak. numpy reports its buffers to tracemalloc, so the
+    counts do not depend on the host."""
     tracemalloc.start()
     try:
         result = call()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak - held
+    return result, peak - held, held
 
 
 def csv_writer_bytes(rows) -> bytes:

@@ -4,9 +4,10 @@ Hypothesis draws lists and arrays of numbers of every real dtype, mixed with wha
 bools, None, complex numbers and ints beyond int64. A call either gives what the same values cast to float64
 give, or raises ValidationError or DegenerateDataError. An argument whose dtype is not real is never read.
 Outcome label arguments are drawn the same way from labels (``OutcomeLabel`` members, 0 and 1 as ints, int8,
-bools and floats) mixed with what is none: a call whose labels are all labels gives what their bool masks give,
-and any other raises ValidationError. A value error begins with the name of the argument at fault. Nothing else
-escapes, and no warning is raised. Ragged containers are left out: they are the wrong container, not wrong values.
+bools and floats) mixed with what is none, some or all of them nested in one-element lists: a call whose labels
+are all labels, flat, gives what their bool masks give, and any other raises ValidationError. A value error begins
+with the name of the argument at fault. Nothing else escapes, and no warning is raised. Ragged containers of numbers
+are left out: they are the wrong container, not wrong values.
 """
 
 from __future__ import annotations
@@ -59,12 +60,15 @@ def with_truths(draw):
 
 @st.composite
 def outcome_labels(draw, size: int) -> tuple:
-    """``size`` labels, all outcome labels or some not, as a list or as the array numpy makes of them; and whether
-    all are outcome labels."""
+    """``size`` labels, all outcome labels or some not, flat or with some or all in one-element lists, as a list or
+    as the array numpy makes of them; and whether all are flat outcome labels."""
     pool = draw(st.sampled_from([LABELS, LABELS + NOT_LABELS]))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
-    items = [pool[i] for i in picks]
-    return (np.array(items) if draw(st.booleans()) else items), all(i < len(LABELS) for i in picks)
+    nest = draw(st.sampled_from(["flat", "flat", "flat", "all", "some"]))
+    wrap = [nest == "all" or (nest == "some" and draw(st.booleans())) for _ in picks]
+    items = [[pool[i]] if wrapped else pool[i] for i, wrapped in zip(picks, wrap)]
+    as_array = draw(st.booleans()) and len(set(wrap)) < 2  # numpy makes no array of a ragged nesting
+    return (np.array(items) if as_array else items), all(i < len(LABELS) for i in picks) and not any(wrap)
 
 
 @st.composite

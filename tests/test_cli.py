@@ -211,15 +211,17 @@ class TestFuseCsvOracle:
             assert stdout.getvalue().encode("utf-8") == expected
             assert out.read_bytes() == expected
 
-    @pytest.mark.parametrize("source", ["nihss_panel", "synth_1030"])
+    @pytest.mark.parametrize("source", ["nihss_panel", "synth_1030", "synth_1030_unweighted"])
     def test_json_patients_equal_the_csv_rows(self, source, nihss_panel_csv, tmp_path, monkeypatch):
         # the CSV writes the weights as one block and the JSON as columns: the same keys, the JSON's sorted,
-        # and read in header order the same cells, each float's repr equal to its CSV cell
+        # and read in header order the same cells, each float's repr equal to its CSV cell; unweighted, the
+        # weights are a read-only view of one value
         monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
         if source == "nihss_panel":
             cohort_path, flags = nihss_panel_csv, NIHSS_FLAGS
         else:  # a chunk and a few rows more, the thresholds searched
-            cohort_path, flags = tmp_path / "synth.csv", ("--variable", "age")
+            variable = "none" if source.endswith("unweighted") else "age"
+            cohort_path, flags = tmp_path / "synth.csv", ("--variable", variable)
             write_cohort_csv(generate_cohort(SyntheticSpec(n_patients=1030, seed=2)), cohort_path)
         tables = {}
         for fmt in ("csv", "json"):

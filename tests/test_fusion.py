@@ -655,11 +655,14 @@ class TestFuseMatrix:
 
     @pytest.mark.parametrize("weighted", [True, False])
     def test_peak_is_under_one_matrix_above_the_result(self, weighted):
-        # weights are normalized and products summed in place: no (n, m) array beyond the weights returned
+        # weights are normalized and products summed in place: no (n, m) array beyond the weights returned;
+        # uniform weights are a view of one value, so the unweighted call's whole peak stays under one matrix
         rng = np.random.default_rng(5)
         probs, covariate = rng.random((50_000, 5)), rng.random(50_000)
-        _, peak = transient_peak(lambda: fuse_matrix(probs, covariate if weighted else None, 0.5))
-        assert peak < probs.nbytes
+        _, transient, held = transient_peak(lambda: fuse_matrix(probs, covariate if weighted else None, 0.5))
+        assert transient < probs.nbytes
+        if not weighted:
+            assert transient + held < probs.nbytes
 
     def test_rejects_probability_outside_unit_interval(self):
         with pytest.raises(ValidationError, match="module probability"):

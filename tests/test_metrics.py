@@ -292,6 +292,17 @@ class TestOutcomeLabelArguments:
             call()
         assert str(raised.value) == f"{name} must be outcome labels, 0 (good) or 1 (poor), got {got}"
 
+    @pytest.mark.parametrize(("call", "name", "shape"), [
+        (lambda: search_threshold([0.1, 0.9], [[0], [1]]), "truths", "(2, 1)"),  # once a silent 0.5
+        (lambda: auc([0.1, 0.9], [[0], [1]]), "truth", "(2, 1)"),  # once an IndexError
+        (lambda: mean_absolute_error([0.1, 0.9], [[0], [1]]), "truth", "(2, 1)"),  # once a TypeError
+        (lambda: compute_weights([[0, 1]], 0.5), "labels", "(1, 2)"),  # once a ValueError
+    ], ids=["search_threshold", "auc", "mean_absolute_error", "compute_weights"])
+    def test_labels_not_in_one_dimension_are_named(self, call, name, shape):
+        with pytest.raises(ValidationError) as raised:
+            call()
+        assert str(raised.value) == f"{name} must be a one-dimensional sequence of outcome labels, got shape {shape}"
+
     def test_float_truths_measure_as_labels_do(self):
         scores = [0.2, 0.9, 0.6]
         assert auc(scores, [0.0, 1.0, 1.0]) == auc(scores, labels("gpp"))

@@ -73,9 +73,10 @@ class TestValidity:
 
 class TestMemory:
     def test_peak_is_under_one_matrix_above_the_cohort(self):
-        # the (n, m) scores are squashed in place, so no second (n, m) array outlives the squash
-        cohort, peak = transient_peak(lambda: generate_cohort(SyntheticSpec(n_patients=50_000)))
-        assert peak < cohort.probs.nbytes
+        # the (n, m) scores are squashed in place, so no second (n, m) array outlives the squash, and the two
+        # per-class mRS draws live only inside one np.where, so they are gone by the peak at the end
+        cohort, peak, _ = transient_peak(lambda: generate_cohort(SyntheticSpec(n_patients=50_000)))
+        assert peak < cohort.probs.nbytes / 3
 
 
 class TestPrevalence:
