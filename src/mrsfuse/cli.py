@@ -19,6 +19,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -58,6 +59,7 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 
 OUTPUT_FORMATS = ("csv", "json")
+JSON_WRITE_CHUNKS = 1024  # encoder chunks joined into one write: a write-through stdout makes a system call a write
 
 # The recognized keys of each JSON input. Each key has the JSON type its value must have (``float`` also admits
 # integers), the help of its flag ``_flag(key)`` (None: no flag) and, in a config, the field of FusionConfig,
@@ -94,10 +96,6 @@ _CHOICES = {"variable": FUSION_VARIABLES, "strategy": THRESHOLD_STRATEGIES, "for
 _JSON_TYPE_NAMES = {
     str: "a string", float: "a number", int: "an integer", bool: "true or false", list: "a list",
 }
-
-
-def _json_dumps(document: object) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def _read_json(path: Path) -> object:
@@ -271,9 +269,14 @@ def _output(out: str | None) -> Iterator[TextIO]:
             yield handle
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(document: object, out: str | None) -> None:
+    """``document`` as JSON, indented by 2 with sorted keys and a final newline, encoded into the output
+    ``JSON_WRITE_CHUNKS`` chunks at a time, so its text is never held whole."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
     with _output(out) as handle:
-        handle.write(text)
+        while group := "".join(islice(chunks, JSON_WRITE_CHUNKS)):
+            handle.write(group)
+        handle.write("\n")
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
@@ -303,7 +306,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             },
             "patients": [dict(zip(header, row)) for row in zip(*(c.tolist() for c in (*head, *weights.T, *tail)))],
         }
-        _emit(_json_dumps(document), settings.get("out"))
+        _emit(document, settings.get("out"))
     else:
         with _output(settings.get("out")) as handle:
             # one block: a row's weights hold at most two distinct values, which the writer formats once a chunk
@@ -339,7 +342,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
         with _output(out) as handle:
             _cv_table_csv(variants, handle)
     else:
-        _emit(_json_dumps(document), out)
+        _emit(document, out)
     return EXIT_OK
 
 
@@ -402,7 +405,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "b": {"path": args.summary_b, "model": summary_b.get("model")},
         **as_plain(result),
     }
-    _emit(_json_dumps(document), args.out)
+    _emit(document, args.out)
     return EXIT_OK
 
 

@@ -39,7 +39,7 @@ GOOD_MRS_MAX = 2  # disability grades 0-2 count as good outcome, 3-6 as poor
 
 CSV_REQUIRED_COLUMNS = ("patient_id", "age", "nihss", "mrs")
 CSV_MODULE_PREFIX = "p_"
-CSV_CHUNK_ROWS = 1024  # rows that write_csv_columns formats and writes at a time
+CSV_CHUNK_ROWS = 512  # rows that write_csv_columns formats and writes at a time
 
 _CSV_QUOTED = re.compile('[,"\r\n]')  # a cell holding one of these is quoted, as csv.QUOTE_MINIMAL does
 

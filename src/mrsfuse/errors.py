@@ -53,10 +53,16 @@ def require_int(name: str, value: object, minimum: int, wording: str = "") -> No
         raise ConfigError((name, f"must be {wording or f'an integer >= {minimum}'}", value))
 
 
-def real_array(values: object, what: str, unit: bool = False) -> np.ndarray:
-    """``values`` as a float64 array, copied only from another real dtype. One check of the dtype rejects text, bools,
-    None, complex numbers and ints beyond int64; with ``unit``, the first value outside [0, 1], NaN too, is named."""
-    array = np.asarray(values)
+def real_array(values: object, what: str, unit: bool = False, vector: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, copied only from another real dtype. With ``vector``, values not in one dimension
+    are named by their shape. One check of the dtype rejects text, bools, None, complex numbers, ints beyond int64 and
+    a ragged nesting; with ``unit``, the first value outside [0, 1], NaN too, is named."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting: an object array
+        array = np.asarray(values, dtype=object)
+    if vector and array.ndim != 1:
+        raise ValidationError(f"{what} must be a one-dimensional sequence of real numbers, got shape {array.shape}")
     if array.dtype.kind not in "iuf":
         raise ValidationError(f"{what} must be real numbers, got {array.dtype.name} values")
     array = array.astype(float, copy=False)

@@ -221,7 +221,7 @@ def search_threshold(
         raise ConfigError(f"not a searchable strategy: {strategy!r}")
     if len(scores) != len(truths) or len(scores) == 0:
         raise ValidationError("scores and truths must be non-empty and equal length")
-    s = real_array(scores, "scores")
+    s = real_array(scores, "scores", vector=True)
     order = np.argsort(s, kind="stable")
     s, poor = s[order], poor_mask(truths, "truths")[order]
     # a midpoint of scores past half the float range is inf (1e308 + 1.7e308) or NaN (-inf + inf), quietly

@@ -55,7 +55,7 @@ def mean_absolute_error(
 ) -> float:
     """Mean |fused probability - outcome| with good=0, poor=1."""
     _check_paired(fused_probs, truth)
-    p = real_array(fused_probs, "fused probability", unit=True)
+    p = real_array(fused_probs, "fused probability", unit=True, vector=True)
     errors = np.abs(p - poor_mask(truth, "truth"))
     # summed left to right, not pairwise as np.sum would, to keep the last bits
     return sum(errors.tolist()) / len(errors)
@@ -74,7 +74,7 @@ def auc(scores: Sequence[float], truth: Sequence[OutcomeLabel]) -> float:
     reals; only their ordering matters.
     """
     _check_paired(scores, truth)
-    s = real_array(scores, "scores")
+    s = real_array(scores, "scores", vector=True)
     if not np.all(np.isfinite(s)):
         raise ValidationError("scores must be finite")
     y = poor_mask(truth, "truth")

@@ -3,11 +3,12 @@
 Hypothesis draws lists and arrays of numbers of every real dtype, mixed with what is no real number: text,
 bools, None, complex numbers and ints beyond int64. A call either gives what the same values cast to float64
 give, or raises ValidationError or DegenerateDataError. An argument whose dtype is not real is never read.
+Values are drawn flat or with some or all of them in one-element lists: a score or probability argument that is
+not one-dimensional is rejected by its shape, and a ragged nesting reads as an array of objects, no real numbers.
 Outcome label arguments are drawn the same way from labels (``OutcomeLabel`` members, 0 and 1 as ints, int8,
 bools and floats) mixed with what is none, some or all of them nested in one-element lists: a call whose labels
 are all labels, flat, gives what their bool masks give, and any other raises ValidationError. A value error begins
-with the name of the argument at fault. Nothing else escapes, and no warning is raised. Ragged containers of numbers
-are left out: they are the wrong container, not wrong values.
+with the name of the argument at fault. Nothing else escapes, and no warning is raised.
 """
 
 from __future__ import annotations
@@ -43,11 +44,28 @@ NORMALIZER = ClinicalNormalizer("age", 20, 95)
 SETTINGS = settings(max_examples=150, deadline=None)
 
 
+def nested(draw, items: list) -> tuple[list, bool]:
+    """``items`` flat, or with some or all in one-element lists; and whether numpy can make an array of them."""
+    nest = draw(st.sampled_from(["flat", "flat", "flat", "all", "some"]))
+    wrap = [nest == "all" or (nest == "some" and draw(st.booleans())) for _ in items]
+    return [[item] if wrapped else item for item, wrapped in zip(items, wrap)], len(set(wrap)) < 2
+
+
+def as_array(arg) -> np.ndarray:
+    """``arg`` as numpy makes an array of it; a ragged nesting, of which it makes none, as an array of objects."""
+    try:
+        return np.asarray(arg)
+    except ValueError:
+        return np.asarray(arg, dtype=object)
+
+
 @st.composite
 def values(draw, size: int, real=REAL):
-    """``size`` values, all ``real`` or some not, as a list or as the array numpy makes of them."""
+    """``size`` values, all ``real`` or some not, nested as ``nested`` draws them, as a list or as the array numpy
+    makes of them."""
     items = draw(st.lists(draw(st.sampled_from([real, st.one_of(real, NOT_REAL)])), min_size=size, max_size=size))
-    return np.array(items) if draw(st.booleans()) else items
+    items, even = nested(draw, items)
+    return np.array(items) if even and draw(st.booleans()) else items
 
 
 @st.composite
@@ -64,11 +82,9 @@ def outcome_labels(draw, size: int) -> tuple:
     as the array numpy makes of them; and whether all are flat outcome labels."""
     pool = draw(st.sampled_from([LABELS, LABELS + NOT_LABELS]))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
-    nest = draw(st.sampled_from(["flat", "flat", "flat", "all", "some"]))
-    wrap = [nest == "all" or (nest == "some" and draw(st.booleans())) for _ in picks]
-    items = [[pool[i]] if wrapped else pool[i] for i, wrapped in zip(picks, wrap)]
-    as_array = draw(st.booleans()) and len(set(wrap)) < 2  # numpy makes no array of a ragged nesting
-    return (np.array(items) if as_array else items), all(i < len(LABELS) for i in picks) and not any(wrap)
+    items, even = nested(draw, [pool[i] for i in picks])
+    flat = not any(isinstance(item, list) for item in items)
+    return (np.array(items) if even and draw(st.booleans()) else items), all(i < len(LABELS) for i in picks) and flat
 
 
 @st.composite
@@ -97,16 +113,20 @@ def same(a, b) -> bool:
     return repr(a) == repr(b)  # NaN and -0.0 as well
 
 
-def check(call, args: list, named: dict[int, str], labels: dict[int, tuple[str, bool]] | None = None) -> None:
+def check(call, args: list, named: dict[int, str], labels: dict[int, tuple[str, bool]] | None = None,
+          vectors: tuple[int, ...] = ()) -> None:
     """``named`` gives the position of each numeric argument and the name that its errors give it; ``labels`` gives
-    the position of each label argument, its name and whether all its values are outcome labels."""
+    the position of each label argument, its name and whether all its values are outcome labels; ``vectors`` the
+    positions of the numeric arguments that must be one-dimensional."""
     labels = labels or {}
     got = outcome(call, *args)
-    dtypes = {i: np.asarray(args[i]).dtype for i in named}
-    unreal = {f"{named[i]} must be real numbers, got {dtype.name} values"
-              for i, dtype in dtypes.items() if dtype.kind not in "iuf"}
+    arrays = {i: as_array(args[i]) for i in named}
+    unreal = {f"{named[i]} must be real numbers, got {array.dtype.name} values"
+              for i, array in arrays.items() if array.dtype.kind not in "iuf"}
+    not_flat = {f"{named[i]} must be a one-dimensional sequence of real numbers, got shape {arrays[i].shape}"
+                for i in vectors if arrays[i].ndim != 1}
     not_labels = {name for name, valid in labels.values() if not valid}
-    if unreal or not_labels:
+    if unreal or not_flat or not_labels:
         assert got[0] == "ValidationError", got
     else:
         floats = [np.asarray(arg, dtype=float) if i in named else
@@ -116,18 +136,19 @@ def check(call, args: list, named: dict[int, str], labels: dict[int, tuple[str, 
     if got[0] == "ValidationError" and not SHAPE.match(got[1]):
         assert any(got[1].startswith(f"{name} must ") for name in {*named.values(), *not_labels}), got[1]
         assert "must be real numbers" not in got[1] or got[1] in unreal, got[1]
+        assert "sequence of real numbers" not in got[1] or got[1] in not_flat, got[1]
 
 
 @SETTINGS
 @given(with_truths())
 def test_auc(pair):
-    check(auc, list(pair), {0: "scores"})
+    check(auc, list(pair), {0: "scores"}, vectors=(0,))
 
 
 @SETTINGS
 @given(with_truths())
 def test_mean_absolute_error(pair):
-    check(mean_absolute_error, list(pair), {0: "fused probability"})
+    check(mean_absolute_error, list(pair), {0: "fused probability"}, vectors=(0,))
 
 
 @SETTINGS
@@ -135,13 +156,13 @@ def test_mean_absolute_error(pair):
 def test_report(pair, data):
     probs, truth = pair
     predicted = data.draw(st.lists(LABEL, min_size=len(truth), max_size=len(truth)))
-    check(report, [predicted, probs, truth], {1: "fused probability"})
+    check(report, [predicted, probs, truth], {1: "fused probability"}, vectors=(1,))
 
 
 @SETTINGS
 @given(with_truths(), st.sampled_from(["youden", "max_accuracy"]))
 def test_search_threshold(pair, strategy):
-    check(search_threshold, [*pair, strategy], {0: "scores"})
+    check(search_threshold, [*pair, strategy], {0: "scores"}, vectors=(0,))
 
 
 @settings(SETTINGS, max_examples=300)
@@ -166,14 +187,14 @@ def test_normalize_clinical(value):
 @given(with_labels())
 def test_auc_labels(case):
     scores, truth, valid = case
-    check(auc, [scores, truth], {0: "scores"}, {1: ("truth", valid)})
+    check(auc, [scores, truth], {0: "scores"}, {1: ("truth", valid)}, vectors=(0,))
 
 
 @SETTINGS
 @given(with_labels())
 def test_mean_absolute_error_labels(case):
     probs, truth, valid = case
-    check(mean_absolute_error, [probs, truth], {0: "fused probability"}, {1: ("truth", valid)})
+    check(mean_absolute_error, [probs, truth], {0: "fused probability"}, {1: ("truth", valid)}, vectors=(0,))
 
 
 @SETTINGS
@@ -182,14 +203,14 @@ def test_report_labels(case, data):
     probs, truth, valid = case
     predicted, predicted_valid = data.draw(outcome_labels(len(truth)))
     check(report, [predicted, probs, truth], {1: "fused probability"},
-          {0: ("predicted", predicted_valid), 2: ("truth", valid)})
+          {0: ("predicted", predicted_valid), 2: ("truth", valid)}, vectors=(1,))
 
 
 @SETTINGS
 @given(with_labels(), st.sampled_from(["youden", "max_accuracy"]))
 def test_search_threshold_labels(case, strategy):
     scores, truths, valid = case
-    check(search_threshold, [scores, truths, strategy], {0: "scores"}, {1: ("truths", valid)})
+    check(search_threshold, [scores, truths, strategy], {0: "scores"}, {1: ("truths", valid)}, vectors=(0,))
 
 
 @SETTINGS

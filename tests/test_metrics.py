@@ -307,3 +307,20 @@ class TestOutcomeLabelArguments:
         scores = [0.2, 0.9, 0.6]
         assert auc(scores, [0.0, 1.0, 1.0]) == auc(scores, labels("gpp"))
         assert mean_absolute_error(scores, [0.0, 1.0, 1.0]) == mean_absolute_error(scores, labels("gpp"))
+
+
+class TestScoreArguments:
+    @pytest.mark.parametrize(("call", "name"), [
+        (lambda: auc([[0.1], [0.9]], [0, 1]), "scores"),  # once a silent 1.0
+        (lambda: search_threshold([[0.1], [0.9]], [0, 1]), "scores"),  # once a DegenerateDataError
+        (lambda: mean_absolute_error([[0.1], [0.9]], [0, 1]), "fused probability"),  # once a TypeError
+    ], ids=["auc", "search_threshold", "mean_absolute_error"])
+    def test_scores_not_in_one_dimension_are_named(self, call, name):
+        with pytest.raises(ValidationError) as raised:
+            call()
+        assert str(raised.value) == f"{name} must be a one-dimensional sequence of real numbers, got shape (2, 1)"
+
+    def test_a_ragged_nesting_is_no_real_numbers(self):
+        # numpy makes no array of it: read as objects, it fails the dtype check
+        with pytest.raises(ValidationError, match=r"^scores must be real numbers, got object values$"):
+            auc([[0.1], 0.9], [0, 1])
