@@ -19,7 +19,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from itertools import islice
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -59,7 +58,6 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 
 OUTPUT_FORMATS = ("csv", "json")
-JSON_WRITE_CHUNKS = 1024  # encoder chunks joined into one write: a write-through stdout makes a system call a write
 
 # The recognized keys of each JSON input. Each key has the JSON type its value must have (``float`` also admits
 # integers), the help of its flag ``_flag(key)`` (None: no flag) and, in a config, the field of FusionConfig,
@@ -270,12 +268,10 @@ def _output(out: str | None) -> Iterator[TextIO]:
 
 
 def _emit(document: object, out: str | None) -> None:
-    """``document`` as JSON, indented by 2 with sorted keys and a final newline, encoded into the output
-    ``JSON_WRITE_CHUNKS`` chunks at a time, so its text is never held whole."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
+    """``document`` as JSON, indented by 2 with sorted keys and a final newline, encoded straight into the output,
+    so its text is never held whole."""
     with _output(out) as handle:
-        while group := "".join(islice(chunks, JSON_WRITE_CHUNKS)):
-            handle.write(group)
+        json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 

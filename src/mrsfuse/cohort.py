@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, as_float, is_number, real_array
+from .errors import ConfigError, ValidationError, as_array, as_float, is_number, real_array
 
 DEFAULT_MODULE_NAMES = ("ADC", "CBF", "CBV", "DWI", "Tmax")
 
@@ -39,7 +39,7 @@ GOOD_MRS_MAX = 2  # disability grades 0-2 count as good outcome, 3-6 as poor
 
 CSV_REQUIRED_COLUMNS = ("patient_id", "age", "nihss", "mrs")
 CSV_MODULE_PREFIX = "p_"
-CSV_CHUNK_ROWS = 512  # rows that write_csv_columns formats and writes at a time
+CSV_CHUNK_ROWS = 1024  # rows that write_csv_columns formats and writes at a time
 
 _CSV_QUOTED = re.compile('[,"\r\n]')  # a cell holding one of these is quoted, as csv.QUOTE_MINIMAL does
 
@@ -65,12 +65,7 @@ class OutcomeLabel(enum.IntEnum):
 def poor_mask(labels: object, what: str) -> np.ndarray:
     """``labels`` as a one-dimensional bool array, True where poor: each value must be a bool, int or float equal
     to 0 or 1. A bool array is returned as it is."""
-    try:
-        array = np.asarray(labels)
-    except ValueError:  # a ragged nesting: its containers are the values at fault
-        array = np.asarray(labels, dtype=object)
-    if array.ndim != 1:
-        raise ValidationError(f"{what} must be a one-dimensional sequence of outcome labels, got shape {array.shape}")
+    array = as_array(labels, what, "outcome labels")  # a ragged nesting: its containers are the values at fault
     if array.dtype == bool:
         return array
     if array.dtype.kind in "iuf" and ((poor := array == 1) | (array == 0)).all():  # ints: an IntEnum is 5x slower

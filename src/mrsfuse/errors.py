@@ -53,16 +53,24 @@ def require_int(name: str, value: object, minimum: int, wording: str = "") -> No
         raise ConfigError((name, f"must be {wording or f'an integer >= {minimum}'}", value))
 
 
-def real_array(values: object, what: str, unit: bool = False, vector: bool = False) -> np.ndarray:
-    """``values`` as a float64 array, copied only from another real dtype. With ``vector``, values not in one dimension
-    are named by their shape. One check of the dtype rejects text, bools, None, complex numbers, ints beyond int64 and
-    a ragged nesting; with ``unit``, the first value outside [0, 1], NaN too, is named."""
+def as_array(values: object, what: str, noun: str | None = None) -> np.ndarray:
+    """``values`` as numpy makes an array of them, and a ragged nesting, of which it makes none, as an object array.
+    Given the ``noun`` of the values, an array not in one dimension raises ``<what> must be a one-dimensional
+    sequence of <noun>, got shape (...)``."""
     try:
         array = np.asarray(values)
-    except ValueError:  # a ragged nesting: an object array
+    except ValueError:
         array = np.asarray(values, dtype=object)
-    if vector and array.ndim != 1:
-        raise ValidationError(f"{what} must be a one-dimensional sequence of real numbers, got shape {array.shape}")
+    if noun is not None and array.ndim != 1:
+        raise ValidationError(f"{what} must be a one-dimensional sequence of {noun}, got shape {array.shape}")
+    return array
+
+
+def real_array(values: object, what: str, unit: bool = False, vector: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, copied only from another real dtype; with ``vector``, in one dimension
+    (``as_array``). One check of the dtype rejects text, bools, None, complex numbers, ints beyond int64 and a ragged
+    nesting; with ``unit``, the first value outside [0, 1], NaN too, is named."""
+    array = as_array(values, what, "real numbers" if vector else None)
     if array.dtype.kind not in "iuf":
         raise ValidationError(f"{what} must be real numbers, got {array.dtype.name} values")
     array = array.astype(float, copy=False)

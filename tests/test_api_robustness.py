@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from mrsfuse.cohort import ClinicalNormalizer, OutcomeLabel, normalize_clinical
-from mrsfuse.errors import DegenerateDataError, ValidationError
+from mrsfuse.errors import DegenerateDataError, ValidationError, as_array
 from mrsfuse.fusion import compute_weights, fuse_matrix, search_threshold
 from mrsfuse.metrics import auc, mean_absolute_error, report
 
@@ -49,14 +49,6 @@ def nested(draw, items: list) -> tuple[list, bool]:
     nest = draw(st.sampled_from(["flat", "flat", "flat", "all", "some"]))
     wrap = [nest == "all" or (nest == "some" and draw(st.booleans())) for _ in items]
     return [[item] if wrapped else item for item, wrapped in zip(items, wrap)], len(set(wrap)) < 2
-
-
-def as_array(arg) -> np.ndarray:
-    """``arg`` as numpy makes an array of it; a ragged nesting, of which it makes none, as an array of objects."""
-    try:
-        return np.asarray(arg)
-    except ValueError:
-        return np.asarray(arg, dtype=object)
 
 
 @st.composite
@@ -120,7 +112,7 @@ def check(call, args: list, named: dict[int, str], labels: dict[int, tuple[str, 
     positions of the numeric arguments that must be one-dimensional."""
     labels = labels or {}
     got = outcome(call, *args)
-    arrays = {i: as_array(args[i]) for i in named}
+    arrays = {i: as_array(args[i], named[i]) for i in named}
     unreal = {f"{named[i]} must be real numbers, got {array.dtype.name} values"
               for i, array in arrays.items() if array.dtype.kind not in "iuf"}
     not_flat = {f"{named[i]} must be a one-dimensional sequence of real numbers, got shape {arrays[i].shape}"

@@ -6,7 +6,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import re
 import subprocess
@@ -1140,7 +1139,7 @@ def test_cv_validates_the_cohort_at_most_twice(tmp_path, monkeypatch, capsys):
 @pytest.fixture(scope="module")
 def json_argv(tmp_path_factory):
     """The argv, without ``--out``, of each command that writes JSON, on a paper-scale synth cohort (119 patients,
-    five modules, seven cv variants), and the path of a cv summary written under the protocol (k = 5, 10 runs)."""
+    five modules, seven cv variants); ``compare`` reads two cv summaries written under the protocol (k = 5, 10 runs)."""
     tmp = tmp_path_factory.mktemp("json")
     cohort = str(tmp / "cohort.csv")
     write_cohort_csv(generate_cohort(SyntheticSpec(n_patients=119, seed=1)), cohort)
@@ -1153,26 +1152,18 @@ def json_argv(tmp_path_factory):
         "cv": [*cv, "--variable", "nihss"],
         "compare": ["compare", *summaries, "--measure", "auc"],
         "fuse": ["fuse", "--cohort", cohort, "--variable", "age", "--format", "json"],
-    }, summaries[0]
+    }
 
 
 def indented_sorted(text: str) -> str:
     return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-class _CountingStdout(io.StringIO):
-    writes = 0
-
-    def write(self, text: str) -> int:
-        self.writes += 1
-        return super().write(text)
-
-
 class TestJsonOutputs:
     @pytest.mark.parametrize("command", ["cv", "compare", "fuse"])
     def test_file_and_stdout_hold_the_indented_sorted_text(self, json_argv, command, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
-        argv, out = json_argv[0][command], tmp_path / "out.json"
+        argv, out = json_argv[command], tmp_path / "out.json"
         assert mrsfuse.cli.main([*argv, "--out", str(out)]) == 0
         capsys.readouterr()
         assert mrsfuse.cli.main(argv) == 0
@@ -1180,28 +1171,10 @@ class TestJsonOutputs:
         assert text == indented_sorted(text)
         assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
-    @pytest.mark.parametrize("group", ["default", "one", "divisor"])
-    def test_each_group_size_writes_the_same_text(self, json_argv, group, tmp_path, monkeypatch):
-        # one chunk a group, and groups that end exactly at the last chunk, so the loop's last join is empty
-        text = Path(json_argv[1]).read_text(encoding="utf-8")
-        document = json.loads(text)
-        chunks = len(list(json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)))
-        size = {"default": mrsfuse.cli.JSON_WRITE_CHUNKS, "one": 1,
-                "divisor": next(d for d in range(mrsfuse.cli.JSON_WRITE_CHUNKS, 0, -1) if chunks % d == 0)}[group]
-        assert size > 1 or group == "one"
-        monkeypatch.setattr(mrsfuse.cli, "JSON_WRITE_CHUNKS", size)
-        mrsfuse.cli._emit(document, str(tmp_path / "out.json"))
-        assert (tmp_path / "out.json").read_text(encoding="utf-8") == text
-        stdout = _CountingStdout()
-        monkeypatch.setattr(sys, "stdout", stdout)
-        mrsfuse.cli._emit(document, None)
-        assert stdout.getvalue() == text
-        assert stdout.writes <= math.ceil(chunks / size) + 1
-
     def test_a_cv_summary_is_written_in_bounded_memory(self, json_argv, tmp_path, monkeypatch, capsys):
         # the whole traced peak of cv at paper scale: 0.30 MB; 0.88 MB while the summary's text was built whole
         monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
-        argv = [*json_argv[0]["cv"], "--out", str(tmp_path / "summary.json")]
+        argv = [*json_argv["cv"], "--out", str(tmp_path / "summary.json")]
         code, transient, held = transient_peak(lambda: mrsfuse.cli.main(argv))
         assert code == 0
         assert transient + held <= 500_000
