@@ -6,9 +6,10 @@ one array, ``fold_of``, each row's test fold, drawn once and shared by all
 model variants; training fold f is the rows where ``fold_of != f``.
 Thresholds and normalizer bounds are resolved on the training folds only;
 module scores are sorted once per cohort, and equal searches run once.
-Each variant fuses a run's test rows in one :func:`fuse_by_fold` call,
-every row under its own fold's resolution; ``cli fuse`` is the same call
-with the fold index 0 for every row. Predictions
+A :func:`fold_invariant` variant fuses, sorts and scores AUC and MAE once
+per cohort; any other fuses a run's test rows in one :func:`fuse_by_fold`
+call, every row under its own fold's resolution; ``cli fuse`` is the same
+call with the fold index 0 for every row. Predictions
 are pooled over the test folds of a run, and per-run reports are
 aggregated into means and standard deviations across runs. Degenerate
 folds are recorded as run-level failures instead of aborting the
@@ -34,7 +35,7 @@ from .fusion import (
     search_sorted_threshold,
     search_threshold,
 )
-from .metrics import MEASURES, MetricReport, report
+from .metrics import MEASURES, MetricReport, auc, decision_measures, mean_absolute_error, report
 from .significance import PairedSample, TestResult, wilcoxon_signed_rank
 
 # the config each module is evaluated under alone: an unweighted ensemble of one, youden thresholds
@@ -155,9 +156,14 @@ def _searched(value: float, what: str) -> float:
     return value
 
 
+def fold_invariant(config: FusionConfig, rows: Cohort) -> bool:
+    """No fold can change the fused scores: uniform weights ignore votes; one module's are its scores bit for bit."""
+    return config.clinical_variable == "none" or rows.probs.shape[1] == 1
+
+
 def resolve_folds(
     rows: Cohort, train_rows: Sequence[np.ndarray | slice], config: FusionConfig,
-    search_modules: Callable[[int, str], float],
+    search: Callable[[int, str, bool], float],
 ) -> list[FoldResolution]:
     """Make thresholds and normalizer concrete per training fold, fold f being the rows ``train_rows[f]``.
 
@@ -165,11 +171,11 @@ def resolve_folds(
     its preliminary threshold, then its final threshold. So the error raised
     is the first one met fold by fold. Threshold searches need labeled
     training patients; a fully fixed config resolves without reading any
-    outcome. ``search_modules(f, strategy)`` is the search over every module
-    score of training fold f. A single-module config reuses it as its final
-    search: its fused scores are its module scores bit for bit (weight 1.0,
-    row sum from 0). A multi-module config fuses the fold's training rows,
-    then searches them.
+    outcome. ``search(f, strategy, fused)`` searches training fold f's
+    module scores, or with ``fused`` the fused scores of a multi-module
+    :func:`fold_invariant` config: its final search, as one module's is its
+    module search. Any other config fuses the fold's training rows, then
+    searches them.
     """
     resolutions: list[FoldResolution] = []
     for fold_index, train in enumerate(train_rows):
@@ -186,12 +192,12 @@ def resolve_folds(
             norm = ClinicalNormalizer(variable=config.clinical_variable, min=lo, max=hi)
         prelim = config.prelim_threshold
         if prelim is None:
-            prelim = _searched(search_modules(fold_index, config.strategy), "preliminary threshold")
+            prelim = _searched(search(fold_index, config.strategy, False), "preliminary threshold")
         bounds = (None, None) if norm is None else (norm.min, norm.max)
         final = config.final_threshold
         if final is None:
-            if rows.probs.shape[1] == 1:
-                value = search_modules(fold_index, config.strategy)
+            if fold_invariant(config, rows):  # one module's fused scores are its module scores
+                value = search(fold_index, config.strategy, rows.probs.shape[1] > 1)
             else:
                 unfinished = [FoldResolution(fold_index, prelim, final, *bounds)]
                 fused = fuse_by_fold(rows, train, 0, config.clinical_variable, unfinished)[2]
@@ -203,10 +209,11 @@ def resolve_folds(
 
 def resolve_fold_config(train: Cohort, config: FusionConfig) -> tuple[FusionConfig, FoldResolution]:
     """:func:`resolve_folds` of one training fold, every row of ``train``: the resolved config, fold 0's resolution."""
-    # every module score of every patient, patient by patient
-    search = functools.cache(lambda strategy: search_threshold(
-        train.probs.ravel(), np.repeat(train.outcomes(), train.probs.shape[1]), strategy))
-    (resolution,) = resolve_folds(train, [slice(None)], config, lambda _, strategy: search(strategy))
+    # every module score of every patient, patient by patient, or the fused scores
+    search = functools.cache(lambda strategy, fused: search_threshold(
+        *((fuse_matrix(train.probs, None, 0.0)[2], train.outcomes()) if fused else
+          (train.probs.ravel(), np.repeat(train.outcomes(), train.probs.shape[1]))), strategy))
+    (resolution,) = resolve_folds(train, [slice(None)], config, lambda _, strategy, fused: search(strategy, fused))
     norm = config.normalizer
     if norm is None and resolution.norm_min is not None:
         norm = ClinicalNormalizer(config.clinical_variable, resolution.norm_min, resolution.norm_max)
@@ -253,10 +260,10 @@ def evaluate_variants(
     ``configs`` maps each variant's name to its fusion config and the one
     module it reads alone, or None to fuse every module. Per run: folds are
     drawn once; each variant resolves thresholds per training fold, pools
-    its test-fold predictions and computes the six measures once on them.
-    A search over module scores runs once per fold, module set and strategy.
-    Runs that hit degenerate data are recorded under the variant's
-    ``failures`` and skipped in its aggregates.
+    its test-fold predictions and computes the six measures on them (AUC and
+    MAE of a :func:`fold_invariant` variant once). A search runs once per fold,
+    score set and strategy. Runs that hit degenerate data are recorded under
+    the variant's ``failures`` and skipped in its aggregates.
     """
     violations = validate_cohort(cohort)
     if violations:
@@ -264,9 +271,20 @@ def evaluate_variants(
         raise ValidationError(f"cohort failed validation ({len(violations)} violations): {listing}")
 
     truth = cohort.outcomes()
+    poor = truth == 1
     views = {module: cohort if module is None else cohort.single_module_view(module)
              for _, module in configs.values()}
-    presorted = {view.module_names: _presort(view.probs, truth) for view in views.values()}
+    # fused, sorted and measured once per cohort; one module's fused scores are its module scores
+    invariant = {view.module_names: view.probs[:, 0] if view.probs.shape[1] == 1 else
+                 fuse_matrix(view.probs, None, 0.0)[2] for config, module in configs.values()
+                 if fold_invariant(config, view := views[module])}
+    # keyed (module names, fused): every module score of a module set, or its fold-invariant fused scores
+    presorted = {(view.module_names, False): _presort(view.probs, truth) for view in views.values()}
+    presorted.update({(modules, True): _presort(fused[:, None], truth)
+                      for modules, fused in invariant.items() if len(modules) > 1})
+    # needed only by a run that resolved, so truths that hold both classes
+    measured = functools.cache(lambda modules: {"mae": mean_absolute_error(invariant[modules], truth),
+                                                "auc": auc(invariant[modules], truth)})
     runs: dict[str, list[RunResult]] = {name: [] for name in configs}
     failures: dict[str, list[str]] = {name: [] for name in configs}
     for run_index in range(plan.n_runs):
@@ -277,21 +295,27 @@ def evaluate_variants(
                 failures[name].append(f"run {run_index}: {exc}")
             continue
         train_rows = [np.flatnonzero(fold_of != fold_index) for fold_index in range(plan.k)]
+        folds = fold_of.astype(np.min_scalar_type(plan.k - 1))  # the smallest dtype that holds k
+        sorted_folds = {key: folds[rows] for key, (_, rows, _) in presorted.items()}  # each presorted score's fold
 
         @functools.cache
-        def search(modules: tuple[str, ...], fold_index: int, strategy: str) -> float:
+        def search(modules: tuple[str, ...], fold_index: int, strategy: str, fused: bool) -> float:
             # the training fold's scores, a masked subsequence of the presorted ones
-            scores, rows, truths = presorted[modules]
-            keep = fold_of[rows] != fold_index
+            scores, _, truths = presorted[modules, fused]
+            keep = sorted_folds[modules, fused] != fold_index
             return search_sorted_threshold(scores[keep], truths[keep], strategy)
 
         for name, (config, module) in configs.items():
             view = views[module]
             try:
                 resolutions = resolve_folds(view, train_rows, config, functools.partial(search, view.module_names))
-                fused = fuse_by_fold(view, slice(None), fold_of, config.clinical_variable, resolutions)[2]
-                predicted = is_poor(fused, np.array([r.final_threshold for r in resolutions])[fold_of])
-                run_report = report(predicted=predicted, fused_probs=fused, truth=truth)
+                finals = np.array([r.final_threshold for r in resolutions])[fold_of]
+                if fold_invariant(config, view):
+                    run_report = MetricReport(**measured(view.module_names), n_patients=len(truth),
+                                              **decision_measures(is_poor(invariant[view.module_names], finals), poor))
+                else:
+                    fused = fuse_by_fold(view, slice(None), fold_of, config.clinical_variable, resolutions)[2]
+                    run_report = report(predicted=is_poor(fused, finals), fused_probs=fused, truth=truth)
                 runs[name].append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))
             except DegenerateDataError as exc:
                 failures[name].append(f"run {run_index}: {exc}")

@@ -219,11 +219,11 @@ def search_threshold(
     """
     if strategy not in ("youden", "max_accuracy"):
         raise ConfigError(f"not a searchable strategy: {strategy!r}")
-    if len(scores) != len(truths) or len(scores) == 0:
+    s, poor = real_array(scores, "scores", vector=True), poor_mask(truths, "truths")
+    if len(s) != len(poor) or len(s) == 0:
         raise ValidationError("scores and truths must be non-empty and equal length")
-    s = real_array(scores, "scores", vector=True)
     order = np.argsort(s, kind="stable")
-    s, poor = s[order], poor_mask(truths, "truths")[order]
+    s, poor = s[order], poor[order]
     # a midpoint of scores past half the float range is inf (1e308 + 1.7e308) or NaN (-inf + inf), quietly
     with np.errstate(over="ignore", invalid="ignore"):
         return search_sorted_threshold(s, poor, strategy)

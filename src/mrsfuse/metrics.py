@@ -43,7 +43,7 @@ class MetricReport:
         return float(getattr(self, measure))
 
 
-def _check_paired(a: Sequence, b: Sequence) -> None:
+def _check_paired(a: np.ndarray, b: np.ndarray) -> None:
     if len(a) != len(b):
         raise ValidationError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) == 0:
@@ -54,9 +54,10 @@ def mean_absolute_error(
     fused_probs: Sequence[float], truth: Sequence[OutcomeLabel]
 ) -> float:
     """Mean |fused probability - outcome| with good=0, poor=1."""
-    _check_paired(fused_probs, truth)
     p = real_array(fused_probs, "fused probability", unit=True, vector=True)
-    errors = np.abs(p - poor_mask(truth, "truth"))
+    y = poor_mask(truth, "truth")
+    _check_paired(p, y)
+    errors = np.abs(p - y)
     # summed left to right, not pairwise as np.sum would, to keep the last bits
     return sum(errors.tolist()) / len(errors)
 
@@ -73,11 +74,11 @@ def auc(scores: Sequence[float], truth: Sequence[OutcomeLabel]) -> float:
     Requires at least one patient of each class. Scores may be any finite
     reals; only their ordering matters.
     """
-    _check_paired(scores, truth)
     s = real_array(scores, "scores", vector=True)
+    y = poor_mask(truth, "truth")
+    _check_paired(s, y)
     if not np.all(np.isfinite(s)):
         raise ValidationError("scores must be finite")
-    y = poor_mask(truth, "truth")
     n_poor = int(y.sum())
     n_good = int((~y).sum())
     if n_poor == 0 or n_good == 0:
@@ -86,25 +87,25 @@ def auc(scores: Sequence[float], truth: Sequence[OutcomeLabel]) -> float:
     return u / (n_poor * n_good)
 
 
+def decision_measures(predicted: np.ndarray, truth: np.ndarray) -> dict[str, float]:
+    """Accuracy, sensitivity, specificity and F1 of poor masks, keyed as :class:`MetricReport`; needs both classes."""
+    tp = int(np.sum(predicted & truth))
+    fn = int(np.sum(~predicted & truth))
+    fp = int(np.sum(predicted & ~truth))
+    tn = len(predicted) - tp - fn - fp
+    return {"accuracy": (tp + tn) / (tp + fp + tn + fn), "sensitivity": tp / (tp + fn),
+            "specificity": tn / (tn + fp), "f1": 2 * tp / (2 * tp + fp + fn)}
+
+
 def report(
     predicted: Sequence[OutcomeLabel],
     fused_probs: Sequence[float],
     truth: Sequence[OutcomeLabel],
 ) -> MetricReport:
     """Assemble all six measures for one prediction set; single-class truths fail in :func:`auc`."""
-    _check_paired(predicted, truth)
     pred = poor_mask(predicted, "predicted")
     true = poor_mask(truth, "truth")
-    tp = int(np.sum(pred & true))
-    fn = int(np.sum(~pred & true))
-    fp = int(np.sum(pred & ~true))
-    tn = len(pred) - tp - fn - fp
-    return MetricReport(
-        mae=mean_absolute_error(fused_probs, true),
-        auc=auc(fused_probs, true),  # raises on single-class truths, before a ratio below divides by 0
-        accuracy=(tp + tn) / (tp + fp + tn + fn),
-        sensitivity=tp / (tp + fn),
-        specificity=tn / (tn + fp),
-        f1=2 * tp / (2 * tp + fp + fn),
-        n_patients=len(truth),
-    )
+    _check_paired(pred, true)
+    return MetricReport(mae=mean_absolute_error(fused_probs, true),
+                        auc=auc(fused_probs, true),  # raises on single-class truths, before a ratio divides by 0
+                        **decision_measures(pred, true), n_patients=len(truth))

@@ -442,9 +442,15 @@ class TestEvaluateVariants:
             weighted = FusionConfig(("nihss", "age")[case % 2], strategy=strategy,
                                     prelim_threshold=0.4 if case % 4 == 3 else None)
             unweighted = replace(weighted, clinical_variable="none")
+            # the paths a fold-invariant variant must keep equal: a given final threshold, the fixed
+            # strategy (weighted or not), and a weighted config that reads one module
+            fixed = FusionConfig(("none", "age")[case // 2 % 2], prelim_threshold=0.4, final_threshold=0.45,
+                                 strategy="fixed")
             plan = CvPlan(k=int(rng.integers(2, 6)), n_runs=4, base_seed=case, stratified=stratified)
             configs = {name: (UNWEIGHTED, name) for name in cohort.module_names}
-            configs.update({"ensemble": (unweighted, None), "weighted": (weighted, None)})
+            configs.update({"ensemble": (unweighted, None), "weighted": (weighted, None),
+                            "final_given": (replace(unweighted, final_threshold=0.45), None),
+                            "fixed": (fixed, None), "weighted_M0": (weighted, "M0")})
             summaries = evaluate_variants(cohort, plan, configs)
             assert all(run.metrics.degenerate == () for summary in summaries.values() for run in summary.runs)
             got = {name: summary.as_dict() for name, summary in summaries.items()}
@@ -452,8 +458,9 @@ class TestEvaluateVariants:
                 name: _seed_evaluate_model(cohort.single_module_view(name), plan, UNWEIGHTED, name).as_dict()
                 for name in cohort.module_names
             }
-            expected["ensemble"] = _seed_evaluate_model(cohort, plan, unweighted, "ensemble").as_dict()
-            expected["weighted"] = _seed_evaluate_model(cohort, plan, weighted, "weighted").as_dict()
+            for name, (config, module) in list(configs.items())[m:]:
+                rows = cohort if module is None else cohort.single_module_view(module)
+                expected[name] = _seed_evaluate_model(rows, plan, config, name).as_dict()
             assert got == expected
             failed += sum(len(summary["failures"]) for summary in got.values())
         assert failed > 0
@@ -487,13 +494,16 @@ class TestEvaluateVariants:
         assert summary.as_dict() == _seed_evaluate_model(cohort, plan, UNWEIGHTED, "ensemble").as_dict()
 
     def test_one_fusion_per_variant_and_run(self, monkeypatch, cohort119):
-        # rows fused per call, in call order: each multi-module variant that searches its
-        # final threshold fuses each training fold's rows, fold by fold, and then every
-        # variant fuses all n test rows once per run
-        sizes = []
-        fuse = mrsfuse.crossval.fuse_matrix
+        # rows fused per call, in call order: a fold-invariant variant of several modules fuses
+        # all n rows once per cohort, before any run, and a one-module variant never fuses;
+        # per run, a weighted variant that searches its final threshold fuses each training
+        # fold's rows, fold by fold, and every weighted variant then fuses all n test rows
+        sizes, aucs = [], []
+        fuse, area = mrsfuse.crossval.fuse_matrix, mrsfuse.metrics.auc
         monkeypatch.setattr(mrsfuse.crossval, "fuse_matrix",
                             lambda probs, *args: sizes.append(len(probs)) or fuse(probs, *args))
+        for module in (mrsfuse.crossval, mrsfuse.metrics):
+            monkeypatch.setattr(module, "auc", lambda scores, *args: aucs.append(len(scores)) or area(scores, *args))
         views, of_columns = [], Cohort.of_columns
 
         def full_length(cls, module_names, ids, *columns):
@@ -512,13 +522,14 @@ class TestEvaluateVariants:
         summaries = evaluate_variants(cohort119, plan, configs)
         assert all(not summary.failures for summary in summaries.values())
         assert views == [(name,) for name in cohort119.module_names]  # the guard saw every view built
-        expected = []
+        n = len(cohort119)
+        invariant = [name for name in configs if name in cohort119.module_names or name == "ensemble"]
+        expected = [n]  # the ensemble, the one fold-invariant variant of several modules
         for run_index in range(plan.n_runs):
-            train_sizes = (len(cohort119) - np.bincount(make_folds(cohort119, plan, run_index))).tolist()
-            for name in configs:
-                expected += train_sizes if name in ("ensemble", "weighted") else []
-                expected.append(len(cohort119))
+            expected += (n - np.bincount(make_folds(cohort119, plan, run_index))).tolist() + [n]  # weighted
+            expected.append(n)  # fixed
         assert sizes == expected
+        assert aucs == [n] * (len(invariant) + plan.n_runs * (len(configs) - len(invariant)))
 
     def test_integer_bounds_of_an_overflowing_span_equal_float_bounds(self, cohort119):
         # an int64 span 2**62 - -2**62 would wrap, so every covariate would scale to 0 instead of 0.5

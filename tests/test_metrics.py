@@ -320,6 +320,19 @@ class TestScoreArguments:
             call()
         assert str(raised.value) == f"{name} must be a one-dimensional sequence of real numbers, got shape (2, 1)"
 
+    @pytest.mark.parametrize(("call", "message"), [
+        (lambda: auc(0.5, [1]), "scores must be a one-dimensional sequence of real numbers"),
+        (lambda: mean_absolute_error(0.5, [1]), "fused probability must be a one-dimensional sequence of real numbers"),
+        (lambda: search_threshold(0.5, [1]), "scores must be a one-dimensional sequence of real numbers"),
+        (lambda: report([1], 0.5, [1]), "fused probability must be a one-dimensional sequence of real numbers"),
+        (lambda: auc([0.2, 0.8], 0), "truth must be a one-dimensional sequence of outcome labels"),
+    ], ids=["auc", "mean_absolute_error", "search_threshold", "report", "auc_truth"])
+    def test_a_scalar_for_a_sequence_is_named(self, call, message):
+        # once a TypeError from len() of the scalar, before any check named it
+        with pytest.raises(ValidationError) as raised:
+            call()
+        assert str(raised.value) == f"{message}, got shape ()"
+
     def test_a_ragged_nesting_is_no_real_numbers(self):
         # numpy makes no array of it: read as objects, it fails the dtype check
         with pytest.raises(ValidationError, match=r"^scores must be real numbers, got object values$"):
