@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = commands.add_parser("compare", help="signed-rank comparison of two cv summaries")
     compare.add_argument("summary_a", help="first summary JSON")
     compare.add_argument("summary_b", help="second summary JSON")
-    compare.add_argument("--measure", required=True, help=f"one of {', '.join(MEASURES)}")
+    compare.add_argument("--measure", required=True, choices=MEASURES, help="the per-run measure to compare")
     compare.add_argument("--variant-a", help="variant name in the first file (default: its primary)")
     compare.add_argument("--variant-b", help="variant name in the second file (default: its primary)")
     compare.add_argument("--out", help="output path (default: stdout)")
@@ -281,7 +281,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     variable = settings.config.clinical_variable
     _, resolution = resolve_fold_config(cohort, settings.config)  # one fold: its training rows are its test rows
     _, weights, fused = fuse_by_fold(cohort, slice(None), 0, variable, [resolution])
-    fused_unweighted = fuse_by_fold(cohort, slice(None), 0, "none", [resolution])[2]
+    fused_unweighted = fused if variable == "none" else fuse_by_fold(cohort, slice(None), 0, "none", [resolution])[2]
     poor, poor_unweighted = (is_poor(f, resolution.final_threshold) for f in (fused, fused_unweighted))
     label_names = np.array([str(label) for label in OutcomeLabel], dtype=object)  # indexed by "is poor"
 

@@ -157,7 +157,7 @@ def _searched(value: float, what: str) -> float:
 
 
 def fold_invariant(config: FusionConfig, rows: Cohort) -> bool:
-    """No fold can change the fused scores: uniform weights ignore votes; one module's are its scores bit for bit."""
+    """No fold can change the fused scores: uniform weights ignore votes, and one module's weight is always 1."""
     return config.clinical_variable == "none" or rows.probs.shape[1] == 1
 
 
@@ -245,10 +245,10 @@ def ensemble_name(config: FusionConfig) -> str:
 
 
 def _presort(probs: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every module score (row-major) in ascending order, with its row and that row's truth."""
+    """Every module score (row-major) in ascending order, its row (in the smallest dtype holding n) and its truth."""
     scores = probs.ravel()
     order = np.argsort(scores, kind="stable")
-    rows = order // probs.shape[1]
+    rows = (order // probs.shape[1]).astype(np.min_scalar_type(len(probs) - 1))
     return scores[order], rows, truth[rows]
 
 
@@ -274,9 +274,8 @@ def evaluate_variants(
     poor = truth == 1
     views = {module: cohort if module is None else cohort.single_module_view(module)
              for _, module in configs.values()}
-    # fused, sorted and measured once per cohort; one module's fused scores are its module scores
-    invariant = {view.module_names: view.probs[:, 0] if view.probs.shape[1] == 1 else
-                 fuse_matrix(view.probs, None, 0.0)[2] for config, module in configs.values()
+    # fused, sorted and measured once per cohort
+    invariant = {view.module_names: fuse_matrix(view.probs, None, 0.0)[2] for config, module in configs.values()
                  if fold_invariant(config, view := views[module])}
     # keyed (module names, fused): every module score of a module set, or its fold-invariant fused scores
     presorted = {(view.module_names, False): _presort(view.probs, truth) for view in views.values()}

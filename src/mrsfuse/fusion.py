@@ -29,7 +29,6 @@ from .cohort import ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, nor
 from .errors import ConfigError, DegenerateDataError, ValidationError, as_float, is_number, real_array
 
 WEIGHT_SUM_TOL = 1e-9
-FUSE_BLOCK_ROWS = 4096  # rows whose weighted probabilities _weighted_sums holds at a time
 
 THRESHOLD_STRATEGIES = ("youden", "max_accuracy", "fixed")
 FUSION_VARIABLES = ("age", "nihss", "none")
@@ -101,12 +100,12 @@ def is_poor(scores: np.ndarray, threshold: float | np.ndarray) -> np.ndarray:
     return ~(scores <= threshold)
 
 
-def _row_sums(matrix: np.ndarray) -> np.ndarray:
-    # column by column from 0, the order of the scalar ``sum`` over a row,
-    # so every row sum matches it bit for bit
+def _row_sums(matrix: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
+    # column by column from 0, the order of the scalar ``sum`` over a row, so every row sum matches it
+    # bit for bit; with a factor, the sums of ``matrix * factor``, its products made a column at a time
     total = np.zeros(matrix.shape[0])
     for j in range(matrix.shape[1]):
-        total += matrix[:, j]
+        total += matrix[:, j] if factor is None else matrix[:, j] * factor[:, j]
     return total
 
 
@@ -129,19 +128,12 @@ def _vote_weights(poor: np.ndarray, covariate: np.ndarray | None) -> np.ndarray:
 
 
 def _weighted_sums(weights: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Row sums of ``weights * probs``, after checking that every weight row sums to one.
-
-    The products are made ``FUSE_BLOCK_ROWS`` rows at a time, so a large cohort's are never held whole.
-    """
+    """Row sums of ``weights * probs``, made one (n,) column at a time, once every weight row is checked to sum to 1."""
     sums = _row_sums(weights)
     off = ~(np.abs(sums - 1.0) <= WEIGHT_SUM_TOL)  # a NaN sum is off too
     if off.any():
         raise ValidationError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {float(sums[off][0])!r}")
-    total = np.empty(len(weights))
-    for start in range(0, len(weights), FUSE_BLOCK_ROWS):
-        rows = slice(start, start + FUSE_BLOCK_ROWS)
-        total[rows] = _row_sums(weights[rows] * probs[rows])
-    return total
+    return _row_sums(weights, probs)
 
 
 def fuse_matrix(

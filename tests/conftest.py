@@ -1,9 +1,11 @@
-"""Shared fixtures: the published worked-example rows, a CLI runner, the CSV writer's oracle and a peak-memory probe."""
+"""Shared fixtures: the published worked-example rows, a CLI runner, the CSV writer's and the fusion kernel's
+oracles and a peak-memory probe."""
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +16,9 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from mrsfuse.cohort import CSV_CHUNK_ROWS, Cohort, normalize_clinical
-from mrsfuse.fusion import fuse_matrix, is_poor
+from mrsfuse.cohort import CSV_CHUNK_ROWS, Cohort, OutcomeLabel, normalize_clinical
+from mrsfuse.errors import ValidationError
+from mrsfuse.fusion import WEIGHT_SUM_TOL, fuse_matrix, is_poor
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -149,6 +152,60 @@ def fuse_rows(rows: Cohort, config) -> tuple:
         covariate = normalize_clinical(rows.covariate(config.clinical_variable), config.normalizer)
     votes, weights, fused = fuse_matrix(rows.probs, covariate, config.prelim_threshold)
     return votes, weights, fused, is_poor(fused, config.final_threshold)
+
+
+# The scalar pipeline as it stood before the public functions became one-row
+# calls of the fusion kernel, kept unchanged as the kernel's independent oracle.
+
+def oracle_derive_labels(probs, threshold):
+    for p in probs:
+        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+            raise ValidationError(f"module probability must be in [0, 1], got {p!r}")
+    return tuple(OutcomeLabel.GOOD if p <= threshold else OutcomeLabel.POOR for p in probs)
+
+
+def oracle_compute_weights(labels, covariate):
+    if len(labels) == 0:
+        raise ValidationError("cannot weight an empty label list")
+    if not (math.isfinite(covariate) and 0.0 <= covariate <= 1.0):
+        raise ValidationError(f"covariate must be in [0, 1], got {covariate!r}")
+    raw = [covariate if label == OutcomeLabel.POOR else 1.0 - covariate for label in labels]
+    total = sum(raw)
+    if total == 0.0:
+        return oracle_uniform_weights(len(labels))
+    return tuple(value / total for value in raw)
+
+
+def oracle_uniform_weights(n):
+    if n <= 0:
+        raise ValidationError("cannot weight an empty module list")
+    return (1.0 / n,) * n
+
+
+def oracle_fuse(probs, weights):
+    if len(probs) != len(weights):
+        raise ValidationError(f"length mismatch: {len(probs)} probabilities vs {len(weights)} weights")
+    if len(probs) == 0:
+        raise ValidationError("cannot fuse an empty probability list")
+    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
+        raise ValidationError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {sum(weights)!r}")
+    return float(sum(w * p for w, p in zip(weights, probs)))
+
+
+def oracle_classify(fused_probability, threshold):
+    return OutcomeLabel.GOOD if fused_probability <= threshold else OutcomeLabel.POOR
+
+
+def scalar_fusion(probs, covariate, threshold):
+    """Row-by-row oracle for fuse_matrix: the scalar label, weight and fuse steps."""
+    votes, weights, fused = [], [], []
+    for i, row in enumerate(probs.tolist()):
+        labels = oracle_derive_labels(row, threshold)
+        w = oracle_uniform_weights(len(row)) if covariate is None else oracle_compute_weights(labels, covariate[i])
+        votes.append([label == OutcomeLabel.POOR for label in labels])
+        weights.append(w)
+        fused.append(oracle_fuse(row, w))
+    return votes, weights, fused
 
 
 def take(cohort: Cohort, rows) -> Cohort:

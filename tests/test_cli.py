@@ -144,6 +144,27 @@ class TestFuse:
         assert result.returncode == 3
         assert "error: io" in result.stderr
 
+    @pytest.mark.parametrize("flags", [
+        ["--variable", "none"],
+        ["--variable", "none", "--strategy", "fixed", "--tau", "0.4", "--tau-star", "0.45"],
+        ["--variable", "nihss"],
+        ["--variable", "age", "--strategy", "fixed", "--tau", "0.4", "--tau-star", "0.45",
+         "--norm-min", "20", "--norm-max", "95"],
+    ], ids=["none_youden", "none_fixed", "nihss_youden", "age_fixed"])
+    def test_one_kernel_call_per_weighting_and_searched_final_threshold(self, flags, tmp_path, monkeypatch, capsys):
+        # every call fuses all n rows: one per distinct weighting (the command's and the unweighted labels'),
+        # plus one for the training scores of a searched final threshold
+        n = 40
+        path = tmp_path / "cohort.csv"
+        write_cohort_csv(generate_cohort(SyntheticSpec(n_patients=n, seed=3)), path)
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        sizes, fuse = [], mrsfuse.crossval.fuse_matrix
+        monkeypatch.setattr(mrsfuse.crossval, "fuse_matrix",
+                            lambda probs, *args: sizes.append(len(probs)) or fuse(probs, *args))
+        assert mrsfuse.cli.main(["fuse", "--cohort", str(path), *flags]) == 0
+        args = mrsfuse.cli.build_parser().parse_args(["fuse", *flags])
+        assert sizes == [n] * (len({args.variable, "none"}) + (args.tau_star is None))
+
 
 def _csv_writer_fuse_bytes(cohort_path: Path, config: FusionConfig) -> bytes:
     """The table fuse built row by row for csv.writer before it streamed its columns, kept as its oracle."""
@@ -895,6 +916,13 @@ class TestCompare:
         out_a, out_b = summaries
         result = run_cli("compare", str(out_a), str(out_b), "--measure", "brier")
         assert result.returncode == 2
+        assert result.stderr.startswith("error: argument --measure: invalid choice: 'brier' (choose from ")
+
+    def test_unknown_measure_exits_2_before_a_missing_summary_is_read(self, summaries, tmp_path, capsys):
+        # the parser rejects the measure, so the missing file is never opened: exit 2, not the I/O exit 3
+        code = mrsfuse.cli.main(["compare", str(summaries[0]), str(tmp_path / "nope.json"), "--measure", "brier"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: argument --measure: invalid choice: 'brier'")
 
     def test_unknown_variant_exit_2(self, summaries):
         out_a, out_b = summaries

@@ -28,11 +28,11 @@ from mrsfuse import (
     resolve_fold_config,
 )
 import mrsfuse.crossval
-from mrsfuse.cohort import binarize_mrs
+from mrsfuse.cohort import binarize_mrs, normalize_clinical
 from mrsfuse.crossval import FoldResolution, RunResult, make_folds
-from mrsfuse.fusion import fuse_matrix
+from mrsfuse.fusion import fuse_matrix, search_threshold
 from mrsfuse.metrics import MetricReport, report
-from conftest import fuse_rows, take
+from conftest import scalar_fusion, take
 
 UNWEIGHTED = FusionConfig(clinical_variable="none")
 
@@ -334,11 +334,49 @@ class TestEvaluateModel:
         )
 
 
+def _seed_fused(rows, normalizer, prelim_threshold):
+    """The rows' fused probabilities from the scalar oracle, the covariate scaled by ``normalize_clinical``."""
+    covariate = None
+    if normalizer is not None:
+        covariate = normalize_clinical(rows.covariate(normalizer.variable), normalizer)
+    return np.array(scalar_fusion(rows.probs, covariate, prelim_threshold)[2])
+
+
+def _seed_searched(value, what):
+    if not 0.0 < value < 1.0:
+        raise DegenerateDataError(f"{what} threshold search collapsed to the boundary ({value})")
+    return value
+
+
+def _seed_resolve(train, fold_index, config):
+    """One training fold resolved from its own rows, without the library's fold resolution: bounds from the
+    covariate's min and max, the preliminary cut searched over every module score, then the final cut searched
+    over the fused training scores, with the library's failure lines in that order."""
+    truth = train.outcomes()
+    normalizer = config.normalizer
+    if config.clinical_variable != "none" and normalizer is None:
+        values = train.covariate(config.clinical_variable)
+        lo, hi = float(values.min()), float(values.max())
+        if not hi > lo:
+            raise DegenerateDataError(
+                f"cannot derive normalizer bounds: {config.clinical_variable} is constant at {lo}")
+        normalizer = ClinicalNormalizer(config.clinical_variable, lo, hi)
+    prelim, final = config.prelim_threshold, config.final_threshold
+    if prelim is None:
+        scores, truths = train.probs.ravel(), np.repeat(truth, train.probs.shape[1])
+        prelim = _seed_searched(search_threshold(scores, truths, config.strategy), "preliminary")
+    if final is None:
+        fused = _seed_fused(train, normalizer, prelim)
+        final = _seed_searched(search_threshold(fused, truth, config.strategy), "final")
+    bounds = (None, None) if normalizer is None else (normalizer.min, normalizer.max)
+    return FoldResolution(fold_index, prelim, final, *bounds), normalizer
+
+
 def _seed_evaluate_model(cohort, plan, config, model_name):
     """The per-variant loop that evaluate_variants replaced, kept as its oracle.
 
-    Each call validates the cohort, draws its own folds every run and
-    resolves every fold with resolve_fold_config's own searches.
+    Each call validates the cohort, draws its own folds every run, resolves
+    every training fold itself and fuses with the scalar oracle.
     """
     truth = cohort.outcomes()
     runs, failures = [], []
@@ -349,11 +387,12 @@ def _seed_evaluate_model(cohort, plan, config, model_name):
             predicted = np.empty(len(cohort), dtype=np.int8)
             fold_of = make_folds(cohort, plan, run_index)
             for fold_index in range(plan.k):
-                resolved, resolution = resolve_fold_config(take(cohort, np.flatnonzero(fold_of != fold_index)), config)
-                resolutions.append(replace(resolution, fold_index=fold_index))
+                resolution, normalizer = _seed_resolve(take(cohort, np.flatnonzero(fold_of != fold_index)),
+                                                       fold_index, config)
+                resolutions.append(resolution)
                 test = np.flatnonzero(fold_of == fold_index)
-                fused[test] = fuse_rows(take(cohort, test), resolved)[2]
-                predicted[test] = fused[test] > resolved.final_threshold
+                fused[test] = _seed_fused(take(cohort, test), normalizer, resolution.prelim_threshold)
+                predicted[test] = fused[test] > resolution.final_threshold
             run_report = report(predicted=predicted, fused_probs=fused, truth=truth)
             runs.append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))
         except DegenerateDataError as exc:
@@ -494,8 +533,8 @@ class TestEvaluateVariants:
         assert summary.as_dict() == _seed_evaluate_model(cohort, plan, UNWEIGHTED, "ensemble").as_dict()
 
     def test_one_fusion_per_variant_and_run(self, monkeypatch, cohort119):
-        # rows fused per call, in call order: a fold-invariant variant of several modules fuses
-        # all n rows once per cohort, before any run, and a one-module variant never fuses;
+        # rows fused per call, in call order: each fold-invariant variant, one-module ones included,
+        # fuses all n rows once per cohort, before any run;
         # per run, a weighted variant that searches its final threshold fuses each training
         # fold's rows, fold by fold, and every weighted variant then fuses all n test rows
         sizes, aucs = [], []
@@ -524,7 +563,7 @@ class TestEvaluateVariants:
         assert views == [(name,) for name in cohort119.module_names]  # the guard saw every view built
         n = len(cohort119)
         invariant = [name for name in configs if name in cohort119.module_names or name == "ensemble"]
-        expected = [n]  # the ensemble, the one fold-invariant variant of several modules
+        expected = [n] * len(invariant)
         for run_index in range(plan.n_runs):
             expected += (n - np.bincount(make_folds(cohort119, plan, run_index))).tolist() + [n]  # weighted
             expected.append(n)  # fixed

@@ -25,14 +25,20 @@ from mrsfuse import (
 from mrsfuse.cohort import normalize_clinical
 from mrsfuse.crossval import _presort
 from mrsfuse.fusion import (
-    FUSE_BLOCK_ROWS, WEIGHT_SUM_TOL, FusionResult, fuse_matrix, search_sorted_threshold, search_threshold,
+    FusionResult, fuse_matrix, search_sorted_threshold, search_threshold,
 )
 from conftest import (
     REFERENCE_PRELIM_THRESHOLD,
     TABLE_CONSISTENT_FINAL_THRESHOLD,
     ReferenceRow,
     REFERENCE_ROWS,
+    oracle_classify,
+    oracle_compute_weights,
+    oracle_derive_labels,
+    oracle_fuse,
+    oracle_uniform_weights,
     panel_bounds,
+    scalar_fusion,
     transient_peak,
 )
 
@@ -471,60 +477,6 @@ class TestWeightInvariants:
             assert probs.min() - 1e-12 <= fused <= probs.max() + 1e-12
 
 
-# The scalar pipeline as it stood before the public functions became one-row
-# calls of the fusion kernel, kept unchanged as the kernel's independent oracle.
-
-def _oracle_derive_labels(probs, threshold):
-    for p in probs:
-        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-            raise ValidationError(f"module probability must be in [0, 1], got {p!r}")
-    return tuple(OutcomeLabel.GOOD if p <= threshold else OutcomeLabel.POOR for p in probs)
-
-
-def _oracle_compute_weights(labels, covariate):
-    if len(labels) == 0:
-        raise ValidationError("cannot weight an empty label list")
-    if not (math.isfinite(covariate) and 0.0 <= covariate <= 1.0):
-        raise ValidationError(f"covariate must be in [0, 1], got {covariate!r}")
-    raw = [covariate if label == OutcomeLabel.POOR else 1.0 - covariate for label in labels]
-    total = sum(raw)
-    if total == 0.0:
-        return _oracle_uniform_weights(len(labels))
-    return tuple(value / total for value in raw)
-
-
-def _oracle_uniform_weights(n):
-    if n <= 0:
-        raise ValidationError("cannot weight an empty module list")
-    return (1.0 / n,) * n
-
-
-def _oracle_fuse(probs, weights):
-    if len(probs) != len(weights):
-        raise ValidationError(f"length mismatch: {len(probs)} probabilities vs {len(weights)} weights")
-    if len(probs) == 0:
-        raise ValidationError("cannot fuse an empty probability list")
-    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {sum(weights)!r}")
-    return float(sum(w * p for w, p in zip(weights, probs)))
-
-
-def _oracle_classify(fused_probability, threshold):
-    return OutcomeLabel.GOOD if fused_probability <= threshold else OutcomeLabel.POOR
-
-
-def _scalar_fusion(probs, covariate, threshold):
-    """Row-by-row oracle for fuse_matrix: the scalar label, weight and fuse steps."""
-    votes, weights, fused = [], [], []
-    for i, row in enumerate(probs.tolist()):
-        labels = _oracle_derive_labels(row, threshold)
-        w = _oracle_uniform_weights(len(row)) if covariate is None else _oracle_compute_weights(labels, covariate[i])
-        votes.append([label == POOR for label in labels])
-        weights.append(w)
-        fused.append(_oracle_fuse(row, w))
-    return votes, weights, fused
-
-
 def _raised(call, *args):
     """The (type, message) a call raises, or its result."""
     try:
@@ -554,16 +506,16 @@ class TestOneRowCallsMatchOracle:
         rng = np.random.default_rng(8080)
         for probs, covariate, threshold in _random_rows(rng, 3000):
             labels = derive_labels(probs, threshold)
-            assert labels == _oracle_derive_labels(probs, threshold)
+            assert labels == oracle_derive_labels(probs, threshold)
             weights = compute_weights(labels, covariate)
-            assert weights == _oracle_compute_weights(labels, covariate)
-            assert uniform_weights(len(probs)) == _oracle_uniform_weights(len(probs))
+            assert weights == oracle_compute_weights(labels, covariate)
+            assert uniform_weights(len(probs)) == oracle_uniform_weights(len(probs))
             fused = fuse(probs, weights)
-            assert fused == _oracle_fuse(probs, weights)
-            assert classify(fused, threshold) == _oracle_classify(fused, threshold)
-            assert classify(threshold, threshold) == _oracle_classify(threshold, threshold)
+            assert fused == oracle_fuse(probs, weights)
+            assert classify(fused, threshold) == oracle_classify(fused, threshold)
+            assert classify(threshold, threshold) == oracle_classify(threshold, threshold)
 
-    def test_fuse_patient_matches_the_oracle_pipeline(self):
+    def test_fuse_patient_matches_theoracle_pipeline(self):
         rng = np.random.default_rng(8081)
         normalizer = ClinicalNormalizer(variable="nihss", min=4, max=20)
         for probs, _, threshold in _random_rows(rng, 600):
@@ -579,37 +531,37 @@ class TestOneRowCallsMatchOracle:
                     final_threshold=final,
                     strategy="fixed",
                 )
-                labels = _oracle_derive_labels(probs, prelim)
+                labels = oracle_derive_labels(probs, prelim)
                 if variable == "none":
-                    weights = _oracle_uniform_weights(len(probs))
+                    weights = oracle_uniform_weights(len(probs))
                 else:
-                    weights = _oracle_compute_weights(labels, normalize_clinical(float(nihss), normalizer))
-                fused = _oracle_fuse(probs, weights)
+                    weights = oracle_compute_weights(labels, normalize_clinical(float(nihss), normalizer))
+                fused = oracle_fuse(probs, weights)
                 assert fuse_patient(record, config) == FusionResult(
-                    labels, weights, fused, _oracle_classify(fused, final)
+                    labels, weights, fused, oracle_classify(fused, final)
                 )
 
     @pytest.mark.parametrize(
         ("public", "oracle", "args"),
         [
-            (derive_labels, _oracle_derive_labels, ((0.2, 1.4), 0.5)),
-            (derive_labels, _oracle_derive_labels, ((-0.0, -1e-300, 0.3), 0.5)),
-            (derive_labels, _oracle_derive_labels, ((float("nan"),), 0.5)),
-            (derive_labels, _oracle_derive_labels, ((0.1, float("inf")), 0.5)),
-            (compute_weights, _oracle_compute_weights, ([POOR, GOOD], 1.5)),
-            (compute_weights, _oracle_compute_weights, ([POOR], -0.25)),
-            (compute_weights, _oracle_compute_weights, ([GOOD], float("nan"))),
-            (compute_weights, _oracle_compute_weights, ([], 0.5)),
-            (compute_weights, _oracle_compute_weights, ([], 7.0)),
-            (uniform_weights, _oracle_uniform_weights, (0,)),
-            (uniform_weights, _oracle_uniform_weights, (-3,)),
-            (fuse, _oracle_fuse, ((0.5, 0.5), (0.6, 0.399))),
-            (fuse, _oracle_fuse, ((0.5, 0.5), (1.0,))),
-            (fuse, _oracle_fuse, ((), ())),
-            (fuse, _oracle_fuse, ((0.5,), (float("inf"),))),
-            (fuse, _oracle_fuse, ((0.5, 1.5), (0.5, 0.5))),
-            (classify, _oracle_classify, (float("nan"), 0.4)),
-            (derive_labels, _oracle_derive_labels, ((0.4, 0.6), float("nan"))),
+            (derive_labels, oracle_derive_labels, ((0.2, 1.4), 0.5)),
+            (derive_labels, oracle_derive_labels, ((-0.0, -1e-300, 0.3), 0.5)),
+            (derive_labels, oracle_derive_labels, ((float("nan"),), 0.5)),
+            (derive_labels, oracle_derive_labels, ((0.1, float("inf")), 0.5)),
+            (compute_weights, oracle_compute_weights, ([POOR, GOOD], 1.5)),
+            (compute_weights, oracle_compute_weights, ([POOR], -0.25)),
+            (compute_weights, oracle_compute_weights, ([GOOD], float("nan"))),
+            (compute_weights, oracle_compute_weights, ([], 0.5)),
+            (compute_weights, oracle_compute_weights, ([], 7.0)),
+            (uniform_weights, oracle_uniform_weights, (0,)),
+            (uniform_weights, oracle_uniform_weights, (-3,)),
+            (fuse, oracle_fuse, ((0.5, 0.5), (0.6, 0.399))),
+            (fuse, oracle_fuse, ((0.5, 0.5), (1.0,))),
+            (fuse, oracle_fuse, ((), ())),
+            (fuse, oracle_fuse, ((0.5,), (float("inf"),))),
+            (fuse, oracle_fuse, ((0.5, 1.5), (0.5, 0.5))),
+            (classify, oracle_classify, (float("nan"), 0.4)),
+            (derive_labels, oracle_derive_labels, ((0.4, 0.6), float("nan"))),
         ],
     )
     def test_edge_inputs_raise_or_return_alike(self, public, oracle, args):
@@ -637,7 +589,7 @@ class TestFuseMatrix:
         c = covariate if weighted else None
         threshold = float(np.round(rng.random(), 2))
         votes, weights, fused = fuse_matrix(probs, c, threshold)
-        oracle_votes, oracle_weights, oracle_fused = _scalar_fusion(probs, c, threshold)
+        oracle_votes, oracle_weights, oracle_fused = scalar_fusion(probs, c, threshold)
         assert votes.tolist() == oracle_votes
         assert weights.tolist() == [list(w) for w in oracle_weights]
         assert fused.tolist() == oracle_fused
@@ -645,9 +597,9 @@ class TestFuseMatrix:
             assert weights[:10].tolist() == [list(uniform_weights(m))] * 10
             assert weights[30:40].tolist() == [list(uniform_weights(m))] * 10
 
-    @pytest.mark.parametrize("n", [FUSE_BLOCK_ROWS - 1, FUSE_BLOCK_ROWS, FUSE_BLOCK_ROWS + 1, 2 * FUSE_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8195])
     def test_fused_rows_match_the_scalar_sum_across_product_blocks(self, n):
-        # each side of a block boundary: every fused value is the scalar sum, from 0, of its row's products
+        # one row up to several thousand: every fused value is the scalar sum, from 0, of its row's products
         rng = np.random.default_rng(n)
         probs = rng.random((n, 5))
         _, weights, fused = fuse_matrix(probs, rng.random(n), 0.5)
