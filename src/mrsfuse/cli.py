@@ -376,7 +376,7 @@ def _pick_variant(document: object, requested: str | None, path: str) -> dict:
         variants = document["variants"]
         if not isinstance(variants, dict):
             raise ValidationError(f"{path}: 'variants' must be a JSON object")
-        name = requested or document.get("primary")
+        name = document.get("primary") if requested is None else requested
         if not isinstance(name, str) or name not in variants:
             raise ConfigError(f"{path}: variant {name!r} not present")
         if not isinstance(variants[name], dict):

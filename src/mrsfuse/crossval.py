@@ -5,14 +5,14 @@ Each run reshuffles the fold assignment from a seed derived from
 one array, ``fold_of``, each row's test fold, drawn once and shared by all
 model variants; training fold f is the rows where ``fold_of != f``.
 Thresholds and normalizer bounds are resolved on the training folds only;
-module scores are sorted once per cohort, and equal searches run once.
-A :func:`fold_invariant` variant fuses, sorts and scores AUC and MAE once
-per cohort; any other fuses a run's test rows in one :func:`fuse_by_fold`
-call, every row under its own fold's resolution; ``cli fuse`` is the same
-call with the fold index 0 for every row. Predictions
-are pooled over the test folds of a run, and per-run reports are
-aggregated into means and standard deviations across runs. Degenerate
-folds are recorded as run-level failures instead of aborting the
+module scores are sorted once per module set, and equal searches run once.
+A :func:`fold_invariant` variant's scores are fused, sorted and scored for
+AUC and MAE once per module set, when first read; any other variant fuses
+a run's test rows in one :func:`fuse_by_fold` call, every row under its own
+fold's resolution; ``cli fuse`` is the same call with the fold index 0 for
+every row. Predictions are pooled over the test folds of a run, and per-run
+reports are aggregated into means and standard deviations across runs.
+Degenerate folds are recorded as run-level failures instead of aborting the
 evaluation.
 """
 
@@ -260,10 +260,10 @@ def evaluate_variants(
     ``configs`` maps each variant's name to its fusion config and the one
     module it reads alone, or None to fuse every module. Per run: folds are
     drawn once; each variant resolves thresholds per training fold, pools
-    its test-fold predictions and computes the six measures on them (AUC and
-    MAE of a :func:`fold_invariant` variant once). A search runs once per fold,
-    score set and strategy. Runs that hit degenerate data are recorded under
-    the variant's ``failures`` and skipped in its aggregates.
+    its test-fold predictions and computes the six measures on them. A search runs
+    once per fold, score set and strategy; a module set's scores are fused (for a
+    :func:`fold_invariant` variant), sorted and scored once, when first read. Runs that
+    hit degenerate data are recorded under the variant's ``failures`` and skipped in its aggregates.
     """
     violations = validate_cohort(cohort)
     if violations:
@@ -271,19 +271,18 @@ def evaluate_variants(
         raise ValidationError(f"cohort failed validation ({len(violations)} violations): {listing}")
 
     truth = cohort.outcomes()
-    poor = truth == 1
+    poor = poor_mask(truth, "outcomes")
     views = {module: cohort if module is None else cohort.single_module_view(module)
              for _, module in configs.values()}
-    # fused, sorted and measured once per cohort
-    invariant = {view.module_names: fuse_matrix(view.probs, None, 0.0)[2] for config, module in configs.values()
-                 if fold_invariant(config, view := views[module])}
-    # keyed (module names, fused): every module score of a module set, or its fold-invariant fused scores
-    presorted = {(view.module_names, False): _presort(view.probs, truth) for view in views.values()}
-    presorted.update({(modules, True): _presort(fused[:, None], truth)
-                      for modules, fused in invariant.items() if len(modules) > 1})
+    by_modules = {view.module_names: view for view in views.values()}
+    # each built once per module set, when a search or a run first reads it: a module set's fused
+    # scores, every module score of it (or, with fused, its fused scores) presorted, their MAE and AUC
+    invariant = functools.cache(lambda modules: fuse_matrix(by_modules[modules].probs, None, 0.0)[2])
+    presorted = functools.cache(lambda modules, fused: _presort(
+        invariant(modules)[:, None] if fused else by_modules[modules].probs, truth))
     # needed only by a run that resolved, so truths that hold both classes
-    measured = functools.cache(lambda modules: {"mae": mean_absolute_error(invariant[modules], truth),
-                                                "auc": auc(invariant[modules], truth)})
+    measured = functools.cache(lambda modules: {"mae": mean_absolute_error(invariant(modules), truth),
+                                                "auc": auc(invariant(modules), truth)})
     runs: dict[str, list[RunResult]] = {name: [] for name in configs}
     failures: dict[str, list[str]] = {name: [] for name in configs}
     for run_index in range(plan.n_runs):
@@ -295,13 +294,13 @@ def evaluate_variants(
             continue
         train_rows = [np.flatnonzero(fold_of != fold_index) for fold_index in range(plan.k)]
         folds = fold_of.astype(np.min_scalar_type(plan.k - 1))  # the smallest dtype that holds k
-        sorted_folds = {key: folds[rows] for key, (_, rows, _) in presorted.items()}  # each presorted score's fold
+        sorted_folds = functools.cache(lambda modules, fused: folds[presorted(modules, fused)[1]])  # each score's fold
 
         @functools.cache
         def search(modules: tuple[str, ...], fold_index: int, strategy: str, fused: bool) -> float:
             # the training fold's scores, a masked subsequence of the presorted ones
-            scores, _, truths = presorted[modules, fused]
-            keep = sorted_folds[modules, fused] != fold_index
+            scores, _, truths = presorted(modules, fused)
+            keep = sorted_folds(modules, fused) != fold_index
             return search_sorted_threshold(scores[keep], truths[keep], strategy)
 
         for name, (config, module) in configs.items():
@@ -311,7 +310,7 @@ def evaluate_variants(
                 finals = np.array([r.final_threshold for r in resolutions])[fold_of]
                 if fold_invariant(config, view):
                     run_report = MetricReport(**measured(view.module_names), n_patients=len(truth),
-                                              **decision_measures(is_poor(invariant[view.module_names], finals), poor))
+                                              **decision_measures(is_poor(invariant(view.module_names), finals), poor))
                 else:
                     fused = fuse_by_fold(view, slice(None), fold_of, config.clinical_variable, resolutions)[2]
                     run_report = report(predicted=is_poor(fused, finals), fused_probs=fused, truth=truth)

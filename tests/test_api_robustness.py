@@ -9,6 +9,10 @@ Outcome label arguments are drawn the same way from labels (``OutcomeLabel`` mem
 bools and floats) mixed with what is none, some or all of them nested in one-element lists: a call whose labels
 are all labels, flat, gives what their bool masks give, and any other raises ValidationError. A value error begins
 with the name of the argument at fault. Nothing else escapes, and no warning is raised.
+
+Cohorts that no check has seen, built from ready columns, are drawn for ``validate_cohort``, which returns its
+violations and raises nothing, and for ``resolve_fold_config`` under four configs, which resolves every threshold
+in (0, 1) or raises ValidationError, ConfigError or DegenerateDataError.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ import warnings
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from mrsfuse.cohort import ClinicalNormalizer, OutcomeLabel, normalize_clinical
-from mrsfuse.errors import DegenerateDataError, ValidationError, as_array
-from mrsfuse.fusion import compute_weights, fuse_matrix, search_threshold
+from mrsfuse.cohort import ClinicalNormalizer, Cohort, OutcomeLabel, Violation, normalize_clinical, validate_cohort
+from mrsfuse.crossval import resolve_fold_config
+from mrsfuse.errors import ConfigError, DegenerateDataError, ValidationError, as_array
+from mrsfuse.fusion import FusionConfig, compute_weights, fuse_matrix, search_threshold
 from mrsfuse.metrics import auc, mean_absolute_error, report
 
 UNIT = st.one_of(st.floats(0, 1), st.floats(0, 1, width=32).map(np.float32), st.integers(0, 1).map(np.int8),
@@ -41,6 +46,9 @@ SHAPE = re.compile(r"length mismatch: |empty input$|scores and truths must be no
                    r"cannot fuse an empty|cannot weight an empty")
 
 NORMALIZER = ClinicalNormalizer("age", 20, 95)
+EDGE_FLOATS = (0.0, 1.0, 0.5, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -0.0, 2.0, -1.0)
+FOLD_CONFIGS = (FusionConfig("none"), FusionConfig("nihss"), FusionConfig("age", strategy="max_accuracy"),
+                FusionConfig("age", prelim_threshold=0.4, final_threshold=0.45, strategy="fixed"))
 SETTINGS = settings(max_examples=150, deadline=None)
 
 
@@ -210,3 +218,40 @@ def test_search_threshold_labels(case, strategy):
 def test_compute_weights_labels(case, covariate):
     labels, valid = case
     check(compute_weights, [labels, covariate], {}, {0: ("labels", valid)})
+
+
+@st.composite
+def unvalidated_cohorts(draw) -> Cohort:
+    """0-5 rows of 1-3 modules: probabilities and ages all edge floats or all uniform per column, nihss as int64 or
+    as Python ints that may be +-10**30, mrs as int64 in -1..7 or as Python ints that may be None."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+
+    def column(size: int, element, dtype) -> np.ndarray:
+        return np.array(draw(st.lists(element, min_size=size, max_size=size)), dtype=dtype)
+
+    def reals(size: int) -> np.ndarray:
+        return column(size, draw(st.sampled_from([st.sampled_from(EDGE_FLOATS), st.floats(0, 1)])), float)
+
+    grades = draw(st.sampled_from([(st.integers(-2, 45), np.int64),
+                                   (st.one_of(st.integers(0, 42), st.sampled_from([-10**30, 10**30])), object)]))
+    outcomes = draw(st.sampled_from([(st.integers(-1, 7), np.int64),
+                                     (st.one_of(st.none(), st.integers(-1, 7)), object)]))
+    ids = np.array([f"p{i}" for i in range(n)], dtype=object)
+    return Cohort.of_columns([f"M{j}" for j in range(m)], ids, reals(n * m).reshape(n, m), reals(n),
+                             column(n, *grades), column(n, *outcomes))
+
+
+@settings(SETTINGS, max_examples=400)
+@given(unvalidated_cohorts(), st.sampled_from(FOLD_CONFIGS))
+def test_validate_cohort_and_resolve_fold_config(cohort, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(isinstance(violation, Violation) for violation in validate_cohort(cohort))
+        try:
+            resolved, resolution = resolve_fold_config(cohort, config)
+        except (ValidationError, ConfigError, DegenerateDataError):
+            return
+    thresholds = (resolved.prelim_threshold, resolved.final_threshold)
+    assert thresholds == (resolution.prelim_threshold, resolution.final_threshold)
+    assert all(isinstance(value, float) and 0.0 < value < 1.0 for value in thresholds), thresholds
+    assert (resolved.normalizer is None) == (config.clinical_variable == "none")

@@ -466,6 +466,19 @@ def summaries(tmp_path_factory):
     return out_a, out_b
 
 
+def cv_fusions(monkeypatch, cohort: Cohort, path: Path, *flags: str) -> tuple[list[np.ndarray], dict]:
+    """The probability blocks that ``crossval.fuse_matrix`` fuses in ``cv`` of ``cohort`` (written to ``path``),
+    in call order, and the summary ``cv`` writes."""
+    write_cohort_csv(cohort, path)
+    monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+    blocks, fuse = [], mrsfuse.crossval.fuse_matrix
+    monkeypatch.setattr(mrsfuse.crossval, "fuse_matrix",
+                        lambda probs, *args: blocks.append(probs) or fuse(probs, *args))
+    out = path.with_suffix(".json")
+    assert mrsfuse.cli.main(["cv", "--cohort", str(path), *flags, "--out", str(out)]) == 0
+    return blocks, json.loads(out.read_text(encoding="utf-8"))
+
+
 class TestCv:
     def test_summary_json_structure(self, cohort_csv, tmp_path):
         out = tmp_path / "summary.json"
@@ -556,6 +569,40 @@ class TestCv:
         assert mrsfuse.cli.main(argv) == 0
         assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
 
+
+    def test_a_one_module_cohort_fuses_its_rows_once(self, tmp_path, monkeypatch):
+        # the module alone, ensemble and ensemble_w_nihss all read the one module set, so they share one fusion
+        cohort = generate_cohort(SyntheticSpec(n_patients=200, module_names=("ADC",), module_aucs=(0.7,)))
+        blocks, summary = cv_fusions(monkeypatch, cohort, tmp_path / "cohort.csv", "--runs", "3")
+        assert [block.shape for block in blocks] == [(200, 1)]
+        assert list(summary["variants"]) == ["ADC", "ensemble", "ensemble_w_nihss"]
+        assert all(len(variant["runs"]) == 3 for variant in summary["variants"].values())
+
+    def test_a_single_class_cohort_fuses_nothing(self, tmp_path, monkeypatch):
+        # every run fails in make_folds, before any variant reads a score set
+        base = generate_cohort(SyntheticSpec(n_patients=40, seed=12))
+        cohort = Cohort.of_columns(base.module_names, base.ids, base.probs, base.age, base.nihss,
+                                   np.maximum(base.mrs, 3))
+        blocks, summary = cv_fusions(monkeypatch, cohort, tmp_path / "cohort.csv", "--runs", "3")
+        assert blocks == []
+        failed = [f"run {i}: a training fold contains a single outcome class" for i in range(3)]
+        assert len(summary["variants"]) == len(base.module_names) + 2
+        for variant in summary["variants"].values():
+            assert (variant["runs"], variant["failures"], variant["measures"]["auc"]) == ([], failed, None)
+
+    def test_a_constant_module_is_never_fused(self, tmp_path, monkeypatch):
+        # the constant module's every search fails, so its fused scores are never asked for; the other
+        # modules and ensemble fuse n rows once, and per run ensemble_w_nihss fuses each training fold and its
+        # n test rows
+        base = generate_cohort(SyntheticSpec(n_patients=60, seed=5))
+        probs = base.probs.copy()
+        probs[:, 2] = 0.5
+        cohort = Cohort.of_columns(base.module_names, base.ids, probs, base.age, base.nihss, base.mrs)
+        blocks, summary = cv_fusions(monkeypatch, cohort, tmp_path / "cohort.csv", "--k", "3", "--runs", "2")
+        assert len(blocks) == (len(base.module_names) - 1) + 1 + 2 * (3 + 1) == 13
+        assert not any(block.shape[1] == 1 and (block == 0.5).all() for block in blocks)
+        constant = summary["variants"][base.module_names[2]]
+        assert (constant["runs"], len(constant["failures"])) == ([], 2)
 
     def test_defaults_come_from_the_library(self, cohort_csv, monkeypatch, capsys):
         monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
@@ -940,6 +987,12 @@ class TestCompare:
         named = run_cli("compare", str(bare), str(out_a), "--measure", "auc", "--variant-a", "ensemble")
         assert named.returncode == 0, named.stderr
         assert json.loads(named.stdout)["a"]["model"] == "ensemble"
+
+    def test_empty_variant_name_of_cv_summary_exit_2(self, summaries, capsys):
+        # an empty name is a name: it is not present, as for a bare summary, and the primary is not read instead
+        out_a, out_b = summaries
+        assert mrsfuse.cli.main(["compare", str(out_a), str(out_b), "--measure", "auc", "--variant-a", ""]) == 2
+        assert capsys.readouterr() == ("", f"error: {out_a}: variant '' not present\n")
 
     def test_non_utf8_summary_exit_2(self, summaries, tmp_path):
         out_a, _ = summaries

@@ -2,8 +2,11 @@
 
 ``tests/test_golden.py`` replays only perfbench's commands. This gate replays, on one seeded 119-patient
 synthetic cohort, ``cv`` (JSON and CSV) and ``fuse`` (CSV and JSON) for every clinical variable under both
-searched strategies, plus ``fuse --strategy fixed`` unweighted and weighted by age with bounds 20-95. It
-compares each call's exit code and the SHA-256 of its stdout, its stderr and its output file with the digests
+searched strategies, plus ``fuse --strategy fixed`` unweighted and weighted by age with bounds 20-95. Two
+more seeded cohorts make variants fail: one whose module M1 is constant, so that module's every run fails,
+and one where every patient is poor, so every run of every variant fails; ``cv`` (JSON and CSV) on each
+writes the table's ``n/a`` cells and ``note:`` lines, the CSV's empty cells and the JSON's ``null`` measures.
+It compares each call's exit code and the SHA-256 of its stdout, its stderr and its output file with the digests
 in ``output_digests.json``. After an intended output change, re-record them by running this file as a script:
 ``PYTHONPATH=src python tests/test_output_digests.py``.
 """
@@ -18,12 +21,15 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import mrsfuse.cli
-from mrsfuse import SyntheticSpec, generate_cohort, write_cohort_csv
+from mrsfuse import Cohort, SyntheticSpec, generate_cohort, write_cohort_csv
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 COHORT = "cohort.csv"
 SPEC = SyntheticSpec(n_patients=119, seed=11)
+FAILING = ("constant-module", "all-poor")  # the cohorts whose variants fail, each written to <name>.csv
 FIXED = {"none": ["--variable", "none"], "age": ["--variable", "age", "--norm-min", "20", "--norm-max", "95"]}
 
 
@@ -42,7 +48,23 @@ def commands() -> dict[str, list[str]]:
             argvs[f"fuse-fixed-{name}-{fmt}"] = ["fuse", "--cohort", COHORT, *flags, "--strategy", "fixed",
                                                  "--tau", "0.4", "--tau-star", "0.45", "--format", fmt,
                                                  "--out", f"out.{fmt}"]
+    for name in FAILING:
+        for fmt in ("json", "csv"):
+            argvs[f"cv-{name}-{fmt}"] = ["cv", "--cohort", f"{name}.csv", "--variable", "nihss", "--strategy", "youden",
+                                         "--format", fmt, "--out", f"out.{fmt}"]
     return argvs
+
+
+def failing_cohorts() -> tuple[Cohort, Cohort]:
+    """The cohorts ``FAILING`` names: a 60-patient synth cohort with module M1 set to 0.5, and the same cohort
+    with every mRS grade raised to at least 3."""
+    base = generate_cohort(SyntheticSpec(n_patients=60, seed=5, module_names=("M0", "M1", "M2"),
+                                         module_aucs=(0.7, 0.65, 0.6)))
+    probs = base.probs.copy()
+    probs[:, 1] = 0.5
+    constant = Cohort.of_columns(base.module_names, base.ids, probs, base.age, base.nihss, base.mrs)
+    poor = Cohort.of_columns(base.module_names, base.ids, base.probs, base.age, base.nihss, np.maximum(base.mrs, 3))
+    return constant, poor
 
 
 def _sha256(data: bytes) -> str:
@@ -53,6 +75,9 @@ def replay(workdir: Path) -> dict:
     """The cohort's digest and every call's exit code and output digests, run in ``workdir``."""
     write_cohort_csv(generate_cohort(SPEC), workdir / COHORT)
     digests: dict = {"cohort": _sha256((workdir / COHORT).read_bytes())}
+    for name, cohort in zip(FAILING, failing_cohorts()):
+        write_cohort_csv(cohort, workdir / f"{name}.csv")
+        digests[f"cohort-{name}"] = _sha256((workdir / f"{name}.csv").read_bytes())
     for name, argv in commands().items():
         out = workdir / argv[-1]
         out.unlink(missing_ok=True)
@@ -80,4 +105,4 @@ if __name__ == "__main__":
         os.chdir(tmp)
         recorded = replay(Path(tmp))
     DIGESTS.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {len(recorded) - 1} calls into {DIGESTS}")
+    print(f"recorded {len(recorded) - 1 - len(FAILING)} calls into {DIGESTS}")
