@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, as_array, as_float, is_number, real_array
+from .errors import ConfigError, ValidationError, as_array, as_float, as_tuple, is_number, real_array
 
 DEFAULT_MODULE_NAMES = ("ADC", "CBF", "CBV", "DWI", "Tmax")
 
@@ -39,7 +39,7 @@ GOOD_MRS_MAX = 2  # disability grades 0-2 count as good outcome, 3-6 as poor
 
 CSV_REQUIRED_COLUMNS = ("patient_id", "age", "nihss", "mrs")
 CSV_MODULE_PREFIX = "p_"
-CSV_CHUNK_ROWS = 1024  # rows that write_csv_columns formats and writes at a time
+CSV_CHUNK_ROWS = 512  # rows that write_csv_columns formats and holds at a time; 256 saves no more and costs time
 
 _CSV_QUOTED = re.compile('[,"\r\n]')  # a cell holding one of these is quoted, as csv.QUOTE_MINIMAL does
 
@@ -294,10 +294,10 @@ def _record_fault(p: PatientRecord, module_names: tuple[str, ...]) -> Violation 
                                ("mrs", 0 if p.mrs is None else p.mrs, numbers.Integral)):
         if not _fits(value, kind):
             return Violation(pid, field, _REASONS[field].format(value))
-    if len(p.module_probs) != len(module_names):
-        reason = f"expected {len(module_names)} probabilities, got {len(p.module_probs)}"
+    if (probs := as_tuple(p.module_probs)) is None or len(probs) != len(module_names):
+        reason = f"expected {len(module_names)} probabilities, got {p.module_probs if probs is None else len(probs)!r}"
         return Violation(pid, "module_probs", reason)
-    for name, prob in zip(module_names, p.module_probs):
+    for name, prob in zip(module_names, probs):
         if not _fits(prob, numbers.Real):
             return Violation(pid, module_column(str(name)), _REASONS["probability"].format(prob))
     return None
@@ -479,7 +479,7 @@ def write_csv_columns(handle: TextIO, header: list[str], columns: list[np.ndarra
     quote or a line break. A 2-D float64 block stands for its columns in order, and they count
     towards the two or more. Per chunk it formats each distinct value once, keyed on its bits so
     that -0.0 and 0.0 stay apart, which pays where values repeat. Rows end in ``\\r\\n`` and go out
-    ``CSV_CHUNK_ROWS`` at a time, so the text of a large table is never held whole.
+    ``CSV_CHUNK_ROWS`` at a time, so only one chunk's cells and text are alive, never the table's.
     """
     handle.write(",".join(map(_csv_quote, header)) + "\r\n")
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
@@ -513,17 +513,22 @@ def _csv_quote(text: str) -> str:
 def atomic_output(path: str | Path) -> Iterator[TextIO]:
     """A UTF-8 text handle whose content replaces ``path`` only if the block succeeds.
 
-    It writes to a temp file beside ``path`` with a name unique to the call,
-    so concurrent writers never share it, and removes that file on failure.
-    The file is created like ``open(path, "w")`` would: mode 0o666 less the umask.
+    It writes to a temp file beside the file ``path`` resolves to, so a symlink stays and its target
+    gets the bytes, with a name unique to the call, so concurrent writers never share it, and removes
+    that file on failure. The file is created like ``open(path, "w")`` would: mode 0o666 less the umask.
+    An existing ``path`` that is no regular file (a FIFO, a device, a pipe at ``/dev/fd/N``) has nothing
+    to replace and is written in place.
     """
-    path = Path(path)
+    in_place = os.path.exists(path) and not os.path.isfile(path)  # both follow links; a pipe has no realpath
+    path = Path(path if in_place else os.path.realpath(path))
     tmp_path = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    flags = os.O_TRUNC if in_place else os.O_CREAT | os.O_EXCL
+    fd = os.open(path if in_place else tmp_path, os.O_WRONLY | flags, 0o666)
     try:
         with open(fd, "w", newline="", encoding="utf-8") as handle:
             yield handle
-        os.replace(tmp_path, path)
+        if not in_place:
+            os.replace(tmp_path, path)
     except BaseException:
         tmp_path.unlink(missing_ok=True)
         raise

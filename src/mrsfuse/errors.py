@@ -47,6 +47,23 @@ def as_float(value: object) -> float | None:
         return None
 
 
+def as_tuple(value: object) -> tuple | None:
+    """``value`` as a tuple, else None: for a string, whose characters are no items, and for what is not iterable."""
+    try:
+        return None if isinstance(value, str) else tuple(value)
+    except TypeError:
+        return None
+
+
+def require_real(name: str, value: object, low: float, high: float, closed: bool = False) -> float:
+    """``value`` as a float (``as_float``: no numpy scalar is stored) if it lies in (low, high), or in [low, high]
+    if ``closed``; else raise ``<name> must lie in (low, high), got <value>``."""
+    number = as_float(value)
+    if number is None or not (low <= number <= high if closed else low < number < high):
+        raise ConfigError((name, f"must lie in {'(['[closed]}{low}, {high}{')]'[closed]}", value))
+    return number
+
+
 def require_int(name: str, value: object, minimum: int, wording: str = "") -> None:
     """Raise ``<name> must be <wording>, got <value>`` unless ``value`` is an int >= ``minimum``."""
     if not is_number(value, int) or value < minimum:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .cohort import ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, normalize_clinical, poor_mask
-from .errors import ConfigError, DegenerateDataError, ValidationError, as_float, is_number, real_array
+from .errors import ConfigError, DegenerateDataError, ValidationError, as_float, is_number, real_array, require_real
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -57,6 +57,8 @@ class FusionConfig:
                                      ("strategy", self.strategy, THRESHOLD_STRATEGIES)):
             if value not in choices:
                 raise ConfigError((name, f"must be one of {', '.join(choices)}", value))
+        if not isinstance(self.normalizer, (ClinicalNormalizer, type(None))):
+            raise ConfigError(("normalizer", "must be a ClinicalNormalizer or None", self.normalizer))
         if self.clinical_variable == "none" and self.normalizer is not None:
             raise ConfigError("clinical variable 'none' does not take a normalizer")
         if self.normalizer is not None and self.normalizer.variable != self.clinical_variable:
@@ -64,10 +66,9 @@ class FusionConfig:
                 f"normalizer is for {self.normalizer.variable!r}, "
                 f"config uses {self.clinical_variable!r}"
             )
-        for name, value in (("prelim_threshold", self.prelim_threshold),
-                            ("final_threshold", self.final_threshold)):
-            if value is not None and not (is_number(value) and 0.0 < value < 1.0):
-                raise ConfigError((name, "must lie in (0, 1)", value))
+        for name in ("prelim_threshold", "final_threshold"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, require_real(name, value, 0, 1))
         if self.strategy == "fixed" and (self.prelim_threshold is None or self.final_threshold is None):
             raise ConfigError(("strategy", "must not be 'fixed' without explicit 'prelim_threshold' and 'final_threshold'",
                                self.strategy))

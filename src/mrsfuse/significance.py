@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtr
-from .errors import ValidationError, as_float
+from .errors import ValidationError, as_float, as_tuple
 
 EXACT_MAX_N = 25
 
@@ -35,7 +35,8 @@ class PairedSample:
 
     def __post_init__(self) -> None:
         for side in ("a", "b"):
-            values = tuple(map(as_float, getattr(self, side)))  # a bare string's characters are not numbers
+            items = as_tuple(getattr(self, side))  # None for a bare string, whose characters are not numbers
+            values = (None,) if items is None else tuple(map(as_float, items))
             if any(x is None for x in values):  # NaN and inf fail the check below
                 raise ValidationError(f"paired sample {side} must hold real numbers within float range")
             object.__setattr__(self, side, values)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 from .cohort import DEFAULT_MODULE_NAMES, NIHSS_MAX, Cohort, non_string_module_name
-from .errors import ConfigError, is_number, require_int
+from .errors import ConfigError, as_tuple, require_int, require_real
 
 # Default per-module discrimination targets for the five standard modules.
 DEFAULT_MODULE_AUCS = (0.69, 0.64, 0.56, 0.71, 0.58)
@@ -41,11 +41,12 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if isinstance(self.module_names, str):  # a bare string would read as one module per letter
             raise ConfigError(("module_names", "must be a sequence of strings, not a string", self.module_names))
-        object.__setattr__(self, "module_aucs", tuple(self.module_aucs))
-        object.__setattr__(self, "module_names", tuple(self.module_names))
+        for name in ("module_aucs", "module_names"):
+            if (items := as_tuple(getattr(self, name))) is None:
+                raise ConfigError((name, "must be a sequence", getattr(self, name)))
+            object.__setattr__(self, name, items)
         require_int("n_patients", self.n_patients, 1, "a positive integer")
-        if not (is_number(self.prevalence_poor) and 0.0 < self.prevalence_poor < 1.0):
-            raise ConfigError(("prevalence_poor", "must lie in (0, 1)", self.prevalence_poor))
+        object.__setattr__(self, "prevalence_poor", require_real("prevalence_poor", self.prevalence_poor, 0, 1))
         if len(self.module_aucs) != len(self.module_names):
             raise ConfigError(
                 f"{len(self.module_aucs)} AUC targets for {len(self.module_names)} modules"
@@ -54,12 +55,12 @@ class SyntheticSpec:
             raise ConfigError("module list must not be empty")
         if unnamed := non_string_module_name(self.module_names):
             raise ConfigError(unnamed)
+        aucs = []
         for target in self.module_aucs:
-            if not (is_number(target) and 0.5 < target < 1.0):
-                raise ConfigError(f"module AUC targets must lie in (0.5, 1), got {target!r}")
-        for name, rho in (("rho_age", self.rho_age), ("rho_nihss", self.rho_nihss)):
-            if not (is_number(rho) and 0.0 <= rho <= 1.0):
-                raise ConfigError((name, "must lie in [0, 1]", rho))
+            aucs.append(require_real("module AUC targets", target, 0.5, 1))
+        object.__setattr__(self, "module_aucs", tuple(aucs))
+        for name in ("rho_age", "rho_nihss"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name), 0, 1, closed=True))
         require_int("seed", self.seed, 0, "a non-negative integer")
 
 

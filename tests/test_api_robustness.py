@@ -13,22 +13,36 @@ with the name of the argument at fault. Nothing else escapes, and no warning is 
 Cohorts that no check has seen, built from ready columns, are drawn for ``validate_cohort``, which returns its
 violations and raises nothing, and for ``resolve_fold_config`` under four configs, which resolves every threshold
 in (0, 1) or raises ValidationError, ConfigError or DegenerateDataError.
+
+The public dataclass constructors (``FusionConfig``, ``CvPlan``, ``ClinicalNormalizer``, ``SyntheticSpec``,
+``PairedSample``, and ``PatientRecord`` through ``Cohort``) get values of every JSON type, bools, numpy scalars,
+NaN, infinities, subnormals, ints beyond int64 and numeric strings in any field. Each either stores in every field
+the kind its annotation names (a Python float, never a numpy scalar, where a float is due) or raises
+ValidationError or ConfigError with a message that names a field; no warning is raised.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
+import types
 import warnings
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrsfuse.cohort import ClinicalNormalizer, Cohort, OutcomeLabel, Violation, normalize_clinical, validate_cohort
-from mrsfuse.crossval import resolve_fold_config
+from mrsfuse.cohort import (
+    ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, Violation, as_plain, normalize_clinical, validate_cohort,
+)
+from mrsfuse.crossval import CvPlan, evaluate_model, resolve_fold_config
 from mrsfuse.errors import ConfigError, DegenerateDataError, ValidationError, as_array
 from mrsfuse.fusion import FusionConfig, compute_weights, fuse_matrix, search_threshold
 from mrsfuse.metrics import auc, mean_absolute_error, report
+from mrsfuse.significance import PairedSample
+from mrsfuse.synth import SyntheticSpec, generate_cohort
 
 UNIT = st.one_of(st.floats(0, 1), st.floats(0, 1, width=32).map(np.float32), st.integers(0, 1).map(np.int8),
                  st.integers(0, 1))
@@ -255,3 +269,112 @@ def test_validate_cohort_and_resolve_fold_config(cohort, config):
     assert thresholds == (resolution.prelim_threshold, resolution.final_threshold)
     assert all(isinstance(value, float) and 0.0 < value < 1.0 for value in thresholds), thresholds
     assert (resolved.normalizer is None) == (config.clinical_variable == "none")
+
+
+# what any field of a public constructor may be given
+ANY_VALUE = st.sampled_from([
+    None, True, False, 0, 1, 2, 5, -1, 10**30, -10**30, 2**63, 0.0, -0.0, 0.3, 0.45, 0.7, 1.0, 2.5, 20.0, 95.0,
+    5e-324, 1e308, math.nan, math.inf, -math.inf, "", "0.5", "3", "age", "nihss", "none", "fixed", "A", [], [0.7],
+    [0.6, 0.8], ["A", "B"], {}, {"k": 1}, np.float32(0.4), np.float32(math.inf), np.float64(0.6), np.int64(3),
+    np.int8(1), np.bool_(True), np.float16(0.5),
+])
+# per constructor: values each field may take that pass alone, and a pattern of the field's names in a message
+FIELDS = {
+    FusionConfig: {
+        "clinical_variable": (["age", "nihss", "none"], r"clinical[_ ]variable|config uses"),
+        "normalizer": ([None, ClinicalNormalizer("age", 20, 95), ClinicalNormalizer("nihss", 0, 42)], "normalizer"),
+        "prelim_threshold": ([None, 0.4], "prelim_threshold"),
+        "final_threshold": ([None, 0.5], "final_threshold"),
+        "strategy": (["youden", "max_accuracy", "fixed"], "strategy"),
+    },
+    CvPlan: {"k": ([2, 5], r"^k "), "n_runs": ([1, 3], "n_runs"), "base_seed": ([0, 7], "base_seed"),
+             "stratified": ([True, False], "stratified")},
+    ClinicalNormalizer: {"variable": (["age", "nihss"], "variable"), "min": ([0, 20.0], r"\bmin\b"),
+                         "max": ([42, 95.0], r"\bmax\b")},
+    SyntheticSpec: {
+        "n_patients": ([10], "n_patients"), "prevalence_poor": ([0.34], "prevalence_poor"),
+        "module_aucs": ([(0.6, 0.8)], r"module_aucs|AUC targets"),
+        "module_names": ([("A", "B")], r"module_names|module names|modules|module list"),
+        "rho_age": ([0.6, 1], "rho_age"), "rho_nihss": ([0, 0.6], "rho_nihss"), "seed": ([0, 3], "seed"),
+    },
+    PairedSample: {"a": ([(0.1, 0.2)], "paired sample"), "b": ([(0.3, 0.1)], "paired sample")},
+}
+RECORD_FIELDS = {"patient_id": (["p"], "patient_id"), "age": ([60.0, 70], "age"), "nihss": ([5], "nihss"),
+                 "module_probs": ([(0.2, 0.7)], "module_probs|p_[ab]"), "mrs": ([None, 1], "mrs")}
+
+
+def holds(value: object, hint: object) -> bool:
+    """Whether ``value`` is of the kind an annotation names: a float, int or bool exactly, not a numpy scalar."""
+    if isinstance(hint, types.UnionType):
+        return any(holds(value, option) for option in get_args(hint))
+    if get_origin(hint) is tuple:
+        return type(value) is tuple and all(holds(item, get_args(hint)[0]) for item in value)
+    return type(value) is hint if hint in (float, int, bool) else isinstance(value, hint)
+
+
+@st.composite
+def arguments(draw, fields: dict) -> dict:
+    """Each field a value that passes alone, or, half the time, any value."""
+    return {name: draw(st.sampled_from(ok) | ANY_VALUE if draw(st.booleans()) else st.sampled_from(ok))
+            for name, (ok, _) in fields.items()}
+
+
+def construct(cls, kwargs: dict, fields: dict):
+    """``cls(**kwargs)``, or None when it raised a library error whose message names a field."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return cls(**kwargs)
+        except (ValidationError, ConfigError) as exc:
+            assert re.search("|".join(pattern for _, pattern in fields.values()), str(exc)), str(exc)
+            return None
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.sampled_from(list(FIELDS)).flatmap(lambda cls: st.tuples(st.just(cls), arguments(FIELDS[cls]))))
+def test_public_constructors_store_their_annotated_kinds(case):
+    cls, kwargs = case
+    if (made := construct(cls, kwargs, FIELDS[cls])) is not None:
+        for name, hint in get_type_hints(cls).items():
+            assert holds(getattr(made, name), hint), (name, getattr(made, name))
+        json.dumps(as_plain(made))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(arguments(RECORD_FIELDS))
+def test_a_cohort_of_a_record_holds_its_columns_kinds(kwargs):
+    if (cohort := construct(Cohort, {"module_names": ("A", "B"), "patients": (PatientRecord(**kwargs),)},
+                            RECORD_FIELDS)) is not None:
+        assert (cohort.ids.dtype, cohort.probs.dtype, cohort.probs.shape, cohort.age.dtype) == (object, float, (1, 2),
+                                                                                                 float)
+        assert type(cohort.ids[0]) is str and cohort.nihss.dtype in (np.int64, object)
+        assert all(type(v) is int for v in cohort.nihss.tolist()), cohort.nihss
+        assert all(v is None or type(v) is int for v in cohort.mrs.tolist()), cohort.mrs
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: SyntheticSpec(n_patients=10, module_aucs=None), ConfigError, "module_aucs must be a sequence, got None"),
+    (lambda: SyntheticSpec(n_patients=10, module_names=None), ConfigError,
+     "module_names must be a sequence, got None"),
+    (lambda: PairedSample(a=None, b=(1.0,)), ValidationError,
+     "paired sample a must hold real numbers within float range"),
+    (lambda: Cohort(("A",), (PatientRecord("p", 60.0, 5, None, 1),)), ValidationError,
+     "p: module_probs: expected 1 probabilities, got None"),
+    (lambda: FusionConfig("age", normalizer=True), ConfigError,
+     "normalizer must be a ClinicalNormalizer or None, got True"),
+])
+def test_a_constructor_names_the_field_it_cannot_take(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert str(caught.value) == message
+
+
+def test_numpy_scalars_are_stored_as_floats():
+    config = FusionConfig("none", prelim_threshold=np.float32(0.4), final_threshold=np.float32(0.5), strategy="fixed")
+    assert (type(config.prelim_threshold), type(config.final_threshold)) == (float, float)
+    assert config.prelim_threshold == float(np.float32(0.4))  # the value as given, widened
+    summary = evaluate_model(generate_cohort(SyntheticSpec(n_patients=40, seed=2)), CvPlan(k=2, n_runs=1), config)
+    json.dumps(summary.as_dict())
+    spec = SyntheticSpec(n_patients=10, rho_age=np.float32(0.3))
+    assert type(spec.rho_age) is float and generate_cohort(spec) == generate_cohort(
+        SyntheticSpec(n_patients=10, rho_age=float(np.float32(0.3))))

@@ -6,7 +6,9 @@ import csv
 import io
 import math
 import os
+import stat
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -409,6 +411,51 @@ class TestAtomicOutput:
             second.write("b")
             assert len(list(tmp_path.iterdir())) == 2
         assert target.read_text(encoding="utf-8") == "a"
+
+    def test_a_symlink_stays_and_its_target_gets_the_bytes(self, tmp_path: Path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "out.txt"
+        target.write_text("old", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(Path("real") / "out.txt")  # relative, as ln -s makes it
+        with atomic_output(link) as handle:
+            handle.write("new\n")
+        assert link.is_symlink() and os.readlink(link) == os.path.join("real", "out.txt")
+        assert target.read_text(encoding="utf-8") == "new\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.txt", "out.txt", "real"]
+
+    def test_a_dangling_symlink_gets_its_target_made(self, tmp_path: Path):
+        link = tmp_path / "link.txt"
+        link.symlink_to(tmp_path / "made.txt")
+        with atomic_output(link) as handle:
+            handle.write("new\n")
+        assert link.is_symlink() and (tmp_path / "made.txt").read_text(encoding="utf-8") == "new\n"
+
+    def test_a_failed_write_through_a_symlink_keeps_its_target(self, tmp_path: Path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "out.txt"
+        target.write_text("old", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        with pytest.raises(RuntimeError):
+            with atomic_output(link) as handle:
+                handle.write("partial")
+                raise RuntimeError("interrupted")
+        assert link.is_symlink() and target.read_text(encoding="utf-8") == "old"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.txt", "out.txt", "real"]
+
+    def test_a_fifo_is_written_in_place(self, tmp_path: Path):
+        # a FIFO has nothing to replace: its reader gets the bytes and the FIFO stays
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with atomic_output(fifo) as handle:
+            handle.write("a,b\r\n")
+        reader.join(timeout=10)  # a reader left waiting on a replaced FIFO fails the test instead of hanging it
+        assert not reader.is_alive() and got == [b"a,b\r\n"]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode) and [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 class TestSingleModuleView:
@@ -917,7 +964,7 @@ class TestCsvWriterOracle:
         header = [f"c{j}" for j in range(len(columns))]
         with open(os.devnull, "w", newline="", encoding="utf-8") as handle:
             _, peak, _ = transient_peak(lambda: write_csv_columns(handle, header, columns))
-        assert peak < 3_000_000
+        assert peak < 1_000_000  # about 0.6-0.7 MB with 512-row chunks, 1.2-1.4 MB with 1 024
 
     def test_a_fuse_table_with_a_weight_block_is_written_in_bounded_memory(self):
         # the same table with its weights as one block: each chunk's distinct values are alive for that chunk only
@@ -929,4 +976,10 @@ class TestCsvWriterOracle:
         header = [f"c{j}" for j in range(len(columns) + weights.shape[1] - 1)]
         with open(os.devnull, "w", newline="", encoding="utf-8") as handle:
             _, peak, _ = transient_peak(lambda: write_csv_columns(handle, header, columns))
-        assert peak < 3_000_000
+        assert peak < 1_000_000  # about 0.6-0.7 MB with 512-row chunks, 1.2-1.4 MB with 1 024
+
+    def test_a_synth_cohort_is_written_in_bounded_memory(self, tmp_path: Path):
+        # synth's table of 50 000 patients, through the file write and rename
+        cohort = generate_cohort(SyntheticSpec(n_patients=50_000))
+        _, peak, _ = transient_peak(lambda: write_cohort_csv(cohort, tmp_path / "c.csv"))
+        assert peak < 700_000  # about 0.46 MB with 512-row chunks, 0.92 MB with 1 024
