@@ -25,6 +25,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .cohort import (
+    CSV_CHUNK_ROWS,
     ClinicalNormalizer,
     Cohort,
     OutcomeLabel,
@@ -294,15 +295,16 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     tail = [fused, label_names[poor_unweighted.astype(np.intp)], label_names[poor.astype(np.intp)]]
 
     if settings.get("format") == "json":
-        document = {
-            "config": {
-                "clinical_variable": variable,
-                "prelim_threshold": resolution.prelim_threshold,
-                "final_threshold": resolution.final_threshold,
-            },
-            "patients": [dict(zip(header, row)) for row in zip(*(c.tolist() for c in (*head, *weights.T, *tail)))],
-        }
-        _emit(document, settings.get("out"))
+        config = {"clinical_variable": variable, "prelim_threshold": resolution.prelim_threshold,
+                  "final_threshold": resolution.final_threshold}
+        opening, closing = json.dumps({"config": config, "patients": [None]}, indent=2, sort_keys=True).split("null")
+        with _output(settings.get("out")) as handle:
+            for start in range(0, len(fused), CSV_CHUNK_ROWS):
+                rows = zip(*(c[start:start + CSV_CHUNK_ROWS].tolist() for c in (*head, *weights.T, *tail)))
+                text = json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True)
+                # json escapes line breaks in strings, so each "\n" is structural: 2 more spaces nest the chunk's rows
+                handle.write((",\n    " if start else opening) + text[4:-2].replace("\n", "\n  "))
+            handle.write(closing + "\n")
     else:
         with _output(settings.get("out")) as handle:
             # one block: a row's weights hold at most two distinct values, which the writer formats once a chunk

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, as_array, as_float, as_tuple, is_number, real_array
+from .errors import ConfigError, ValidationError, as_array, as_float, as_tuple, is_number, real_array, require_tuple
 
 DEFAULT_MODULE_NAMES = ("ADC", "CBF", "CBV", "DWI", "Tmax")
 
@@ -194,11 +194,11 @@ class Cohort:
     def __init__(
         self, module_names: Iterable[str] = DEFAULT_MODULE_NAMES, patients: Iterable[PatientRecord] = ()
     ):
-        module_names, patients = tuple(module_names), tuple(patients)
+        module_names, patients = require_tuple("module_names", module_names), require_tuple("patients", patients)
         for fault in filter(None, (_record_fault(p, module_names) for p in patients)):
             raise ValidationError(str(fault))
         ids = np.fromiter((p.patient_id for p in patients), dtype=object, count=len(patients))
-        probs = np.array([p.module_probs for p in patients], dtype=float).reshape(len(ids), len(module_names))
+        probs = np.array([tuple(p.module_probs) for p in patients], dtype=float).reshape(len(ids), len(module_names))
         age = np.array([float(p.age) for p in patients])
         nihss = _int_column([int(p.nihss) for p in patients])
         mrs = _int_column([None if p.mrs is None else int(p.mrs) for p in patients])
@@ -521,14 +521,15 @@ def atomic_output(path: str | Path) -> Iterator[TextIO]:
     """
     in_place = os.path.exists(path) and not os.path.isfile(path)  # both follow links; a pipe has no realpath
     path = Path(path if in_place else os.path.realpath(path))
-    tmp_path = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    tmp_path = None if in_place else path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")  # "." has no name
     flags = os.O_TRUNC if in_place else os.O_CREAT | os.O_EXCL
-    fd = os.open(path if in_place else tmp_path, os.O_WRONLY | flags, 0o666)
+    fd = os.open(tmp_path or path, os.O_WRONLY | flags, 0o666)
     try:
         with open(fd, "w", newline="", encoding="utf-8") as handle:
             yield handle
-        if not in_place:
+        if tmp_path:
             os.replace(tmp_path, path)
     except BaseException:
-        tmp_path.unlink(missing_ok=True)
+        if tmp_path:
+            tmp_path.unlink(missing_ok=True)
         raise

@@ -19,6 +19,7 @@ evaluation.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -358,13 +359,15 @@ def compare_summary_dicts(
         raise ConfigError(f"unknown measure {measure!r}; expected one of {MEASURES}")
     schedules, pairs = [], []
     for summary, name in zip((a, b), names):
+        if not isinstance(summary, dict):
+            raise ValidationError(f"malformed summary: {name}: not a dict, got {type(summary).__name__}")
         if "seed_schedule" not in summary:
             raise ValidationError(f"malformed summary: {name}: missing seed_schedule")
-        schedules.append(summary["seed_schedule"])
         try:
+            schedules.append(json.dumps(summary["seed_schedule"], sort_keys=True))  # as text: == on arrays is no bool
             pairs.append([(_summary_value(r, "run_index", int), float(_summary_value(r["metrics"], measure)))
                           for r in summary["runs"]])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:  # an IndexError from an array's rows
             detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
             raise ValidationError(f"malformed summary: {name}: {detail}") from exc
 

@@ -55,6 +55,13 @@ def as_tuple(value: object) -> tuple | None:
         return None
 
 
+def require_tuple(name: str, value: object, error: type = ValidationError) -> tuple:
+    """``value`` as a tuple (``as_tuple``), else raise ``error("<name> must be a sequence, got <value>")``."""
+    if (items := as_tuple(value)) is None:
+        raise error(f"{name} must be a sequence, got {value!r}")
+    return items
+
+
 def require_real(name: str, value: object, low: float, high: float, closed: bool = False) -> float:
     """``value`` as a float (``as_float``: no numpy scalar is stored) if it lies in (low, high), or in [low, high]
     if ``closed``; else raise ``<name> must lie in (low, high), got <value>``."""

@@ -26,7 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .cohort import ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, normalize_clinical, poor_mask
-from .errors import ConfigError, DegenerateDataError, ValidationError, as_float, is_number, real_array, require_real
+from .errors import (
+    ConfigError, DegenerateDataError, ValidationError, as_float, is_number, real_array, require_real, require_tuple,
+)
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -93,7 +95,7 @@ def _real(name: str, value: object) -> float:
 
 def _row(name: str, values: Sequence) -> np.ndarray:
     """One row of real numbers as a (1, m) float array; element i is named ``name[i]``."""
-    return np.array([[_real(f"{name}[{i}]", value) for i, value in enumerate(values)]])
+    return np.array([[_real(f"{name}[{i}]", value) for i, value in enumerate(require_tuple(name, values))]])
 
 
 def is_poor(scores: np.ndarray, threshold: float | np.ndarray) -> np.ndarray:
@@ -163,9 +165,9 @@ def derive_labels(probs: Sequence[float], threshold: float) -> tuple[OutcomeLabe
 
 def compute_weights(labels: Sequence[OutcomeLabel], covariate: float) -> tuple[float, ...]:
     """Normalized module weights of one patient's preliminary labels and covariate."""
-    if len(labels) == 0:
-        raise ValidationError("cannot weight an empty label list")
     poor = poor_mask(labels, "labels")[None]
+    if poor.size == 0:
+        raise ValidationError("cannot weight an empty label list")
     return tuple(_vote_weights(poor, np.array([_real("covariate", covariate)]))[0].tolist())
 
 
@@ -174,6 +176,8 @@ def uniform_weights(n: int) -> tuple[float, ...]:
         raise ValidationError(f"module count must be an integer, got {n!r}")
     if n <= 0:
         raise ValidationError("cannot weight an empty module list")
+    if n > np.iinfo(np.intp).max:  # more modules than an array can index
+        raise ValidationError(f"module count must be at most {np.iinfo(np.intp).max}, got {n!r}")
     return tuple(_vote_weights(np.zeros((1, n), dtype=bool), None)[0].tolist())
 
 
@@ -182,12 +186,12 @@ def fuse(probs: Sequence[float], weights: Sequence[float]) -> float:
 
     The weights must sum to one and each lie in [0, 1]; the probabilities may be any reals, unchecked.
     """
-    if len(probs) != len(weights):
-        raise ValidationError(f"length mismatch: {len(probs)} probabilities vs {len(weights)} weights")
-    if len(probs) == 0:
+    w, p = _row("weights", weights), _row("probs", probs)
+    if p.size != w.size:
+        raise ValidationError(f"length mismatch: {p.size} probabilities vs {w.size} weights")
+    if p.size == 0:
         raise ValidationError("cannot fuse an empty probability list")
-    w = _row("weights", weights)
-    fused = _weighted_sums(w, _row("probs", probs))  # checks the sum first
+    fused = _weighted_sums(w, p)  # checks the sum first
     real_array(w, "weight", unit=True)
     return float(fused[0])
 
@@ -255,7 +259,7 @@ def search_sorted_threshold(scores: np.ndarray, poor: np.ndarray, strategy: str)
 
 def fuse_patient(record: PatientRecord, config: FusionConfig) -> FusionResult:
     """Run the full fusion pipeline for one patient under a resolved config."""
-    row = Cohort(("",) * len(record.module_probs), (record,))  # module names do not enter fusion
+    row = Cohort(("",) * len(require_tuple("module_probs", record.module_probs)), (record,))  # names enter no fusion
     weighted = config.clinical_variable != "none"
     if config.prelim_threshold is None or config.final_threshold is None or (weighted and config.normalizer is None):
         raise ConfigError("fusion config is not resolved: thresholds or normalizer missing")

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 from .cohort import DEFAULT_MODULE_NAMES, NIHSS_MAX, Cohort, non_string_module_name
-from .errors import ConfigError, as_tuple, require_int, require_real
+from .errors import ConfigError, require_int, require_real, require_tuple
 
 # Default per-module discrimination targets for the five standard modules.
 DEFAULT_MODULE_AUCS = (0.69, 0.64, 0.56, 0.71, 0.58)
@@ -42,9 +42,7 @@ class SyntheticSpec:
         if isinstance(self.module_names, str):  # a bare string would read as one module per letter
             raise ConfigError(("module_names", "must be a sequence of strings, not a string", self.module_names))
         for name in ("module_aucs", "module_names"):
-            if (items := as_tuple(getattr(self, name))) is None:
-                raise ConfigError((name, "must be a sequence", getattr(self, name)))
-            object.__setattr__(self, name, items)
+            object.__setattr__(self, name, require_tuple(name, getattr(self, name), ConfigError))
         require_int("n_patients", self.n_patients, 1, "a positive integer")
         object.__setattr__(self, "prevalence_poor", require_real("prevalence_poor", self.prevalence_poor, 0, 1))
         if len(self.module_aucs) != len(self.module_names):

@@ -15,10 +15,16 @@ violations and raises nothing, and for ``resolve_fold_config`` under four config
 in (0, 1) or raises ValidationError, ConfigError or DegenerateDataError.
 
 The public dataclass constructors (``FusionConfig``, ``CvPlan``, ``ClinicalNormalizer``, ``SyntheticSpec``,
-``PairedSample``, and ``PatientRecord`` through ``Cohort``) get values of every JSON type, bools, numpy scalars,
-NaN, infinities, subnormals, ints beyond int64 and numeric strings in any field. Each either stores in every field
-the kind its annotation names (a Python float, never a numpy scalar, where a float is due) or raises
-ValidationError or ConfigError with a message that names a field; no warning is raised.
+``PairedSample``, and ``Cohort`` with its ``module_names``, its ``patients`` and a ``PatientRecord``) get values of
+every JSON type, bools, numpy scalars, NaN, infinities, subnormals, ints beyond int64 and numeric strings in any
+field. Each either stores in every field the kind its annotation names (a Python float, never a numpy scalar, where
+a float is due) or raises ValidationError or ConfigError with a message that names a field; no warning is raised.
+
+The one-row functions (``derive_labels``, ``compute_weights``, ``uniform_weights``, ``fuse``, ``classify``,
+``fuse_patient`` of such a record) and ``compare_summary_dicts`` of summaries with any value, bytes or a 2-D array
+in any place get the same values in any argument, scalars where a sequence is due too. Each returns the kind its
+annotation names or raises a library error whose message names an argument, or states which lengths or runs
+differ; no warning is raised.
 """
 
 from __future__ import annotations
@@ -37,9 +43,12 @@ from hypothesis import given, settings, strategies as st
 from mrsfuse.cohort import (
     ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, Violation, as_plain, normalize_clinical, validate_cohort,
 )
-from mrsfuse.crossval import CvPlan, evaluate_model, resolve_fold_config
+from mrsfuse.crossval import CvPlan, compare_summary_dicts, evaluate_model, resolve_fold_config
 from mrsfuse.errors import ConfigError, DegenerateDataError, ValidationError, as_array
-from mrsfuse.fusion import FusionConfig, compute_weights, fuse_matrix, search_threshold
+from mrsfuse.fusion import (
+    FusionConfig, classify, compute_weights, derive_labels, fuse, fuse_matrix, fuse_patient, search_threshold,
+    uniform_weights,
+)
 from mrsfuse.metrics import auc, mean_absolute_error, report
 from mrsfuse.significance import PairedSample
 from mrsfuse.synth import SyntheticSpec, generate_cohort
@@ -325,7 +334,7 @@ def construct(cls, kwargs: dict, fields: dict):
         warnings.simplefilter("error")
         try:
             return cls(**kwargs)
-        except (ValidationError, ConfigError) as exc:
+        except (ValidationError, ConfigError, DegenerateDataError) as exc:
             assert re.search("|".join(pattern for _, pattern in fields.values()), str(exc)), str(exc)
             return None
 
@@ -340,16 +349,84 @@ def test_public_constructors_store_their_annotated_kinds(case):
         json.dumps(as_plain(made))
 
 
+# what a sequence argument may be given besides a sequence: no container of other kinds, which is out of scope
+NOT_SEQUENCE = ANY_VALUE.filter(lambda value: not isinstance(value, (list, dict)))
+
+
 @settings(SETTINGS, max_examples=200)
-@given(arguments(RECORD_FIELDS))
-def test_a_cohort_of_a_record_holds_its_columns_kinds(kwargs):
-    if (cohort := construct(Cohort, {"module_names": ("A", "B"), "patients": (PatientRecord(**kwargs),)},
-                            RECORD_FIELDS)) is not None:
-        assert (cohort.ids.dtype, cohort.probs.dtype, cohort.probs.shape, cohort.age.dtype) == (object, float, (1, 2),
-                                                                                                 float)
-        assert type(cohort.ids[0]) is str and cohort.nihss.dtype in (np.int64, object)
+@given(arguments(RECORD_FIELDS), st.data())
+def test_a_cohort_of_a_record_holds_its_columns_kinds(kwargs, data):
+    record = PatientRecord(**kwargs)
+    cohort_fields = {"module_names": ([("A", "B")], "module_names"), "patients": ([(record,)], "patients")}
+    given = {name: data.draw(st.sampled_from(ok) | (ANY_VALUE if name == "module_names" else NOT_SEQUENCE)
+                             if data.draw(st.booleans()) else st.sampled_from(ok))
+             for name, (ok, _) in cohort_fields.items()}
+    if (cohort := construct(Cohort, given, {**RECORD_FIELDS, **cohort_fields})) is not None:
+        n = len(given["patients"])
+        assert type(cohort.module_names) is tuple and cohort.probs.shape == (n, len(cohort.module_names))
+        assert (cohort.ids.dtype, cohort.probs.dtype, cohort.age.dtype) == (object, float, float)
+        assert all(type(v) is str for v in cohort.ids.tolist()) and cohort.nihss.dtype in (np.int64, object)
         assert all(type(v) is int for v in cohort.nihss.tolist()), cohort.nihss
         assert all(v is None or type(v) is int for v in cohort.mrs.tolist()), cohort.mrs
+
+
+@st.composite
+def summaries(draw) -> object:
+    """The keys ``compare_summary_dicts`` reads of a three-run summary as ``RunSummary.as_dict`` writes it, or, seven
+    times in ten, any value, bytes or a 2-D array as the summary, its seed schedule, its runs, a run, a run's index,
+    its metrics or its auc."""
+    aucs = draw(st.lists(st.sampled_from([0.5, 0.6, 0.75]), min_size=3, max_size=3))
+    summary = {"seed_schedule": {"base_seed": 0, "run_indices": [0, 1, 2]},
+               "runs": [{"run_index": i, "metrics": {"auc": value}} for i, value in enumerate(aucs)]}
+    place = draw(st.sampled_from([None, None, None, "summary", "seed_schedule", "runs", "run", "run_index", "metrics",
+                                  "auc"]))
+    if place is None:
+        return summary
+    value = draw(ANY_VALUE | st.sampled_from([b"x", np.zeros((2, 2))]))
+    if place == "summary":
+        return value
+    owner = {"seed_schedule": summary, "runs": summary, "run": summary["runs"], "run_index": summary["runs"][0],
+             "metrics": summary["runs"][0], "auc": summary["runs"][0]["metrics"]}[place]
+    owner[{"run": 0}.get(place, place)] = value
+    return summary
+
+
+GOOD, POOR = OutcomeLabel.GOOD, OutcomeLabel.POOR
+# per function: values each argument may take that pass alone, and a pattern of the argument names in a message,
+# or of the lengths or runs that differ
+FUNCTION_ARGUMENTS = {
+    derive_labels: {"probs": ([(0.2, 0.7), [0.9]], "probs|module probability"), "threshold": ([0.5], "threshold")},
+    compute_weights: {"labels": ([(GOOD, POOR), [1, 0, 1]], "labels|empty label list"),
+                      "covariate": ([0.3], "covariate")},
+    uniform_weights: {"n": ([1, 3], "module count|empty module list")},
+    fuse: {"probs": ([(0.2, 0.7)], "probs|length mismatch|empty probability list"),
+           "weights": ([(0.5, 0.5), (1.0, 0.0)], "weights?")},
+    classify: {"fused_probability": ([0.3], "fused_probability"), "threshold": ([0.5], "threshold")},
+    # a and b are drawn by summaries(); the other errors state which schedules, runs or values differ
+    compare_summary_dicts: {"a": ([None], "malformed summary: a"), "b": ([None], "malformed summary: b"),
+                            "measure": (["auc"], "measure|seed schedules|run indices|no completed runs|paired sample")},
+}
+RESOLVED = (FusionConfig("none", None, 0.4, 0.5, "fixed"),
+            FusionConfig("age", ClinicalNormalizer("age", 20, 95), 0.4, 0.5, "fixed"))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.sampled_from(list(FUNCTION_ARGUMENTS)), st.data())
+def test_public_functions_return_their_annotated_kinds(function, data):
+    kwargs = data.draw(arguments(FUNCTION_ARGUMENTS[function]))
+    if function is compare_summary_dicts:
+        kwargs["a"], kwargs["b"] = data.draw(summaries()), data.draw(summaries())
+    if (made := construct(function, kwargs, FUNCTION_ARGUMENTS[function])) is not None:
+        assert holds(made, get_type_hints(function)["return"]), made
+
+
+@settings(SETTINGS, max_examples=100)
+@given(arguments(RECORD_FIELDS), st.sampled_from(RESOLVED))
+def test_fuse_patient_of_a_record(kwargs, config):
+    fields = {**RECORD_FIELDS, "module_probs": ([], "module_probs|p_:|empty probability list")}  # its modules are ""
+    if (made := construct(fuse_patient, {"record": PatientRecord(**kwargs), "config": config}, fields)):
+        assert type(made.fused_probability) is float and 0.0 <= made.fused_probability <= 1.0
+        assert all(type(w) is float for w in made.weights) and len(made.weights) == len(kwargs["module_probs"])
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -362,11 +439,42 @@ def test_a_cohort_of_a_record_holds_its_columns_kinds(kwargs):
      "p: module_probs: expected 1 probabilities, got None"),
     (lambda: FusionConfig("age", normalizer=True), ConfigError,
      "normalizer must be a ClinicalNormalizer or None, got True"),
+    (lambda: Cohort(module_names=None), ValidationError, "module_names must be a sequence, got None"),
+    (lambda: Cohort(("A",), None), ValidationError, "patients must be a sequence, got None"),
+    (lambda: Cohort(("A",), 5), ValidationError, "patients must be a sequence, got 5"),
+    (lambda: Cohort("AB"), ValidationError, "module_names must be a sequence, got 'AB'"),  # not one module a letter
 ])
 def test_a_constructor_names_the_field_it_cannot_take(make, error, message):
     with pytest.raises(error) as caught:
         make()
     assert str(caught.value) == message
+
+
+SUMMARY = {"seed_schedule": [0], "runs": [{"run_index": 0, "metrics": {"auc": 0.7}}]}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: derive_labels(0.5, 0.5), "probs must be a sequence, got 0.5"),
+    (lambda: fuse(0.5, (0.5, 0.5)), "probs must be a sequence, got 0.5"),
+    (lambda: fuse((0.2, 0.7), 0.5), "weights must be a sequence, got 0.5"),
+    (lambda: compute_weights(0.5, 0.5), "labels must be a one-dimensional sequence of outcome labels, got shape ()"),
+    (lambda: uniform_weights(10**400), f"module count must be at most {np.iinfo(np.intp).max}, got {10**400!r}"),
+    (lambda: compare_summary_dicts(None, None, "auc"), "malformed summary: a: not a dict, got NoneType"),
+    (lambda: compare_summary_dicts(b"x", SUMMARY, "auc"), "malformed summary: a: not a dict, got bytes"),
+    (lambda: compare_summary_dicts(SUMMARY, 0.5, "auc"), "malformed summary: b: not a dict, got float"),
+    (lambda: compare_summary_dicts({**SUMMARY, "runs": np.zeros((1, 2))}, SUMMARY, "auc"),
+     "malformed summary: a: only integers"),  # numpy's IndexError, worded on by numpy
+    (lambda: compare_summary_dicts({**SUMMARY, "seed_schedule": np.zeros((2, 2))}, SUMMARY, "auc"),
+     "malformed summary: a: Object of type ndarray is not JSON serializable"),
+    (lambda: fuse_patient(PatientRecord("p", 60.0, 5, None, 1), FusionConfig("none", None, 0.4, 0.5, "fixed")),
+     "module_probs must be a sequence, got None"),
+], ids=["derive_labels-scalar-probs", "fuse-scalar-probs", "fuse-scalar-weights", "compute_weights-scalar-labels",
+        "uniform_weights-beyond-intp", "compare-none", "compare-bytes", "compare-float", "compare-2d-runs",
+        "compare-2d-seed-schedule", "fuse_patient-no-probs"])
+def test_a_function_names_the_argument_it_cannot_take(call, message):
+    with pytest.raises(ValidationError) as caught:
+        call()
+    assert str(caught.value).startswith(message)
 
 
 def test_numpy_scalars_are_stored_as_floats():

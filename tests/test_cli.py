@@ -45,7 +45,7 @@ from mrsfuse import (
     read_cohort_csv,
     write_cohort_csv,
 )
-from mrsfuse.cohort import module_column
+from mrsfuse.cohort import CSV_CHUNK_ROWS, module_column
 from mrsfuse.metrics import MEASURES
 
 NIHSS_FLAGS = (
@@ -166,8 +166,8 @@ class TestFuse:
         assert sizes == [n] * (len({args.variable, "none"}) + (args.tau_star is None))
 
 
-def _csv_writer_fuse_bytes(cohort_path: Path, config: FusionConfig) -> bytes:
-    """The table fuse built row by row for csv.writer before it streamed its columns, kept as its oracle."""
+def _fuse_table(cohort_path: Path, config: FusionConfig) -> tuple[FusionConfig, list[str], list[list]]:
+    """The resolved config, the header and the rows of the table that fuse writes, built row by row."""
     cohort = read_cohort_csv(cohort_path)
     resolved, _ = mrsfuse.crossval.resolve_fold_config(cohort, config)
     _, weights, fused, poor = fuse_rows(cohort, resolved)
@@ -185,7 +185,28 @@ def _csv_writer_fuse_bytes(cohort_path: Path, config: FusionConfig) -> bytes:
             poor_unweighted.tolist(), poor.tolist(),
         )
     ]
+    return resolved, header, table
+
+
+def _csv_writer_fuse_bytes(cohort_path: Path, config: FusionConfig) -> bytes:
+    """The table fuse built row by row for csv.writer before it streamed its columns, kept as its oracle."""
+    _, header, table = _fuse_table(cohort_path, config)
     return csv_writer_bytes([header, *table])
+
+
+def _whole_json_fuse_bytes(cohort_path: Path, config: FusionConfig) -> bytes:
+    """The document fuse built whole for one json.dumps before it streamed its patients by chunk, kept as its
+    oracle."""
+    resolved, header, table = _fuse_table(cohort_path, config)
+    document = {
+        "config": {
+            "clinical_variable": resolved.clinical_variable,
+            "prelim_threshold": resolved.prelim_threshold,
+            "final_threshold": resolved.final_threshold,
+        },
+        "patients": [dict(zip(header, row)) for row in table],
+    }
+    return (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 _FIXED = ["--strategy", "fixed"]
@@ -199,14 +220,18 @@ FUSE_SETTINGS = [
 ]
 
 
+# ids json must escape (a quote, a backslash, line breaks, U+2028) or writes as they are (non-ASCII, "null")
+JSON_IDS = st.text(alphabet=['"', ",", "\\", "\r", "\n", "\u2028", "é", "a"], max_size=5) | st.just("null")
+
+
 @st.composite
-def valid_cohorts(draw):
+def valid_cohorts(draw, ids=WRITER_IDS, sizes=CHUNK_EDGE_ROWS):
     """Cohorts that pass validation, with ids and module names that csv must quote."""
     module_names = draw(WRITER_MODULE_NAMES)
-    n = draw(st.sampled_from(CHUNK_EDGE_ROWS))  # an empty cohort fails validation
+    n = draw(st.sampled_from(sizes))  # an empty cohort fails validation
     unit = st.floats(0.0, 1.0)
     # the "#i" suffix keeps ids unique and non-empty once the reader strips them
-    ids = [f"{text}#{i}" for i, text in enumerate(cycled(draw, WRITER_IDS, n))]
+    ids = [f"{text}#{i}" for i, text in enumerate(cycled(draw, ids, n))]
     probs = np.array(cycled(draw, st.tuples(*[unit] * len(module_names)), n)).reshape(n, len(module_names))
     return Cohort.of_columns(
         module_names, np.array(ids, dtype=object), probs, np.array(cycled(draw, st.floats(0.0, 120.0), n)),
@@ -230,6 +255,24 @@ class TestFuseCsvOracle:
                 assert mrsfuse.cli.main(argv) == 0
             assert mrsfuse.cli.main([*argv, "--out", str(out)]) == 0
             expected = _csv_writer_fuse_bytes(cohort_path, config)
+            assert stdout.getvalue().encode("utf-8") == expected
+            assert out.read_bytes() == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(valid_cohorts(JSON_IDS, [*CHUNK_EDGE_ROWS, 2 * CSV_CHUNK_ROWS + 1]), st.sampled_from(FUSE_SETTINGS))
+    def test_stdout_and_out_json_match_the_whole_document(self, cohort, fuse_settings):
+        # the patients go out by chunk, each re-indented to sit in the document: the bytes of one json.dumps
+        flags, config = fuse_settings
+        with tempfile.TemporaryDirectory() as tmp:
+            cohort_path, out, empty = Path(tmp) / "cohort.csv", Path(tmp) / "fused.json", Path(tmp) / "empty.json"
+            write_cohort_csv(cohort, cohort_path)
+            empty.write_text("{}", encoding="utf-8")  # shadows any MRSFUSE_CONFIG
+            argv = ["fuse", "--cohort", str(cohort_path), "--config", str(empty), *flags, "--format", "json"]
+            stdout = io.StringIO(newline="")
+            with contextlib.redirect_stdout(stdout):
+                assert mrsfuse.cli.main(argv) == 0
+            assert mrsfuse.cli.main([*argv, "--out", str(out)]) == 0
+            expected = _whole_json_fuse_bytes(cohort_path, config)
             assert stdout.getvalue().encode("utf-8") == expected
             assert out.read_bytes() == expected
 
@@ -1148,6 +1191,23 @@ def test_error_lines(tmp_path, monkeypatch, capsys, argv, files, line):
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fuse", "--cohort", "cohort.csv"],
+    ["cv", "--cohort", "cohort.csv", "--k", "2", "--runs", "1"],
+    ["compare", "a.json", "b.json", "--measure", "auc"],
+    ["synth", "--n-patients", "12"],
+], ids=lambda argv: argv[0])
+def test_out_dot_is_an_io_error(tmp_path, argv):
+    # "." is the working directory, which has no name to put a temp file beside: it is written in place and fails
+    write_tiny_cohort(tmp_path / "cohort.csv")
+    write_thirty_run_summaries(tmp_path, 0, 1)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    result = run_cli(*argv, "--out", ".", cwd=tmp_path)
+    assert result.returncode == 3
+    assert result.stderr.startswith("error: io: ") and result.stderr.count("\n") == 1, result.stderr
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 # Run in a fresh interpreter: the test process itself has scipy loaded.
 SCIPY_FREE_COMMANDS = """
 import contextlib, io, json, sys
@@ -1269,3 +1329,16 @@ class TestJsonOutputs:
         code, transient, held = transient_peak(lambda: mrsfuse.cli.main(argv))
         assert code == 0
         assert transient + held <= 1_500 * 5_000
+
+    def test_fuse_json_peak_per_patient_at_20_000(self, tmp_path, monkeypatch):
+        # whole traced peak: about 314 bytes a patient, near the CSV table's 270, since the rows' dicts and text
+        # are made one chunk at a time; 1 055 while every row's dict was built before json.dump
+        monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+        cohort = tmp_path / "cohort.csv"
+        write_cohort_csv(generate_cohort(SyntheticSpec(n_patients=20_000, seed=3)), cohort)
+        argv = ["fuse", "--cohort", str(cohort), "--variable", "age", "--norm-min", "20", "--norm-max", "95",
+                "--tau", "0.5", "--tau-star", "0.5", "--strategy", "fixed", "--format", "json",
+                "--out", str(tmp_path / "fused.json")]
+        code, transient, held = transient_peak(lambda: mrsfuse.cli.main(argv))
+        assert code == 0
+        assert transient + held <= 400 * 20_000

@@ -6,6 +6,8 @@ searched strategies, plus ``fuse --strategy fixed`` unweighted and weighted by a
 more seeded cohorts make variants fail: one whose module M1 is constant, so that module's every run fails,
 and one where every patient is poor, so every run of every variant fails; ``cv`` (JSON and CSV) on each
 writes the table's ``n/a`` cells and ``note:`` lines, the CSV's empty cells and the JSON's ``null`` measures.
+A seeded cohort of two chunks and one row more (``CHUNKED``) replays ``fuse`` in both formats, searched (nihss,
+youden) and fixed (age 20-95), each to a file and to stdout, so the tables span the writers' chunk boundaries.
 It compares each call's exit code and the SHA-256 of its stdout, its stderr and its output file with the digests
 in ``output_digests.json``. After an intended output change, re-record them by running this file as a script:
 ``PYTHONPATH=src python tests/test_output_digests.py``.
@@ -25,12 +27,16 @@ import numpy as np
 
 import mrsfuse.cli
 from mrsfuse import Cohort, SyntheticSpec, generate_cohort, write_cohort_csv
+from mrsfuse.cohort import CSV_CHUNK_ROWS
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 COHORT = "cohort.csv"
 SPEC = SyntheticSpec(n_patients=119, seed=11)
 FAILING = ("constant-module", "all-poor")  # the cohorts whose variants fail, each written to <name>.csv
 FIXED = {"none": ["--variable", "none"], "age": ["--variable", "age", "--norm-min", "20", "--norm-max", "95"]}
+CHUNKED = SyntheticSpec(n_patients=2 * CSV_CHUNK_ROWS + 1, seed=13)  # written to chunked.csv
+CHUNKED_FLAGS = {"nihss-youden": ["--variable", "nihss", "--strategy", "youden"],
+                 "age-fixed": [*FIXED["age"], "--strategy", "fixed", "--tau", "0.4", "--tau-star", "0.45"]}
 
 
 def commands() -> dict[str, list[str]]:
@@ -52,6 +58,11 @@ def commands() -> dict[str, list[str]]:
         for fmt in ("json", "csv"):
             argvs[f"cv-{name}-{fmt}"] = ["cv", "--cohort", f"{name}.csv", "--variable", "nihss", "--strategy", "youden",
                                          "--format", fmt, "--out", f"out.{fmt}"]
+    for name, flags in CHUNKED_FLAGS.items():
+        for fmt in ("json", "csv"):
+            argv = ["fuse", "--cohort", "chunked.csv", *flags, "--format", fmt]
+            argvs[f"fuse-chunked-{name}-{fmt}-out"] = [*argv, "--out", f"out.{fmt}"]
+            argvs[f"fuse-chunked-{name}-{fmt}-stdout"] = argv
     return argvs
 
 
@@ -78,9 +89,12 @@ def replay(workdir: Path) -> dict:
     for name, cohort in zip(FAILING, failing_cohorts()):
         write_cohort_csv(cohort, workdir / f"{name}.csv")
         digests[f"cohort-{name}"] = _sha256((workdir / f"{name}.csv").read_bytes())
+    write_cohort_csv(generate_cohort(CHUNKED), workdir / "chunked.csv")
+    digests["cohort-chunked"] = _sha256((workdir / "chunked.csv").read_bytes())
     for name, argv in commands().items():
-        out = workdir / argv[-1]
-        out.unlink(missing_ok=True)
+        out = workdir / argv[-1] if "--out" in argv else None  # None: the call writes to stdout
+        if out:
+            out.unlink(missing_ok=True)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = mrsfuse.cli.main(argv)
@@ -88,7 +102,7 @@ def replay(workdir: Path) -> dict:
             "exit": code,
             "stdout": _sha256(stdout.getvalue().encode("utf-8")),
             "stderr": _sha256(stderr.getvalue().encode("utf-8")),
-            "out": _sha256(out.read_bytes()) if out.is_file() else None,
+            "out": _sha256(out.read_bytes()) if out and out.is_file() else None,
         }
     return digests
 
@@ -105,4 +119,4 @@ if __name__ == "__main__":
         os.chdir(tmp)
         recorded = replay(Path(tmp))
     DIGESTS.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {len(recorded) - 1 - len(FAILING)} calls into {DIGESTS}")
+    print(f"recorded {len(recorded) - 2 - len(FAILING)} calls into {DIGESTS}")
