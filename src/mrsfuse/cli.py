@@ -268,45 +268,44 @@ def _output(out: str | None) -> Iterator[TextIO]:
             yield handle
 
 
-def _emit(document: object, out: str | None) -> None:
-    """``document`` as JSON, indented by 2 with sorted keys and a final newline, encoded straight into the output,
+def _emit(document: object, handle: TextIO) -> None:
+    """``document`` as JSON, indented by 2 with sorted keys and a final newline, encoded straight into ``handle``,
     so its text is never held whole."""
-    with _output(out) as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    json.dump(document, handle, indent=2, sort_keys=True)
+    handle.write("\n")
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     cohort = _read_valid_cohort(settings.cohort_path())
     variable = settings.config.clinical_variable
-    _, resolution = resolve_fold_config(cohort, settings.config)  # one fold: its training rows are its test rows
-    _, weights, fused = fuse_by_fold(cohort, slice(None), 0, variable, [resolution])
-    fused_unweighted = fused if variable == "none" else fuse_by_fold(cohort, slice(None), 0, "none", [resolution])[2]
-    poor, poor_unweighted = (is_poor(f, resolution.final_threshold) for f in (fused, fused_unweighted))
-    label_names = np.array([str(label) for label in OutcomeLabel], dtype=object)  # indexed by "is poor"
+    with _output(settings.get("out")) as handle:
+        _, resolution = resolve_fold_config(cohort, settings.config)  # one fold: its training rows are its test rows
+        _, weights, fused = fuse_by_fold(cohort, slice(None), 0, variable, [resolution])
+        fused_unweighted = (fused if variable == "none"
+                            else fuse_by_fold(cohort, slice(None), 0, "none", [resolution])[2])
+        poor, poor_unweighted = (is_poor(f, resolution.final_threshold) for f in (fused, fused_unweighted))
+        label_names = np.array([str(label) for label in OutcomeLabel], dtype=object)  # indexed by "is poor"
 
-    header = (
-        ["patient_id"] + [module_column(name) for name in cohort.module_names]
-        + [f"w_{name.lower()}" for name in cohort.module_names]
-        + ["fused_prob", "label_unweighted", "label_weighted"]
-    )
-    head = [cohort.ids, *cohort.probs.T]
-    tail = [fused, label_names[poor_unweighted.astype(np.intp)], label_names[poor.astype(np.intp)]]
+        header = (
+            ["patient_id"] + [module_column(name) for name in cohort.module_names]
+            + [f"w_{name.lower()}" for name in cohort.module_names]
+            + ["fused_prob", "label_unweighted", "label_weighted"]
+        )
+        head = [cohort.ids, *cohort.probs.T]
+        tail = [fused, label_names[poor_unweighted.astype(np.intp)], label_names[poor.astype(np.intp)]]
 
-    if settings.get("format") == "json":
-        config = {"clinical_variable": variable, "prelim_threshold": resolution.prelim_threshold,
-                  "final_threshold": resolution.final_threshold}
-        opening, closing = json.dumps({"config": config, "patients": [None]}, indent=2, sort_keys=True).split("null")
-        with _output(settings.get("out")) as handle:
+        if settings.get("format") == "json":
+            frame = {"config": {"clinical_variable": variable, "prelim_threshold": resolution.prelim_threshold,
+                                "final_threshold": resolution.final_threshold}, "patients": [None]}
+            opening, closing = json.dumps(frame, indent=2, sort_keys=True).split("null")
             for start in range(0, len(fused), CSV_CHUNK_ROWS):
                 rows = zip(*(c[start:start + CSV_CHUNK_ROWS].tolist() for c in (*head, *weights.T, *tail)))
                 text = json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True)
                 # json escapes line breaks in strings, so each "\n" is structural: 2 more spaces nest the chunk's rows
                 handle.write((",\n    " if start else opening) + text[4:-2].replace("\n", "\n  "))
             handle.write(closing + "\n")
-    else:
-        with _output(settings.get("out")) as handle:
+        else:
             # one block: a row's weights hold at most two distinct values, which the writer formats once a chunk
             write_csv_columns(handle, header, [*head, weights, *tail])
     return EXIT_OK
@@ -323,24 +322,17 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     configs["ensemble"] = (replace(config, clinical_variable="none", normalizer=None), None)
     primary = ensemble_name(config)
     configs[primary] = (config, None)
-    variants = {name: summary.as_dict() for name, summary in evaluate_variants(cohort, plan, configs).items()}
-
-    document = {
-        "cohort": str(cohort_path),
-        "plan": as_plain(plan),
-        "primary": primary,
-        "variants": variants,
-    }
 
     out = settings.get("out")
-    if out is not None:  # without a file, stdout is the document alone
-        _print_cv_table(variants)
-
-    if settings.get("format") == "csv":
-        with _output(out) as handle:
+    with _output(out) as handle:
+        variants = {name: summary.as_dict() for name, summary in evaluate_variants(cohort, plan, configs).items()}
+        if out is not None:  # without a file, stdout is the document alone
+            _print_cv_table(variants)
+        if settings.get("format") == "csv":
             _cv_table_csv(variants, handle)
-    else:
-        _emit(document, out)
+        else:
+            _emit({"cohort": str(cohort_path), "plan": as_plain(plan), "primary": primary, "variants": variants},
+                  handle)
     return EXIT_OK
 
 
@@ -403,7 +395,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "b": {"path": args.summary_b, "model": summary_b.get("model")},
         **as_plain(result),
     }
-    _emit(document, args.out)
+    with _output(args.out) as handle:
+        _emit(document, handle)
     return EXIT_OK
 
 
@@ -460,11 +453,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that has gone away fails here, as an io error, not in the interpreter's exit
+        return code
     except (ValidationError, ConfigError, DegenerateDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # so that the exit flush of what stdout still buffers cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -107,17 +107,20 @@ def age_panel_csv(tmp_path: Path) -> Path:
 
 
 def run_cli(
-    *args: str, cwd: Path | None = None, env_config: str | None = None
+    *args: str, cwd: Path | None = None, env_config: str | None = None, stdout=subprocess.PIPE
 ) -> subprocess.CompletedProcess:
-    """Run the CLI in a subprocess against the in-repo sources."""
+    """Run the CLI in a subprocess against the in-repo sources, with stdout buffered as it is by default, and
+    stderr captured; stdout is captured too unless ``stdout`` names another file descriptor."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("MRSFUSE_CONFIG", None)
+    env.pop("PYTHONUNBUFFERED", None)
     if env_config is not None:
         env["MRSFUSE_CONFIG"] = env_config
     return subprocess.run(
         [sys.executable, "-m", "mrsfuse.cli", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         cwd=cwd,
         env=env,

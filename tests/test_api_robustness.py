@@ -22,9 +22,14 @@ a float is due) or raises ValidationError or ConfigError with a message that nam
 
 The one-row functions (``derive_labels``, ``compute_weights``, ``uniform_weights``, ``fuse``, ``classify``,
 ``fuse_patient`` of such a record) and ``compare_summary_dicts`` of summaries with any value, bytes or a 2-D array
-in any place get the same values in any argument, scalars where a sequence is due too. Each returns the kind its
-annotation names or raises a library error whose message names an argument, or states which lengths or runs
-differ; no warning is raised.
+in one or two places, one of them possibly nested below a run's metrics, get the same values in any argument,
+scalars where a sequence is due too. Each returns the kind its annotation names or raises a library error whose
+message names an argument, or states which lengths or runs differ; no warning is raised.
+
+``wilcoxon_signed_rank`` gets paired samples of every length 1-40 with ties, zero differences, differences beyond
+the largest float and subnormal ones. Its p-value lies in [0, 1], it is exact for at most 25 nonzero differences,
+swapping the sides keeps the p-value and turns the statistic W into n(n+1)/2 - W, and up to 12 nonzero differences
+the p-value equals an enumeration of every sign pattern.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mrsfuse.cohort import (
     ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, Violation, as_plain, normalize_clinical, validate_cohort,
@@ -50,7 +55,7 @@ from mrsfuse.fusion import (
     uniform_weights,
 )
 from mrsfuse.metrics import auc, mean_absolute_error, report
-from mrsfuse.significance import PairedSample
+from mrsfuse.significance import EXACT_MAX_N, PairedSample, wilcoxon_signed_rank
 from mrsfuse.synth import SyntheticSpec, generate_cohort
 
 UNIT = st.one_of(st.floats(0, 1), st.floats(0, 1, width=32).map(np.float32), st.integers(0, 1).map(np.int8),
@@ -373,21 +378,21 @@ def test_a_cohort_of_a_record_holds_its_columns_kinds(kwargs, data):
 @st.composite
 def summaries(draw) -> object:
     """The keys ``compare_summary_dicts`` reads of a three-run summary as ``RunSummary.as_dict`` writes it, or, seven
-    times in ten, any value, bytes or a 2-D array as the summary, its seed schedule, its runs, a run, a run's index,
-    its metrics or its auc."""
+    times in ten, that summary with one or two of these replaced by any value, bytes or a 2-D array: the summary, its
+    seed schedule, its runs, a run, a run's index, its metrics, its auc, or, nested below the last run's metrics, the
+    auc's one item."""
     aucs = draw(st.lists(st.sampled_from([0.5, 0.6, 0.75]), min_size=3, max_size=3))
     summary = {"seed_schedule": {"base_seed": 0, "run_indices": [0, 1, 2]},
                "runs": [{"run_index": i, "metrics": {"auc": value}} for i, value in enumerate(aucs)]}
-    place = draw(st.sampled_from([None, None, None, "summary", "seed_schedule", "runs", "run", "run_index", "metrics",
-                                  "auc"]))
-    if place is None:
-        return summary
-    value = draw(ANY_VALUE | st.sampled_from([b"x", np.zeros((2, 2))]))
-    if place == "summary":
-        return value
-    owner = {"seed_schedule": summary, "runs": summary, "run": summary["runs"], "run_index": summary["runs"][0],
-             "metrics": summary["runs"][0], "auc": summary["runs"][0]["metrics"]}[place]
-    owner[{"run": 0}.get(place, place)] = value
+    owners = {"seed_schedule": summary, "runs": summary, "run": summary["runs"], "run_index": summary["runs"][0],
+              "metrics": summary["runs"][0], "auc": summary["runs"][0]["metrics"],
+              "nested": summary["runs"][2]["metrics"]}
+    count = draw(st.sampled_from([0, 0, 0, 1, 1, 1, 1, 2, 2, 2]))
+    for place in draw(st.lists(st.sampled_from(["summary", *owners]), min_size=count, max_size=count, unique=True)):
+        value = draw(ANY_VALUE | st.sampled_from([b"x", np.zeros((2, 2))]))
+        if place == "summary":
+            return value
+        owners[place][{"run": 0, "nested": "auc"}.get(place, place)] = [value] if place == "nested" else value
     return summary
 
 
@@ -475,6 +480,53 @@ def test_a_function_names_the_argument_it_cannot_take(call, message):
     with pytest.raises(ValidationError) as caught:
         call()
     assert str(caught.value).startswith(message)
+
+
+# paired values with ties, zero differences, differences beyond the largest float and subnormal ones
+PAIRED = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, -0.5, 0.1, 0.3, 1e308, -1e308, 5e-324, -5e-324, 1e-310])
+
+
+@st.composite
+def paired_samples(draw) -> PairedSample:
+    """Of every length 1-40; each b is its a, so a zero difference, or a drawn value."""
+    a = draw(st.lists(PAIRED, min_size=1, max_size=40))
+    b = draw(st.lists(st.none() | PAIRED, min_size=len(a), max_size=len(a)))
+    return PairedSample(tuple(a), tuple(x if y is None else y for x, y in zip(a, b)))
+
+
+def enumerated_p(sample: PairedSample) -> float:
+    """The two-sided p of the rank sum of the positive differences over all 2^n sign patterns, n the nonzero
+    differences: each ranked by magnitude with tied ones sharing their mean rank, those beyond the largest float
+    above every other and among themselves by a/2 - b/2."""
+    keys = []
+    for a, b in zip(sample.a, sample.b):
+        diff = a - b
+        if diff != 0.0:
+            keys.append(((0, abs(diff)) if math.isfinite(diff) else (1, abs(a / 2 - b / 2)), diff > 0))
+    order = sorted(key for key, _ in keys)
+    ranks = np.array([(order.index(key) + 1 + len(order) - order[::-1].index(key)) / 2 for key, _ in keys])
+    observed = ranks[[positive for _, positive in keys]].sum()
+    signs = (np.arange(2 ** len(ranks))[:, None] >> np.arange(len(ranks))) & 1
+    sums = signs @ ranks
+    return min(1.0, 2.0 * min(np.count_nonzero(sums <= observed), np.count_nonzero(sums >= observed)) / len(sums))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(paired_samples())
+@example(PairedSample((1.0,) * EXACT_MAX_N, (0.0,) * EXACT_MAX_N))  # each side of the exact method's limit
+@example(PairedSample((1.0,) * (EXACT_MAX_N + 1), (0.0,) * (EXACT_MAX_N + 1)))
+def test_wilcoxon_signed_rank(sample):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = wilcoxon_signed_rank(sample)
+        swapped = wilcoxon_signed_rank(PairedSample(sample.b, sample.a))
+    n = result.n_effective
+    assert 0.0 <= result.p_value <= 1.0
+    assert (result.method == "exact") == (n <= EXACT_MAX_N)
+    assert (swapped.p_value, swapped.n_effective) == (result.p_value, n)
+    assert swapped.statistic == n * (n + 1) / 2 - result.statistic
+    if n <= 12:
+        assert result.p_value == enumerated_p(sample)
 
 
 def test_numpy_scalars_are_stored_as_floats():

@@ -1205,7 +1205,72 @@ def test_out_dot_is_an_io_error(tmp_path, argv):
     result = run_cli(*argv, "--out", ".", cwd=tmp_path)
     assert result.returncode == 3
     assert result.stderr.startswith("error: io: ") and result.stderr.count("\n") == 1, result.stderr
+    assert result.stdout == ""
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["fuse", "cv"])
+def test_an_output_that_cannot_be_opened_stops_the_command_before_its_work(command, tmp_path, monkeypatch, capsys):
+    cohort = tmp_path / "cohort.csv"
+    write_cohort_csv(generate_cohort(SyntheticSpec(n_patients=40, seed=3)), cohort)
+    monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+    calls = []  # the names of the CLI's calls to the work
+    for name in ("resolve_fold_config", "evaluate_variants"):
+        def counted(*args, _name=name, _call=getattr(mrsfuse.cli, name)):
+            calls.append(_name)
+            return _call(*args)
+
+        monkeypatch.setattr(mrsfuse.cli, name, counted)
+    argv = [command, "--cohort", str(cohort), "--variable", "nihss", "--k", "2", "--runs", "2"]
+    assert mrsfuse.cli.main([*argv, "--out", str(tmp_path)]) == 3  # a directory: the open fails with EISDIR
+    out, err = capsys.readouterr()
+    assert (out, calls) == ("", [])
+    assert err.startswith("error: io: [Errno 21] Is a directory") and err.count("\n") == 1, err
+    assert mrsfuse.cli.main(argv) == 0  # the counters pass the calls on
+    assert calls == ["resolve_fold_config" if command == "fuse" else "evaluate_variants"]
+
+
+@pytest.mark.parametrize("flags, valid, line", [
+    (["--variable", "nihss"], True, "error: io: "),  # the work would fail on the constant covariate
+    (["--variable", "nihss", "--tau", "2"], True, "error: --tau "),
+    (["--variable", "age", "--strategy", "fixed", "--tau", "0.4", "--tau-star", "0.4"], False, "error: validation: "),
+], ids=["work", "settings", "validation"])
+def test_the_output_is_opened_after_the_settings_and_the_cohort(flags, valid, line, tmp_path, monkeypatch, capsys):
+    # each case fails with exit 2 on a writable output; on an unopenable one only the work's failure gives way
+    base = generate_cohort(SyntheticSpec(n_patients=40, seed=3))
+    age = base.age if valid else np.concatenate([[-1.0], base.age[1:]])
+    cohort = Cohort.of_columns(base.module_names, base.ids, base.probs, age, np.full(len(base), 7), base.mrs)
+    write_cohort_csv(cohort, tmp_path / "cohort.csv")
+    monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+    argv = ["fuse", "--cohort", str(tmp_path / "cohort.csv"), *flags]
+    assert mrsfuse.cli.main(argv) == 2
+    capsys.readouterr()
+    assert mrsfuse.cli.main([*argv, "--out", str(tmp_path)]) == (3 if line == "error: io: " else 2)
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[0].startswith(line), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--cohort", "cohort.csv"],
+    ["synth", "--n-patients", "12", "--out", "new.csv"],
+    ["fuse", "--cohort", "cohort.csv"],
+    ["cv", "--cohort", "cohort.csv", "--k", "2", "--runs", "1", "--out", "summary.json"],
+    ["compare", "a.json", "b.json", "--measure", "auc"],
+], ids=lambda argv: argv[0])
+def test_a_reader_that_has_gone_away_is_one_io_error(tmp_path, argv):
+    # stdout is the write end of a pipe whose read end is closed; CPython ignores SIGPIPE, so the write fails with
+    # EPIPE: as the command writes, or when main flushes what stdout still buffers
+    write_tiny_cohort(tmp_path / "cohort.csv", n=40)
+    write_thirty_run_summaries(tmp_path, 0, 1)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = run_cli(*argv, cwd=tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (3, "error: io: [Errno 32] Broken pipe\n")
+    if argv[0] == "synth":  # its file is written before it reports it
+        assert len(read_cohort_csv(tmp_path / "new.csv")) == 12
 
 
 # Run in a fresh interpreter: the test process itself has scipy loaded.
