@@ -17,10 +17,9 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import ContextManager, TextIO
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .cohort import (
     OutcomeLabel,
     as_plain,
     atomic_output,
+    cohort_csv_header,
     module_column,
     not_utf8_reason,
     read_cohort_csv,
@@ -154,16 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, description, output in (
-        ("fuse", "fuse module probabilities into per-patient predictions", True),
-        ("cv", "cross-validated evaluation of modules and ensembles", True),
-        ("validate", "check a cohort CSV against the schema invariants", False),
+    for name, description, handler in (
+        ("fuse", "fuse module probabilities into per-patient predictions", _cmd_fuse),
+        ("cv", "cross-validated evaluation of modules and ensembles", _cmd_cv),
+        ("validate", "check a cohort CSV against the schema invariants", _cmd_validate),
     ):
         sub = commands.add_parser(name, help=description)
-        _add_flags(sub, CONFIG_FILE_KEYS, skip=() if output else ("out", "format"))
+        sub.set_defaults(handler=handler)
+        _add_flags(sub, CONFIG_FILE_KEYS, skip=("out", "format") if name == "validate" else ())
         sub.add_argument("--config", help="JSON config file (flags override it)")
 
     compare = commands.add_parser("compare", help="signed-rank comparison of two cv summaries")
+    compare.set_defaults(handler=_cmd_compare)
     compare.add_argument("summary_a", help="first summary JSON")
     compare.add_argument("summary_b", help="second summary JSON")
     compare.add_argument("--measure", required=True, choices=MEASURES, help="the per-run measure to compare")
@@ -172,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--out", help="output path (default: stdout)")
 
     synth = commands.add_parser("synth", help="generate a synthetic cohort CSV")
+    synth.set_defaults(handler=_cmd_synth)
     synth.add_argument("--spec", help="synthetic spec JSON (flags override it)")
     _add_flags(synth, SYNTH_SPEC_KEYS, skip=("prevalence_poor",))
     synth.add_argument("--prevalence", type=float, dest="prevalence_poor", metavar="PREVALENCE",
@@ -258,14 +261,9 @@ def _read_valid_cohort(path: Path) -> Cohort:
     return cohort
 
 
-@contextmanager
-def _output(out: str | None) -> Iterator[TextIO]:
+def _output(out: str | None) -> ContextManager[TextIO]:
     """stdout, or a handle whose content replaces the file ``out`` once the block succeeds."""
-    if out is None:
-        yield sys.stdout
-    else:
-        with atomic_output(out) as handle:
-            yield handle
+    return atomic_output(sys.stdout if out is None else out)
 
 
 def _emit(document: object, handle: TextIO) -> None:
@@ -420,11 +418,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         spec = SyntheticSpec(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synthetic spec: {exc}") from exc
-    try:
-        cohort = generate_cohort(spec)
-    except (ValueError, MemoryError) as exc:  # numpy refusing arrays of n_patients rows
-        raise ConfigError(f"cannot generate {spec.n_patients} patients: {exc}") from exc
-    write_cohort_csv(cohort, args.out)
+    cohort_csv_header(spec.module_names, args.out)  # names that would share a column fail before the open
+    with atomic_output(args.out) as handle:
+        try:
+            cohort = generate_cohort(spec)
+        except (ValueError, MemoryError) as exc:  # numpy refusing arrays of n_patients rows
+            raise ConfigError(f"cannot generate {spec.n_patients} patients: {exc}") from exc
+        write_cohort_csv(cohort, handle)
     print(f"wrote {len(cohort)} patients to {args.out}")
     return EXIT_OK
 
@@ -441,19 +441,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "fuse": _cmd_fuse,
-    "cv": _cmd_cv,
-    "compare": _cmd_compare,
-    "synth": _cmd_synth,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = _COMMANDS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()  # a reader that has gone away fails here, as an io error, not in the interpreter's exit
         return code
     except (ValidationError, ConfigError, DegenerateDataError) as exc:

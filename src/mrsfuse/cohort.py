@@ -459,14 +459,20 @@ def _read_rows(handle: TextIO, path: Path, width: int, cols: list[int], module_n
     return Cohort.of_columns(module_names, ids, probs, age, _int_column(nihss), _int_column(mrs))
 
 
-def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
-    """Write a cohort in the standard CSV schema (atomically: temp file + rename)."""
-    if unnamed := non_string_module_name(cohort.module_names):
+def cohort_csv_header(module_names: tuple[str, ...], path: object) -> list[str]:
+    """The CSV header of a cohort of these modules; a name that cannot head a column raises ValidationError."""
+    if unnamed := non_string_module_name(module_names):
         raise ValidationError(f"{path}: {unnamed}")
-    header = list(CSV_REQUIRED_COLUMNS) + [module_column(name) for name in cohort.module_names]
+    header = list(CSV_REQUIRED_COLUMNS) + [module_column(name) for name in module_names]
     repeated = [column for i, column in enumerate(header) if column in header[:i]]
     if repeated:  # module names equal ignoring case
         raise ValidationError(f"{path}: duplicate column {repeated[0]!r}: module names must differ ignoring case")
+    return header
+
+
+def write_cohort_csv(cohort: Cohort, path: str | Path | TextIO) -> None:
+    """Write a cohort in the standard CSV schema through ``atomic_output``: a file atomically, or an open handle."""
+    header = cohort_csv_header(cohort.module_names, path)
     with atomic_output(path) as handle:
         write_csv_columns(handle, header, [cohort.ids, cohort.age, cohort.nihss, cohort.mrs, *cohort.probs.T])
 
@@ -510,17 +516,21 @@ def _csv_quote(text: str) -> str:
 
 
 @contextmanager
-def atomic_output(path: str | Path) -> Iterator[TextIO]:
+def atomic_output(path: str | Path | TextIO) -> Iterator[TextIO]:
     """A UTF-8 text handle whose content replaces ``path`` only if the block succeeds.
 
     It writes to a temp file beside the file ``path`` resolves to, so a symlink stays and its target
     gets the bytes, with a name unique to the call, so concurrent writers never share it, and removes
     that file on failure. The file is created like ``open(path, "w")`` would: mode 0o666 less the umask.
     An existing ``path`` that is no regular file (a FIFO, a device, a pipe at ``/dev/fd/N``) has nothing
-    to replace and is written in place.
+    to replace and is written in place, and so is an open text handle, which is yielded as it is and
+    left open. An empty ``path`` names no file and fails to open, as ``open("", "w")`` does.
     """
-    in_place = os.path.exists(path) and not os.path.isfile(path)  # both follow links; a pipe has no realpath
-    path = Path(path if in_place else os.path.realpath(path))
+    if not isinstance(path, (str, os.PathLike)):
+        yield path
+        return
+    in_place = not path or os.path.exists(path) and not os.path.isfile(path)  # both follow links
+    path = path if in_place else Path(os.path.realpath(path))  # a pipe has no realpath, and Path("") is "."
     tmp_path = None if in_place else path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")  # "." has no name
     flags = os.O_TRUNC if in_place else os.O_CREAT | os.O_EXCL
     fd = os.open(tmp_path or path, os.O_WRONLY | flags, 0o666)

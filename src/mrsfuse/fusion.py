@@ -72,8 +72,8 @@ class FusionConfig:
             if (value := getattr(self, name)) is not None:
                 object.__setattr__(self, name, require_real(name, value, 0, 1))
         if self.strategy == "fixed" and (self.prelim_threshold is None or self.final_threshold is None):
-            raise ConfigError(("strategy", "must not be 'fixed' without explicit 'prelim_threshold' and 'final_threshold'",
-                               self.strategy))
+            problem = "must not be 'fixed' without explicit 'prelim_threshold' and 'final_threshold'"
+            raise ConfigError(("strategy", problem, self.strategy))
 
 
 @dataclass(frozen=True)

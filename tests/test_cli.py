@@ -853,7 +853,8 @@ class TestConfigFile:
         # such bounds scaled every covariate to 0: ages 60 and 70 both weighted as c = 0
         monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
         cohort = tmp_path / "cohort.csv"
-        cohort.write_text("patient_id,age,nihss,mrs,p_adc,p_dwi\na,60,5,1,0.3,0.6\nb,70,9,4,0.7,0.2\n", encoding="utf-8")
+        cohort.write_text("patient_id,age,nihss,mrs,p_adc,p_dwi\na,60,5,1,0.3,0.6\nb,70,9,4,0.7,0.2\n",
+                          encoding="utf-8")
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"norm_min": -1e308, "norm_max": 1e308}), encoding="utf-8")
         argv = ["fuse", "--cohort", str(cohort), "--config", str(config), "--variable", "age",
@@ -912,7 +913,8 @@ def _help_flags(command: str, capsys) -> list[str]:
     with pytest.raises(SystemExit):
         mrsfuse.cli.main([command, "--help"])
     # an option's line starts with two spaces, a usage line's flags sit in brackets
-    return [flag for flag in re.findall(r"^ {2}(?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M) if flag != "--help"]
+    return [flag for flag in re.findall(r"^ {2}(?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M)
+            if flag != "--help"]
 
 
 class TestSettingsTable:
@@ -1209,25 +1211,56 @@ def test_out_dot_is_an_io_error(tmp_path, argv):
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
-@pytest.mark.parametrize("command", ["fuse", "cv"])
-def test_an_output_that_cannot_be_opened_stops_the_command_before_its_work(command, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command, work", [
+    ("fuse", "resolve_fold_config"), ("cv", "evaluate_variants"), ("synth", "generate_cohort"),
+])
+def test_an_output_that_cannot_be_opened_stops_the_command_before_its_work(command, work, tmp_path, monkeypatch,
+                                                                            capsys):
     cohort = tmp_path / "cohort.csv"
     write_cohort_csv(generate_cohort(SyntheticSpec(n_patients=40, seed=3)), cohort)
     monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
     calls = []  # the names of the CLI's calls to the work
-    for name in ("resolve_fold_config", "evaluate_variants"):
+    for name in ("resolve_fold_config", "evaluate_variants", "generate_cohort"):
         def counted(*args, _name=name, _call=getattr(mrsfuse.cli, name)):
             calls.append(_name)
             return _call(*args)
 
         monkeypatch.setattr(mrsfuse.cli, name, counted)
-    argv = [command, "--cohort", str(cohort), "--variable", "nihss", "--k", "2", "--runs", "2"]
+    argv = ([command, "--n-patients", "40", "--seed", "3"] if command == "synth"
+            else [command, "--cohort", str(cohort), "--variable", "nihss", "--k", "2", "--runs", "2"])
     assert mrsfuse.cli.main([*argv, "--out", str(tmp_path)]) == 3  # a directory: the open fails with EISDIR
     out, err = capsys.readouterr()
     assert (out, calls) == ("", [])
     assert err.startswith("error: io: [Errno 21] Is a directory") and err.count("\n") == 1, err
-    assert mrsfuse.cli.main(argv) == 0  # the counters pass the calls on
-    assert calls == ["resolve_fold_config" if command == "fuse" else "evaluate_variants"]
+    assert mrsfuse.cli.main([*argv, "--out", str(tmp_path / "out")]) == 0  # the counters pass the calls on
+    assert calls == [work]
+
+
+@pytest.mark.parametrize("command", ["fuse", "cv", "synth", "compare", "config"])
+def test_an_empty_out_fails_at_the_open_before_any_work(command, tmp_path, monkeypatch, capsys):
+    # an empty path names no file: the open fails as open("", "w") does, never beside the working directory
+    cohort, summary, config = tmp_path / "cohort.csv", tmp_path / "summary.json", tmp_path / "run.json"
+    write_cohort_csv(generate_cohort(SyntheticSpec(n_patients=40, seed=3)), cohort)
+    config.write_text(json.dumps({"out": ""}), encoding="utf-8")
+    monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+    cv = ["cv", "--cohort", str(cohort), "--k", "2", "--runs", "2"]
+    assert mrsfuse.cli.main([*cv, "--out", str(summary)]) == 0
+    capsys.readouterr()
+    argv = {
+        "fuse": ["fuse", "--cohort", str(cohort), "--out", ""],
+        "cv": [*cv, "--out", ""],
+        "synth": ["synth", "--n-patients", "40", "--out", ""],
+        "compare": ["compare", str(summary), str(summary), "--measure", "auc", "--variant-a", "ADC", "--out", ""],
+        "config": [*cv, "--config", str(config)],
+    }[command]
+    for name in ("resolve_fold_config", "evaluate_variants", "generate_cohort"):
+        monkeypatch.setattr(mrsfuse.cli, name, lambda *args, _name=name: pytest.fail(f"{_name} ran before the open"))
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    before = sorted(tmp_path.rglob("*"))
+    assert mrsfuse.cli.main(argv) == 3
+    assert capsys.readouterr() == ("", "error: io: [Errno 2] No such file or directory: ''\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("flags, valid, line", [

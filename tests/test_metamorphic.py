@@ -4,7 +4,10 @@ Halving one module's probabilities keeps the order of its scores, so the thresho
 (a cut lies between two scores, and halving is exact in binary floating point) and every decision and rank measure
 of that module's variant stays as it was; the mean absolute error changes and is not compared. Renaming the patients
 in a way that keeps the order of their ids changes neither the folds nor any number: the ``cv`` summary stays byte
-for byte, and ``fuse`` changes only its id column.
+for byte, and ``fuse`` changes only its id column. Permuting the module columns together with their names keeps
+every decision and rank measure and the preliminary thresholds of ``cv``'s variants; the kernel sums the columns in
+their order, so the MAE and the final thresholds move by rounding only. Cubing a module's column keeps the order of
+its scores, and so its AUC.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import pytest
 
 import mrsfuse.cli
 from mrsfuse.cohort import Cohort, write_cohort_csv
-from mrsfuse.crossval import MODULE_BASELINE, CvPlan, evaluate_variants
+from mrsfuse.crossval import MODULE_BASELINE, CvPlan, ensemble_name, evaluate_variants
 from mrsfuse.fusion import FusionConfig
 from mrsfuse.synth import SyntheticSpec, generate_cohort
 
@@ -49,6 +52,50 @@ def test_halving_a_module_halves_its_thresholds_and_keeps_its_measures(n, seed, 
             assert [halved.metrics.value(m) for m in ORDER_MEASURES] == [run.metrics.value(m) for m in ORDER_MEASURES]
             assert [(f.prelim_threshold / 2, f.final_threshold / 2) for f in run.folds] == [
                 (f.prelim_threshold, f.final_threshold) for f in halved.folds]
+
+
+def cv_configs(module_names: tuple[str, ...], variable: str) -> dict:
+    """The variants ``cli cv`` evaluates: each module alone, the plain ensemble and the weighted one."""
+    weighted = FusionConfig(variable)
+    return {**{name: (MODULE_BASELINE, name) for name in module_names}, "ensemble": (FusionConfig("none"), None),
+            ensemble_name(weighted): (weighted, None)}
+
+
+@pytest.mark.parametrize("variable", ["nihss", "age"])
+@pytest.mark.parametrize("n", [60, 119])
+@pytest.mark.parametrize("seed", range(4))
+def test_permuting_the_module_columns_keeps_every_variant(seed, n, variable):
+    cohort = generate_cohort(SyntheticSpec(n_patients=n, seed=seed))
+    order = np.roll(np.arange(len(cohort.module_names)), seed + 1)  # no module keeps its place
+    permuted = Cohort.of_columns([cohort.module_names[j] for j in order], cohort.ids, cohort.probs[:, order],
+                                 cohort.age, cohort.nihss, cohort.mrs)
+    plan = CvPlan(k=5, n_runs=4, base_seed=seed)
+    before = evaluate_variants(cohort, plan, cv_configs(cohort.module_names, variable))
+    after = evaluate_variants(permuted, plan, cv_configs(permuted.module_names, variable))
+    assert sorted(after) == sorted(before) and any(summary.runs for summary in before.values())
+    for name, summary in before.items():
+        assert after[name].failures == summary.failures
+        assert [after[name].run_values(m) for m in ORDER_MEASURES] == [summary.run_values(m) for m in ORDER_MEASURES]
+        assert np.allclose(after[name].run_values("mae"), summary.run_values("mae"), rtol=0, atol=1e-14)
+        folds = [(fold, moved) for run, shifted in zip(summary.runs, after[name].runs)
+                 for fold, moved in zip(run.folds, shifted.folds, strict=True)]
+        assert [moved.prelim_threshold for _, moved in folds] == [fold.prelim_threshold for fold, _ in folds]
+        assert all(abs(moved.final_threshold - fold.final_threshold) <= 1e-14 for fold, moved in folds)
+
+
+@pytest.mark.parametrize("n", [60, 119])
+@pytest.mark.parametrize("seed", range(4))
+def test_cubing_a_module_keeps_its_auc(seed, n):
+    cohort = generate_cohort(SyntheticSpec(n_patients=n, seed=seed))
+    plan = CvPlan(k=5, n_runs=4, base_seed=seed)
+    configs = {name: (MODULE_BASELINE, name) for name in cohort.module_names}
+    before = evaluate_variants(cohort, plan, configs)
+    for j, name in enumerate(cohort.module_names):
+        probs = cohort.probs.copy()
+        probs[:, j] **= 3
+        after = evaluate_variants(with_columns(cohort, probs=probs), plan, {name: configs[name]})[name]
+        assert after.failures == before[name].failures
+        assert after.run_values("auc") == before[name].run_values("auc")
 
 
 RENAMED = np.vectorize(lambda patient_id: "P" + patient_id[1:] + "x", otypes=[object])  # S0001 -> P0001x

@@ -4,7 +4,8 @@ The callers are ``tests/test_acceptance.py`` and perfbench (``from mrsfuse impor
 README's *Library* section (``mf.<name>``, or a bare name in backticks that the package defines).
 The three error types are exported too, because public functions raise them. Both sets are read
 from the files, so an export that no caller uses, or a caller's name the package does not export,
-fails here.
+fails here. Two rules on the source ride along: a module uses every name it imports, and no line of
+``src/`` or ``tests/`` passes 120 columns.
 """
 
 from __future__ import annotations
@@ -80,3 +81,23 @@ def test_no_module_compares_with_an_outcome_label_member():
                 for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Compare)
                 if members & {ast.unparse(operand) for operand in (node.left, *node.comparators)}]
     assert compared == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted((ROOT / "src" / "mrsfuse").glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno}: {alias.name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                   for alias in node.names if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
+
+
+def test_no_line_passes_120_columns():
+    files = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    long = [f"{path.relative_to(ROOT)}:{number}" for path in files
+            for number, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 120]
+    assert long == []
