@@ -227,14 +227,10 @@ class Cohort:
             np.array_equal(a, b) for a, b in zip(self._columns(), other._columns())
         )
 
-    def iter_rows(self) -> Iterator[tuple]:
-        """(id, age, nihss, probs, mrs) per patient as Python values, mrs None when missing."""
-        return zip(*(column.tolist() for column in (self.ids, self.age, self.nihss, self.probs, self.mrs)))
-
     @property
     def patients(self) -> tuple[PatientRecord, ...]:
-        """The patients as records, converted from the columns."""
-        rows = self.iter_rows()
+        """The patients as records of Python values, converted from the columns; mrs None when missing."""
+        rows = zip(*(column.tolist() for column in (self.ids, self.age, self.nihss, self.probs, self.mrs)))
         return tuple(PatientRecord(pid, age, nihss, tuple(p), mrs) for pid, age, nihss, p, mrs in rows)
 
     def __iter__(self) -> Iterator[PatientRecord]:
@@ -371,6 +367,7 @@ def read_cohort_csv(path: str | Path) -> Cohort:
     Module probabilities are discovered by the ``p_`` column prefix and
     their header order defines the cohort's module ordering.
     """
+    _path_prefix(path)
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
@@ -459,14 +456,22 @@ def _read_rows(handle: TextIO, path: Path, width: int, cols: list[int], module_n
     return Cohort.of_columns(module_names, ids, probs, age, _int_column(nihss), _int_column(mrs))
 
 
-def cohort_csv_header(module_names: tuple[str, ...], path: object) -> list[str]:
+def _path_prefix(path: object, writing: bool = False) -> str:
+    """``"<path>: "`` for a file path, "" for an open handle (with ``write``) if ``writing``, else ValidationError."""
+    if isinstance(path, (str, os.PathLike)) or writing and hasattr(path, "write"):
+        return f"{path}: " * isinstance(path, (str, os.PathLike))
+    raise ValidationError(f"path must be a file path{' or an open text handle' * writing}, got {path!r}")
+
+
+def cohort_csv_header(module_names: tuple[str, ...], path: str | Path | TextIO) -> list[str]:
     """The CSV header of a cohort of these modules; a name that cannot head a column raises ValidationError."""
+    prefix = _path_prefix(path, writing=True)
     if unnamed := non_string_module_name(module_names):
-        raise ValidationError(f"{path}: {unnamed}")
+        raise ValidationError(f"{prefix}{unnamed}")
     header = list(CSV_REQUIRED_COLUMNS) + [module_column(name) for name in module_names]
     repeated = [column for i, column in enumerate(header) if column in header[:i]]
     if repeated:  # module names equal ignoring case
-        raise ValidationError(f"{path}: duplicate column {repeated[0]!r}: module names must differ ignoring case")
+        raise ValidationError(f"{prefix}duplicate column {repeated[0]!r}: module names must differ ignoring case")
     return header
 
 
@@ -526,7 +531,7 @@ def atomic_output(path: str | Path | TextIO) -> Iterator[TextIO]:
     to replace and is written in place, and so is an open text handle, which is yielded as it is and
     left open. An empty ``path`` names no file and fails to open, as ``open("", "w")`` does.
     """
-    if not isinstance(path, (str, os.PathLike)):
+    if not _path_prefix(path, writing=True):  # an open handle
         yield path
         return
     in_place = not path or os.path.exists(path) and not os.path.isfile(path)  # both follow links

@@ -30,13 +30,21 @@ message names an argument, or states which lengths or runs differ; no warning is
 the largest float and subnormal ones. Its p-value lies in [0, 1], it is exact for at most 25 nonzero differences,
 swapping the sides keeps the p-value and turns the statistic W into n(n+1)/2 - W, and up to 12 nonzero differences
 the p-value equals an enumeration of every sign pattern.
+
+``read_cohort_csv`` and ``write_cohort_csv`` get targets that are no text path (bytes and the other values of any
+type that the constructors get), from an empty working directory: each raises ValidationError naming ``path`` and
+writes nothing there.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
 import re
+import tempfile
 import types
 import warnings
 from typing import get_args, get_origin, get_type_hints
@@ -46,7 +54,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mrsfuse.cohort import (
-    ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, Violation, as_plain, normalize_clinical, validate_cohort,
+    ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, Violation, as_plain, normalize_clinical, read_cohort_csv,
+    validate_cohort, write_cohort_csv,
 )
 from mrsfuse.crossval import CvPlan, compare_summary_dicts, evaluate_model, resolve_fold_config
 from mrsfuse.errors import ConfigError, DegenerateDataError, ValidationError, as_array
@@ -480,6 +489,27 @@ def test_a_function_names_the_argument_it_cannot_take(call, message):
     with pytest.raises(ValidationError) as caught:
         call()
     assert str(caught.value).startswith(message)
+
+
+# what a file path argument may be given that is no text path
+NOT_PATH = (ANY_VALUE | st.sampled_from([b"c.csv", b""])).filter(lambda value: not isinstance(value, str))
+
+
+@SETTINGS
+@given(NOT_PATH, st.booleans())
+def test_cohort_files_name_a_target_that_is_no_path(target, writing):
+    cohort = Cohort(("A",), (PatientRecord("p", 60.0, 5, (0.2,), 1),))
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^path must be a file path"):
+            write_cohort_csv(cohort, target) if writing else read_cohort_csv(target)
+        assert os.listdir(tmp) == []
+
+
+def test_a_handle_is_no_path_in_a_header_error():
+    with pytest.raises(ValidationError) as caught:
+        write_cohort_csv(Cohort(("a", "A")), io.StringIO())
+    assert str(caught.value) == "duplicate column 'p_a': module names must differ ignoring case"
 
 
 # paired values with ties, zero differences, differences beyond the largest float and subnormal ones

@@ -720,7 +720,7 @@ def _parse_outcome(parse, path):
     except ValidationError as exc:
         return "error", str(exc)
     dtypes = [column.dtype for column in (cohort.ids, cohort.probs, cohort.age, cohort.nihss, cohort.mrs)]
-    return cohort.module_names, cohort.probs.shape, dtypes, [repr(row) for row in cohort.iter_rows()]
+    return cohort.module_names, cohort.probs.shape, dtypes, [repr(record) for record in cohort.patients]
 
 
 class TestParserOracle:
@@ -861,15 +861,15 @@ class TestCsvRoundTrip:
             write_cohort_csv(cohort, path)
             loaded = read_cohort_csv(path)
         assert loaded == cohort
-        assert [repr(row) for row in loaded.iter_rows()] == [repr(row) for row in cohort.iter_rows()]
+        assert [repr(record) for record in loaded.patients] == [repr(record) for record in cohort.patients]
 
 
 def _csv_writer_cohort_bytes(cohort):
     """The csv.writer row path that write_cohort_csv replaced, kept as its oracle."""
     header = list(CSV_REQUIRED_COLUMNS) + [module_column(name) for name in cohort.module_names]
     return csv_writer_bytes([header] + [
-        [pid, repr(age), nihss, "" if mrs is None else mrs, *map(repr, probs)]
-        for pid, age, nihss, probs, mrs in cohort.iter_rows()
+        [p.patient_id, repr(p.age), p.nihss, "" if p.mrs is None else p.mrs, *map(repr, p.module_probs)]
+        for p in cohort.patients
     ])
 
 

@@ -7,7 +7,8 @@ in a way that keeps the order of their ids changes neither the folds nor any num
 for byte, and ``fuse`` changes only its id column. Permuting the module columns together with their names keeps
 every decision and rank measure and the preliminary thresholds of ``cv``'s variants; the kernel sums the columns in
 their order, so the MAE and the final thresholds move by rounding only. Cubing a module's column keeps the order of
-its scores, and so its AUC.
+its scores, and so its AUC. Permuting the rows of the cohort permutes the rows of ``fuse``'s table and keeps its
+thresholds: its search counts at the group ends of sorted scores, and each of its rows follows its input row.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import mrsfuse.cli
+from conftest import take
 from mrsfuse.cohort import Cohort, write_cohort_csv
 from mrsfuse.crossval import MODULE_BASELINE, CvPlan, ensemble_name, evaluate_variants
 from mrsfuse.fusion import FusionConfig
@@ -134,3 +136,37 @@ def test_renaming_ids_in_their_order_changes_only_the_fuse_id_column(fmt, tmp_pa
     assert [rest for _, rest in renamed] == [rest for _, rest in original]
     assert [patient_id for patient_id, _ in renamed] == RENAMED(cohort.ids).tolist()
     assert [patient_id for patient_id, _ in original] == cohort.ids.tolist()
+
+
+def fuse_outcome(path, *flags: str, capsys) -> tuple:
+    """The exit code of ``cli fuse`` on a cohort file and its stdout, or its stderr where it failed."""
+    code = mrsfuse.cli.main(["fuse", "--cohort", str(path), *flags])
+    out, err = capsys.readouterr()
+    return code, out if code == 0 else err
+
+
+@pytest.mark.parametrize("strategy", ["youden", "max_accuracy"])
+@pytest.mark.parametrize("variable", ["nihss", "age", "none"])
+@pytest.mark.parametrize("n", [60, 119])
+@pytest.mark.parametrize("seed", range(4))
+def test_permuting_rows_permutes_the_fuse_table(seed, n, variable, strategy, tmp_path, monkeypatch, capsys):
+    cohort = generate_cohort(SyntheticSpec(n_patients=n, seed=seed))
+    permuted = take(cohort, np.random.default_rng(seed).permutation(n))
+    monkeypatch.delenv(mrsfuse.cli.CONFIG_ENV_VAR, raising=False)
+    outcomes = []  # per file, the outcome of each format
+    for name, rows in (("cohort.csv", cohort), ("permuted.csv", permuted)):
+        write_cohort_csv(rows, tmp_path / name)
+        outcomes.append([fuse_outcome(tmp_path / name, "--variable", variable, "--strategy", strategy,
+                                      "--format", fmt, capsys=capsys) for fmt in ("csv", "json")])
+    codes = [code for file in outcomes for code, _ in file]
+    if codes[0] != 0:
+        assert outcomes[1] == outcomes[0]  # the same error line
+        return
+    assert codes == [0, 0, 0, 0]
+    (table, document), (permuted_table, permuted_document) = ([text for _, text in file] for file in outcomes)
+    header, *lines = table.splitlines()
+    permuted_header, *permuted_lines = permuted_table.splitlines()
+    line_of = dict(zip(cohort.ids.tolist(), lines, strict=True))
+    assert permuted_header == header
+    assert permuted_lines == [line_of[patient_id] for patient_id in permuted.ids.tolist()]
+    assert json.loads(permuted_document)["config"] == json.loads(document)["config"]

@@ -4,8 +4,8 @@ The callers are ``tests/test_acceptance.py`` and perfbench (``from mrsfuse impor
 README's *Library* section (``mf.<name>``, or a bare name in backticks that the package defines).
 The three error types are exported too, because public functions raise them. Both sets are read
 from the files, so an export that no caller uses, or a caller's name the package does not export,
-fails here. Two rules on the source ride along: a module uses every name it imports, and no line of
-``src/`` or ``tests/`` passes 120 columns.
+fails here. Three rules on the source ride along: a module uses every name it imports and reads every
+private name it defines, and no line of ``src/`` or ``tests/`` passes 120 columns.
 """
 
 from __future__ import annotations
@@ -93,6 +93,21 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{node.lineno}: {alias.name}" for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
                    for alias in node.names if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
+
+
+def test_every_private_name_is_used():
+    # a function, class, method or constant named with one leading underscore serves its own module: it is read there
+    unused = []
+    for path in sorted((ROOT / "src" / "mrsfuse").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = [node for node in nodes if isinstance(node, ast.Name)]
+        defined = [(node.lineno, node.name) for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defined += [(node.lineno, node.id) for node in names if isinstance(node.ctx, ast.Store)]
+        read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+        read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}  # a method, through its instance
+        unused += [f"{path.name}:{line}: {name}" for line, name in defined
+                   if re.fullmatch(r"_[^_]\w*", name) and name not in read]  # no dunder matches
     assert unused == []
 
 
