@@ -279,9 +279,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     variable = settings.config.clinical_variable
     with _output(settings.get("out")) as handle:
         _, resolution = resolve_fold_config(cohort, settings.config)  # one fold: its training rows are its test rows
-        _, weights, fused = fuse_by_fold(cohort, slice(None), 0, variable, [resolution])
-        fused_unweighted = (fused if variable == "none"
-                            else fuse_by_fold(cohort, slice(None), 0, "none", [resolution])[2])
+        _, weights, fused = fuse_by_fold(cohort, 0, variable, [resolution])
+        fused_unweighted = fused if variable == "none" else fuse_by_fold(cohort, 0, "none", [resolution])[2]
         poor, poor_unweighted = (is_poor(f, resolution.final_threshold) for f in (fused, fused_unweighted))
         label_names = np.array([str(label) for label in OutcomeLabel], dtype=object)  # indexed by "is poor"
 

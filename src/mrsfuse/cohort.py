@@ -23,7 +23,8 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, as_array, as_float, as_tuple, is_number, real_array, require_tuple
+from .errors import ConfigError, ValidationError, as_array, as_float, as_tuple, is_number, real_array, require_kind
+from .errors import require_tuple
 
 DEFAULT_MODULE_NAMES = ("ADC", "CBF", "CBV", "DWI", "Tmax")
 
@@ -300,13 +301,13 @@ def _record_fault(p: PatientRecord, module_names: tuple[str, ...]) -> Violation 
 
 
 def validate_cohort(cohort: Cohort) -> list[Violation]:
-    """Check every column invariant; violations are returned, never raised.
+    """Check every column invariant of a :class:`Cohort`; violations are returned, never raised.
 
     Cohort-level findings come first, then each patient's in cohort order,
     field by field: id, age, nihss, mrs, then the modules.
     """
     violations: list[Violation] = []
-    if not cohort.module_names:
+    if not require_kind("cohort", cohort, Cohort, ValidationError).module_names:
         violations.append(Violation(None, "module_names", "empty module list"))
     unnamed = non_string_module_name(cohort.module_names)
     if unnamed:
@@ -458,8 +459,9 @@ def _read_rows(handle: TextIO, path: Path, width: int, cols: list[int], module_n
 
 def _path_prefix(path: object, writing: bool = False) -> str:
     """``"<path>: "`` for a file path, "" for an open handle (with ``write``) if ``writing``, else ValidationError."""
-    if isinstance(path, (str, os.PathLike)) or writing and hasattr(path, "write"):
-        return f"{path}: " * isinstance(path, (str, os.PathLike))
+    text = isinstance(path, (str, os.PathLike)) and isinstance(os.fspath(path), str)  # a path object may give bytes
+    if text or writing and hasattr(path, "write"):
+        return f"{path}: " * text
     raise ValidationError(f"path must be a file path{' or an open text handle' * writing}, got {path!r}")
 
 

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cohort import ClinicalNormalizer, Cohort, as_plain, poor_mask, scale_clamped, validate_cohort
-from .errors import ConfigError, DegenerateDataError, ValidationError, is_number, require_int
+from .errors import ConfigError, DegenerateDataError, ValidationError, is_number, require_int, require_kind
 from .fusion import (
     FusionConfig,
     fuse_matrix,
@@ -127,10 +127,10 @@ def make_folds(cohort: Cohort, plan: CvPlan, run_index: int) -> np.ndarray:
     cursor, so per-class counts and total fold sizes both differ by at most
     one across folds. Every training fold must contain both outcome classes.
     """
-    n = len(cohort)
+    n = len(require_kind("cohort", cohort, Cohort, ValidationError))
     if n == 0:
         raise ValidationError("cannot fold an empty cohort")
-    if plan.k > n:
+    if require_kind("plan", plan, CvPlan).k > n:
         raise ValidationError(f"k={plan.k} exceeds cohort size {n}")
 
     rng = np.random.default_rng([plan.base_seed, run_index])
@@ -179,10 +179,11 @@ def resolve_folds(
     searches them.
     """
     resolutions: list[FoldResolution] = []
+    covariate = None if config.clinical_variable == "none" else rows.covariate(config.clinical_variable)
     for fold_index, train in enumerate(train_rows):
         norm = config.normalizer
-        if config.clinical_variable != "none" and norm is None:
-            values = rows.covariate(config.clinical_variable)[train]
+        if covariate is not None and norm is None:
+            values = covariate[train]
             if len(values) == 0:
                 raise ValidationError("cannot derive normalizer bounds from an empty patient list")
             lo, hi = float(values.min()), float(values.max())
@@ -199,9 +200,8 @@ def resolve_folds(
         if final is None:
             if fold_invariant(config, rows):  # one module's fused scores are its module scores
                 value = search(fold_index, config.strategy, rows.probs.shape[1] > 1)
-            else:
-                unfinished = [FoldResolution(fold_index, prelim, final, *bounds)]
-                fused = fuse_by_fold(rows, train, 0, config.clinical_variable, unfinished)[2]
+            else:  # not fold_invariant, so weighted by the covariate
+                fused = fuse_matrix(rows.probs[train], scale_clamped(covariate[train], *bounds), prelim)[2]
                 value = search_threshold(fused, rows.outcomes()[train], config.strategy)
             final = _searched(value, "final threshold")
         resolutions.append(FoldResolution(fold_index, prelim, final, *bounds))
@@ -210,6 +210,8 @@ def resolve_folds(
 
 def resolve_fold_config(train: Cohort, config: FusionConfig) -> tuple[FusionConfig, FoldResolution]:
     """:func:`resolve_folds` of one training fold, every row of ``train``: the resolved config, fold 0's resolution."""
+    require_kind("train", train, Cohort, ValidationError)
+    require_kind("config", config, FusionConfig)
     # every module score of every patient, patient by patient, or the fused scores
     search = functools.cache(lambda strategy, fused: search_threshold(
         *((fuse_matrix(train.probs, None, 0.0)[2], train.outcomes()) if fused else
@@ -224,18 +226,17 @@ def resolve_fold_config(train: Cohort, config: FusionConfig) -> tuple[FusionConf
 
 
 def fuse_by_fold(
-    rows: Cohort, at: np.ndarray | slice, fold_of: np.ndarray | int, variable: str,
-    resolutions: Sequence[FoldResolution],
+    rows: Cohort, fold_of: np.ndarray | int, variable: str, resolutions: Sequence[FoldResolution],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fuse_matrix` of the rows ``at`` weighted by ``variable`` (or ``none``), the i-th fused as fold
-    ``fold_of[i]`` resolved it (threshold and bounds); an int ``fold_of`` is every row's fold."""
+    """:func:`fuse_matrix` of ``rows`` weighted by ``variable`` (or ``none``), the i-th fused as fold ``fold_of[i]``
+    resolved it (threshold and bounds); an int ``fold_of`` is every row's fold."""
     prelim = np.array([r.prelim_threshold for r in resolutions])[fold_of, None]
     covariate = None
     if variable != "none":  # float bounds: an int64 span such as 2**62 - -2**62 would wrap
         bounds = zip(*((r.norm_min, r.norm_max) for r in resolutions))
         lo, hi = (np.array(column, dtype=float)[fold_of] for column in bounds)
-        covariate = scale_clamped(rows.covariate(variable)[at], lo, hi)
-    return fuse_matrix(rows.probs[at], covariate, prelim)
+        covariate = scale_clamped(rows.covariate(variable), lo, hi)
+    return fuse_matrix(rows.probs, covariate, prelim)
 
 
 def ensemble_name(config: FusionConfig) -> str:
@@ -271,6 +272,8 @@ def evaluate_variants(
         listing = "; ".join(str(v) for v in violations[:5])
         raise ValidationError(f"cohort failed validation ({len(violations)} violations): {listing}")
 
+    for name, (config, _) in configs.items():
+        require_kind(f"config of variant {name!r}", config, FusionConfig)
     truth = cohort.outcomes()
     poor = poor_mask(truth, "outcomes")
     views = {module: cohort if module is None else cohort.single_module_view(module)
@@ -286,7 +289,7 @@ def evaluate_variants(
                                                 "auc": auc(invariant(modules), truth)})
     runs: dict[str, list[RunResult]] = {name: [] for name in configs}
     failures: dict[str, list[str]] = {name: [] for name in configs}
-    for run_index in range(plan.n_runs):
+    for run_index in range(require_kind("plan", plan, CvPlan).n_runs):
         try:
             fold_of = make_folds(cohort, plan, run_index)
         except DegenerateDataError as exc:
@@ -313,7 +316,7 @@ def evaluate_variants(
                     run_report = MetricReport(**measured(view.module_names), n_patients=len(truth),
                                               **decision_measures(is_poor(invariant(view.module_names), finals), poor))
                 else:
-                    fused = fuse_by_fold(view, slice(None), fold_of, config.clinical_variable, resolutions)[2]
+                    fused = fuse_by_fold(view, fold_of, config.clinical_variable, resolutions)[2]
                     run_report = report(predicted=is_poor(fused, finals), fused_probs=fused, truth=truth)
                 runs[name].append(RunResult(run_index=run_index, metrics=run_report, folds=tuple(resolutions)))
             except DegenerateDataError as exc:
@@ -327,13 +330,14 @@ def evaluate_variants(
 
 def evaluate_model(cohort: Cohort, plan: CvPlan, config: FusionConfig) -> RunSummary:
     """Cross-validated evaluation of one fusion configuration over every module."""
-    name = ensemble_name(config)
+    name = ensemble_name(require_kind("config", config, FusionConfig))
     return evaluate_variants(cohort, plan, {name: (config, None)})[name]
 
 
 def evaluate_per_module(cohort: Cohort, plan: CvPlan) -> dict[str, RunSummary]:
     """Evaluate each module's probabilities alone, as a single-module ensemble."""
-    return evaluate_variants(cohort, plan, {name: (MODULE_BASELINE, name) for name in cohort.module_names})
+    modules = require_kind("cohort", cohort, Cohort, ValidationError).module_names
+    return evaluate_variants(cohort, plan, {name: (MODULE_BASELINE, name) for name in modules})
 
 
 def _summary_value(record: dict, key: str, kind: type = numbers.Real) -> object:

@@ -62,6 +62,13 @@ def require_tuple(name: str, value: object, error: type = ValidationError) -> tu
     return items
 
 
+def require_kind(name: str, value: object, kind: type, error: type = ConfigError) -> object:
+    """``value`` if it is a ``kind``, else raise ``error("<name> must be a <kind>, got <value>")``."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def require_real(name: str, value: object, low: float, high: float, closed: bool = False) -> float:
     """``value`` as a float (``as_float``: no numpy scalar is stored) if it lies in (low, high), or in [low, high]
     if ``closed``; else raise ``<name> must lie in (low, high), got <value>``."""

@@ -31,9 +31,14 @@ the largest float and subnormal ones. Its p-value lies in [0, 1], it is exact fo
 swapping the sides keeps the p-value and turns the statistic W into n(n+1)/2 - W, and up to 12 nonzero differences
 the p-value equals an enumeration of every sign pattern.
 
-``read_cohort_csv`` and ``write_cohort_csv`` get targets that are no text path (bytes and the other values of any
-type that the constructors get), from an empty working directory: each raises ValidationError naming ``path`` and
-writes nothing there.
+``read_cohort_csv`` and ``write_cohort_csv`` get targets that are no text path (bytes, a path object that gives
+bytes and the other values of any type that the constructors get), from an empty working directory: each raises
+ValidationError naming ``path`` and writes nothing there.
+
+The cross-validation functions (``validate_cohort``, ``make_folds``, ``resolve_fold_config``, ``evaluate_model``,
+``evaluate_per_module`` and ``evaluate_variants``) get those values for the cohort, the plan, the config and each
+variant's config. Each call succeeds when every argument is of its kind; else it raises ValidationError naming a
+cohort, or ConfigError naming a plan or a config (a variant's too), of the wrong kind.
 """
 
 from __future__ import annotations
@@ -57,7 +62,10 @@ from mrsfuse.cohort import (
     ClinicalNormalizer, Cohort, OutcomeLabel, PatientRecord, Violation, as_plain, normalize_clinical, read_cohort_csv,
     validate_cohort, write_cohort_csv,
 )
-from mrsfuse.crossval import CvPlan, compare_summary_dicts, evaluate_model, resolve_fold_config
+from mrsfuse.crossval import (
+    CvPlan, compare_summary_dicts, evaluate_model, evaluate_per_module, evaluate_variants, make_folds,
+    resolve_fold_config,
+)
 from mrsfuse.errors import ConfigError, DegenerateDataError, ValidationError, as_array
 from mrsfuse.fusion import (
     FusionConfig, classify, compute_weights, derive_labels, fuse, fuse_matrix, fuse_patient, search_threshold,
@@ -491,8 +499,15 @@ def test_a_function_names_the_argument_it_cannot_take(call, message):
     assert str(caught.value).startswith(message)
 
 
+class BytesPath:
+    """A path object whose ``__fspath__`` gives bytes."""
+
+    def __fspath__(self) -> bytes:
+        return b"c.csv"
+
+
 # what a file path argument may be given that is no text path
-NOT_PATH = (ANY_VALUE | st.sampled_from([b"c.csv", b""])).filter(lambda value: not isinstance(value, str))
+NOT_PATH = (ANY_VALUE | st.sampled_from([b"c.csv", b"", BytesPath()])).filter(lambda value: not isinstance(value, str))
 
 
 @SETTINGS
@@ -504,6 +519,68 @@ def test_cohort_files_name_a_target_that_is_no_path(target, writing):
         with pytest.raises(ValidationError, match="^path must be a file path"):
             write_cohort_csv(cohort, target) if writing else read_cohort_csv(target)
         assert os.listdir(tmp) == []
+
+
+CV_COHORT = generate_cohort(SyntheticSpec(n_patients=20, seed=1))
+CV_PLAN = CvPlan(k=2, n_runs=1)
+CV_CONFIGS = [FusionConfig("age"), FusionConfig("none")]
+COHORT_ARGUMENT = ([CV_COHORT], ValidationError, "cohort")
+PLAN_ARGUMENT = ([CV_PLAN], ConfigError, "plan")
+CONFIG_ARGUMENT = (CV_CONFIGS, ConfigError, "config")
+# per cv function: the values each drawn argument may take that pass alone, the error a value of another kind raises
+# and the name the error gives it; evaluate_variants' x and y are the configs of its two variants
+CV_ARGUMENTS = {
+    validate_cohort: {"cohort": COHORT_ARGUMENT},
+    make_folds: {"cohort": COHORT_ARGUMENT, "plan": PLAN_ARGUMENT},
+    resolve_fold_config: {"train": ([CV_COHORT], ValidationError, "train"), "config": CONFIG_ARGUMENT},
+    evaluate_model: {"cohort": COHORT_ARGUMENT, "plan": PLAN_ARGUMENT, "config": CONFIG_ARGUMENT},
+    evaluate_per_module: {"cohort": COHORT_ARGUMENT, "plan": PLAN_ARGUMENT},
+    evaluate_variants: {"cohort": COHORT_ARGUMENT, "plan": PLAN_ARGUMENT,
+                        "x": (CV_CONFIGS, ConfigError, "config of variant 'x'"),
+                        "y": (CV_CONFIGS, ConfigError, "config of variant 'y'")},
+}
+
+
+@settings(SETTINGS, max_examples=120)
+@given(st.sampled_from(list(CV_ARGUMENTS)), st.data())
+def test_cv_functions_name_an_argument_of_the_wrong_kind(function, data):
+    fields = CV_ARGUMENTS[function]
+    kwargs = data.draw(arguments({name: (ok, name) for name, (ok, _, _) in fields.items()}))
+    wrong = {name for name, (ok, _, _) in fields.items() if not any(kwargs[name] is value for value in ok)}
+    if function is evaluate_variants:
+        kwargs["configs"] = {"x": (kwargs.pop("x"), None), "y": (kwargs.pop("y"), "ADC")}
+    elif function is make_folds:
+        kwargs["run_index"] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            function(**kwargs)
+        except (ValidationError, ConfigError) as exc:
+            assert any(isinstance(exc, fields[name][1]) and str(exc).startswith(f"{fields[name][2]} must be a ")
+                       for name in wrong), str(exc)
+            return
+    assert not wrong, wrong
+
+
+VARIANT = {"x": (FusionConfig("age"), None)}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: evaluate_variants(CV_COHORT, CV_PLAN, {"x": (None, None)}), ConfigError,
+     "config of variant 'x' must be a FusionConfig, got None"),
+    (lambda: evaluate_variants(CV_COHORT, None, VARIANT), ConfigError, "plan must be a CvPlan, got None"),
+    (lambda: evaluate_per_module(CV_COHORT, None), ConfigError, "plan must be a CvPlan, got None"),
+    (lambda: evaluate_model(CV_COHORT, CV_PLAN, None), ConfigError, "config must be a FusionConfig, got None"),
+    (lambda: resolve_fold_config(CV_COHORT, None), ConfigError, "config must be a FusionConfig, got None"),
+    (lambda: make_folds(CV_COHORT, None, 0), ConfigError, "plan must be a CvPlan, got None"),
+    (lambda: validate_cohort(None), ValidationError, "cohort must be a Cohort, got None"),
+    (lambda: evaluate_variants(None, CV_PLAN, VARIANT), ValidationError, "cohort must be a Cohort, got None"),
+], ids=["variants-pair-config", "variants-plan", "per_module-plan", "model-config", "resolve-config",
+        "make_folds-plan", "validate-cohort", "variants-cohort"])
+def test_a_cv_function_names_the_argument_it_cannot_take(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_a_handle_is_no_path_in_a_header_error():

@@ -1340,6 +1340,36 @@ def test_no_command_loads_scipy(tmp_path):
     assert scipy_modules == []
 
 
+# Run in a fresh interpreter: the test process itself has numpy.random loaded.
+DRAW_FREE_COMMANDS = """
+import contextlib, io, json, sys
+import mrsfuse.cli
+cohort, thirty_a, thirty_b = sys.argv[1:]
+commands = [
+    ["validate", "--cohort", cohort],
+    ["fuse", "--cohort", cohort, "--variable", "nihss"],
+    ["fuse", "--cohort", cohort, "--variable", "age", "--strategy", "fixed", "--tau", "0.4", "--tau-star", "0.45"],
+    ["compare", thirty_a, thirty_b, "--measure", "auc"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [mrsfuse.cli.main(argv) for argv in commands]
+print(json.dumps([codes, "numpy.random" in sys.modules]))
+"""
+
+
+def test_draw_free_commands_leave_numpy_random_unloaded(tmp_path):
+    # importing numpy.random costs a command about 10 ms: secrets, through hmac, loads OpenSSL
+    cohort = write_tiny_cohort(tmp_path / "cohort.csv", n=30)
+    thirty = write_thirty_run_summaries(tmp_path, 3, 2)
+    result = subprocess.run(
+        [sys.executable, "-c", DRAW_FREE_COMMANDS, str(cohort), *thirty],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0] * 4, False]
+
+
 def test_commands_build_no_patient_records(tmp_path, monkeypatch, capsys):
     # the CLI reads and writes cohort columns; records are only a library conversion
     def refuse(*args, **kwargs):

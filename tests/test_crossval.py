@@ -436,8 +436,8 @@ class TestResolveFoldConfig:
 class TestFuseByFold:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), variable=st.sampled_from(["none", "nihss", "age"]),
-           int_bounds=st.booleans(), as_rows=st.booleans())
-    def test_a_fold_index_equals_a_fold_array_of_it(self, seed, variable, int_bounds, as_rows):
+           int_bounds=st.booleans())
+    def test_a_fold_index_equals_a_fold_array_of_it(self, seed, variable, int_bounds):
         # fold 0 for every row, given as the index alone or as an array of zeros, fuses to the same bits
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(1, 30)), int(rng.integers(1, 5))
@@ -445,16 +445,14 @@ class TestFuseByFold:
         ids = np.array([f"p{i}" for i in range(n)], dtype=object)
         cohort = Cohort.of_columns(tuple(f"M{j}" for j in range(m)), ids, probs, rng.uniform(20.0, 95.0, n),
                                    rng.integers(0, 43, n), rng.integers(0, 7, n))
-        at = rng.permutation(n)[:int(rng.integers(1, n + 1))] if as_rows else slice(None)
         lo = int(rng.integers(0, 40))
         hi = lo + int(rng.integers(1, 60))
         bounds = (lo, hi) if int_bounds else (lo + float(rng.random()), hi + float(rng.random()))
         if variable == "none":
             bounds = (None, None)
         resolutions = [FoldResolution(0, float(rng.choice([0.5, rng.random()])), 0.5, *bounds)]
-        size = len(cohort.ids[at])
-        one = mrsfuse.crossval.fuse_by_fold(cohort, at, 0, variable, resolutions)
-        many = mrsfuse.crossval.fuse_by_fold(cohort, at, np.zeros(size, dtype=np.intp), variable, resolutions)
+        one = mrsfuse.crossval.fuse_by_fold(cohort, 0, variable, resolutions)
+        many = mrsfuse.crossval.fuse_by_fold(cohort, np.zeros(n, dtype=np.intp), variable, resolutions)
         for a, b in zip(one, many):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
